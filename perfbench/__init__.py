@@ -1,0 +1,2 @@
+"""Benchmark for lucene_plugin_ray: seeded workloads, end-to-end metrics and a
+traced per-layer run.  Entry point: ``python3 perfbench/run.py --help``."""
