@@ -8,63 +8,77 @@ QueryParser, LuceneIndexBean.java:727-735).  We use TRUE Damerau-Levenshtein
 ``damerau_levenshtein`` — the conformance oracle; documented deviation from
 Lucene's automaton in functions/queryparse.py.
 
-Scale shape: one vectorized OSA (restricted-transposition) dynamic program
-over ALL length-filtered candidates at once — ``len(base) × max_len`` numpy
-passes over the candidate axis, no per-term Python in the common path.  OSA
-is an upper bound on true DL, and for max_edits ≤ 2 the gap is at most 1
-(proof sketch in :func:`fuzzy_match_mask`), so only the thin ``osa == 3``
-slice is rescreened with the exact scalar DP.
+Scale shape: a :class:`FuzzyScreen` groups a vocabulary's terms by length
+and keeps one column-major ``uint32[L, n_L]`` codepoint matrix per length L
+(4 bytes per codepoint plus an 8-byte row id per term, no padding).  It is
+built once per segment and field (``SegmentReader.fuzzy_rows``, lazily on
+first use) and reused by every fuzzy query and ``suggest`` call.  A query
+touches only the buckets of lengths ``len(base) ± max_edits``: two exact
+lower bounds on the distance (a positional window count and the bag
+distance) prune them (filter), then one vectorized Damerau-Levenshtein
+dynamic program verifies the survivors (verify) — a numpy pass per base
+character over every (column, candidate) cell, no per-term Python.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fuzzy_match_mask", "damerau_levenshtein", "osa_distances"]
+__all__ = ["FuzzyScreen", "fuzzy_match_mask", "damerau_levenshtein"]
 
 
-def osa_distances(base: str, terms: np.ndarray, cap: int) -> np.ndarray:
-    """Optimal-string-alignment distance from ``base`` to every term.
+# int32 cells of one _dl_columns table (16 MiB)
+_DP_TABLE_CELLS = 1 << 22
 
-    ``terms``: object-dtype array of str.  Distances are exact up to ``cap``
-    + 1; larger values may be reported as any value > cap (band-free full DP
-    here — the caller length-filters first, so rows are short).
+
+def _codepoints(s: str) -> np.ndarray:
+    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
+
+
+def _dl_columns(a: np.ndarray, mat: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """True Damerau-Levenshtein distance from codepoints ``a`` to every
+    column of ``mat`` (``uint32[W, k]``; column c holds a term of length
+    ``lens[c]`` zero-padded to W — a cell only reads columns to its left,
+    so padding never reaches column ``lens[c]``).
+
+    :func:`damerau_levenshtein`'s recurrence, one DP row per base
+    character vectorized over all (column, candidate) cells.  The
+    substitution, deletion and transposition terms read earlier rows only:
+    the last base row holding each candidate character (``da``) is carried
+    as an array, the last matching column of the current row (``db``) is a
+    running maximum, and ``d[da][db]`` is one gather from the full table.
+    The insertion chain ``d[i][j] = min(t[j], d[i][j-1] + 1)`` is
+    ``j + running-min(t[j] - j)`` — one ``minimum.accumulate``.
     """
-    n = len(terms)
-    if n == 0:
-        return np.empty(0, np.int64)
-    # pad into a codepoint matrix: numpy's U-dtype is fixed-width UTF-32
-    u = terms.astype(str)  # '<U{maxlen}'
-    maxlen = u.dtype.itemsize // 4
-    mat = u.view(np.uint32).reshape(n, maxlen)
-    lens = np.count_nonzero(mat, axis=1).astype(np.int64)  # terms have no \0
-    a = np.frombuffer(base.encode("utf-32-le"), dtype=np.uint32)
-    m = len(a)
-
-    # DP rows vectorized over the candidate axis
-    prev2 = None
-    prev = np.broadcast_to(
-        np.arange(maxlen + 1, dtype=np.int32), (n, maxlen + 1)
-    ).copy()
+    w, k = mat.shape
+    m = a.size
+    inf = m + w
+    d = np.empty((m + 2, w + 2, k), np.int32)
+    d[0] = inf
+    d[:, 0] = inf
+    j1 = np.arange(w + 1, dtype=np.int32)[:, None]
+    d[1, 1:] = j1
+    j = j1[1:]
+    cols = np.arange(k)
+    da = np.zeros((w, k), np.int32)
     for i in range(1, m + 1):
-        cur = np.empty((n, maxlen + 1), np.int32)
-        cur[:, 0] = i
-        ai = a[i - 1]
-        for j in range(1, maxlen + 1):
-            cost = (mat[:, j - 1] != ai).astype(np.int32)
-            v = np.minimum(prev[:, j] + 1, cur[:, j - 1] + 1)
-            v = np.minimum(v, prev[:, j - 1] + cost)
-            if i > 1 and j > 1:
-                tr = (mat[:, j - 1] == a[i - 2]) & (mat[:, j - 2] == ai)
-                v = np.where(tr, np.minimum(v, prev2[:, j - 2] + 1), v)
-            cur[:, j] = v
-        prev2, prev = prev, cur
-    return prev[np.arange(n), lens].astype(np.int64)
+        eq = mat == a[i - 1]
+        db = np.zeros((w, k), np.int32)
+        db[1:] = np.maximum.accumulate(np.where(eq, j, 0)[:-1], axis=0)
+        t = np.minimum(d[i, 1:-1] + ~eq, d[i, 2:] + 1)
+        np.minimum(t, d[da, db, cols] + (i - da) + (j - db) - 1, out=t)
+        row = np.empty((w + 1, k), np.int32)
+        row[0] = i
+        row[1:] = t
+        d[i + 1, 1:] = np.minimum.accumulate(row - j1, axis=0) + j1
+        da = np.where(eq, i, da)
+    return d[m + 1, lens + 1, cols]
 
 
 def damerau_levenshtein(a: str, b: str) -> int:
-    """Exact TRUE Damerau-Levenshtein (unrestricted transpositions) — the
-    scalar reference, identical to DuckDB's ``damerau_levenshtein``."""
+    """Exact TRUE Damerau-Levenshtein (unrestricted transpositions) over
+    codepoints — the scalar reference, identical to DuckDB's
+    ``damerau_levenshtein`` on ASCII (DuckDB counts UTF-8 bytes)."""
     m, n = len(a), len(b)
     inf = m + n
     da: dict[str, int] = {}
@@ -93,55 +107,112 @@ def damerau_levenshtein(a: str, b: str) -> int:
     return d[m + 1][n + 1]
 
 
+class FuzzyScreen:
+    """Length-bucketed codepoint matrices of one term vocabulary — the
+    reusable half of fuzzy expansion.
+
+    ``buckets[L] = (uint32[L, n_L] codepoints, int64[n_L] vocabulary rows)``
+    for every term length L present; rows within a bucket stay ascending.
+    Resident size is exactly 4 bytes per codepoint plus 8 per term
+    (:attr:`nbytes`)."""
+
+    __slots__ = ("buckets",)
+
+    def __init__(self, terms: np.ndarray):
+        n = len(terms)
+        self.buckets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if n == 0:
+            return
+        lens = np.fromiter(map(len, terms), np.int64, n)
+        flat = _codepoints("".join(terms))
+        starts = np.cumsum(lens) - lens
+        order = np.argsort(lens, kind="stable")
+        cuts = np.flatnonzero(np.diff(lens[order])) + 1
+        for rows in np.split(order, cuts):
+            width = int(lens[rows[0]])
+            mat = flat[starts[rows][None, :] + np.arange(width)[:, None]]
+            self.buckets[width] = (mat, rows.astype(np.int64))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(m.nbytes + r.nbytes for m, r in self.buckets.values())
+
+    def match(self, base: str, max_edits: int) -> tuple[np.ndarray, np.ndarray]:
+        """(vocabulary rows asc, exact DL distances) of every term within
+        true Damerau-Levenshtein ``max_edits`` (1 or 2) of ``base``.
+
+        Two exact lower bounds on DL filter the ``len(base) ± e`` buckets,
+        then the exact DL dynamic program (:func:`_dl_columns`) verifies
+        the survivors of all buckets at once.
+
+        * Window: in an optimal edit script every base character is either
+          substituted or deleted (one edit each) or lands in the term at
+          an offset of at most the edit count (only indels and
+          transpositions shift it, each by at most its cost).  So with U =
+          #{i : base[i] ∉ t[i−e .. i+e]} and insertions ≥ |t| − |base|,
+          DL ≥ U + max(0, |t| − |base|) whenever DL ≤ e.
+        * Bag: BD = max(|base|, |t|) − Σ_c min(cnt) — each sub/ins/del
+          changes either side's character bag by ≤ 1, a transposition by 0.
+        """
+        if max_edits not in (1, 2):
+            raise ValueError("max_edits must be 1 or 2")
+        a = _codepoints(base)
+        m = a.size
+        chars, kcs = np.unique(a, return_counts=True)
+        mats, row_parts, len_parts = [], [], []
+        for width in range(max(0, m - max_edits), m + max_edits + 1):
+            got = self.buckets.get(width)
+            if got is None:
+                continue
+            mat, rows = got
+            lb = np.full(rows.size, max(0, width - m), np.int64)
+            for i in range(m):
+                win = mat[max(0, i - max_edits) : i + max_edits + 1]
+                lb += ~(win == a[i]).any(axis=0)
+            keep = np.flatnonzero(lb <= max_edits)
+            mat, rows = mat[:, keep], rows[keep]
+            common = np.zeros(rows.size, np.int64)
+            for ch, kc in zip(chars, kcs):
+                eq = mat == ch
+                common += eq.any(axis=0) if kc == 1 else np.minimum(
+                    eq.sum(axis=0), kc
+                )
+            keep = np.flatnonzero(max(width, m) - common <= max_edits)
+            if keep.size:
+                mats.append(mat[:, keep])
+                row_parts.append(rows[keep])
+                len_parts.append(np.full(keep.size, width, np.int64))
+        if not row_parts:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        rows = np.concatenate(row_parts)
+        lens = np.concatenate(len_parts)
+        pad = np.zeros((int(lens.max()), rows.size), np.uint32)
+        c = 0
+        for mat in mats:
+            pad[: mat.shape[0], c : c + mat.shape[1]] = mat
+            c += mat.shape[1]
+        # the DP keeps its whole (m+2)×(W+2) table per candidate: bound it
+        step = max(1, _DP_TABLE_CELLS // ((m + 2) * (pad.shape[0] + 2)))
+        dist = np.concatenate(
+            [
+                _dl_columns(a, pad[:, c : c + step], lens[c : c + step])
+                for c in range(0, rows.size, step)
+            ]
+        ).astype(np.int64)
+        ok = np.flatnonzero(dist <= max_edits)
+        order = np.argsort(rows[ok], kind="stable")
+        return rows[ok][order], dist[ok][order]
+
+
 def fuzzy_match_mask(base: str, terms: np.ndarray, max_edits: int) -> np.ndarray:
     """bool[len(terms)] — true DL distance(base, term) <= max_edits (≤ 2).
 
-    Exactness: DL ≤ OSA always, so ``osa <= e`` accepts correctly.  For the
-    converse gap: DL ≤ 1 means a single simple edit (a cost-1 transposition
-    is adjacent) so OSA = DL; DL = 2 admits at most one gapped transposition
-    with ONE intervening character (cost 1 + 1 gap), which OSA realises as a
-    substitution + insert + delete = 3.  Hence DL ≤ 2 ⇒ OSA ≤ 3, and only
-    the ``osa == e + 1 == 3`` slice can be a false negative — rescreened with
-    the exact scalar DP (tiny: candidates already length-filtered to ±e).
-    """
+    One-shot use of :class:`FuzzyScreen` on a raw term array: the screen
+    is built, queried once and dropped.  Callers that query the same
+    vocabulary repeatedly keep the screen instead."""
     if max_edits not in (1, 2):
         raise ValueError("max_edits must be 1 or 2")
-    n = len(terms)
-    if n == 0:
-        return np.empty(0, bool)
-    lens = np.fromiter((len(t) for t in terms), np.int64, n)
-    cand = np.abs(lens - len(base)) <= max_edits
-    mask = np.zeros(n, bool)
-    idx = np.flatnonzero(cand)
-    if idx.size == 0:
-        return mask
-    # Bag-distance prefilter before the O(m·maxlen) DP: every edit op
-    # (sub/ins/del) changes each side's character bag by ≤ 1 and a
-    # transposition by 0, so BD = max(|base|,|t|) − Σ_c min(cnt) is a true
-    # lower bound on DL — rejecting BD > e is exact.  One padded-matrix
-    # pass per DISTINCT base char (≪ the DP's m×maxlen passes) typically
-    # prunes most length-filtered candidates, shrinking the DP input.
-    if idx.size > 64 and base:
-        u = terms[idx].astype(str)
-        mat_w = u.dtype.itemsize // 4
-        common = np.zeros(idx.size, np.int64)
-        if mat_w:
-            bag_mat = u.view(np.uint32).reshape(idx.size, mat_w)
-            counts: dict[str, int] = {}
-            for ch in base:
-                counts[ch] = counts.get(ch, 0) + 1
-            for ch, kc in counts.items():
-                common += np.minimum(
-                    np.count_nonzero(bag_mat == ord(ch), axis=1), kc
-                )
-        bd = np.maximum(lens[idx], len(base)) - common
-        idx = idx[bd <= max_edits]
-        if idx.size == 0:
-            return mask
-    osa = osa_distances(base, terms[idx], max_edits + 1)
-    mask[idx[osa <= max_edits]] = True
-    if max_edits == 2:
-        for i in idx[osa == 3]:
-            if damerau_levenshtein(base, str(terms[i])) <= 2:
-                mask[i] = True
+    mask = np.zeros(len(terms), bool)
+    rows, _ = FuzzyScreen(terms).match(base, max_edits)
+    mask[rows] = True
     return mask

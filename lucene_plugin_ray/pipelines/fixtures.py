@@ -67,6 +67,9 @@ def make_pages(
     flat = vocab[draws]
     offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)
     flat_arr = pa.array(flat, type=pa.string())
+    if isinstance(flat_arr, pa.ChunkedArray):
+        # large inputs come back chunked; ListArray.from_arrays needs one
+        flat_arr = flat_arr.combine_chunks()
     list_arr = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), flat_arr)
     import pyarrow.compute as pc
 

@@ -3054,11 +3054,11 @@ class SearchEngine:
         top ``k``.  df is alive-masked and summed across segments exactly
         like the search path, so suggestions track deletes/upserts.  The
         probe itself appears at distance 0 when indexed — callers usually
-        skip suggesting in that case.  Cost is vocabulary-bound per segment
-        (the same banded OSA screen fuzzy queries use), never corpus-bound.
-        Returns (term, distance, df)."""
-        from lucene_plugin_ray.functions.fuzzy import fuzzy_match_mask
-
+        skip suggesting in that case.  Each segment answers from its cached
+        fuzzy screen (``SegmentReader.fuzzy_rows`` — the one fuzzy queries
+        use), which also yields the exact distances: cost is the
+        ``len(term) ± max_edits`` length buckets of each segment's
+        vocabulary, never corpus-bound.  Returns (term, distance, df)."""
         if k <= 0:
             raise ValueError("k must be positive")
         if max_edits not in (1, 2):
@@ -3067,55 +3067,20 @@ class SearchEngine:
         probe = term.lower()
         coll = sanitize_collection(collection)
         field = field or self.cfg.text_column
-        segs = self._segments.get(coll, [])
-        # One vectorized screen over the CONCATENATED segment vocabularies
-        # instead of 2 DP calls × P segments: the banded-OSA DP's cost is
-        # per-call Python/numpy overhead at these candidate counts, so 64
-        # small calls measured ~7× slower than one large one (round-5 aux
-        # p99 profile); the bag-distance prefilter also prunes best over
-        # the widest candidate set.
-        seg_meta: list[tuple[int, object, int, int, int]] = []
-        pieces: list[np.ndarray] = []
-        off = 0
-        for si, seg in enumerate(segs):
-            r = seg.reader
-            start, vocab = r.field_vocab(field)
-            if len(vocab) == 0:
-                continue
-            seg_meta.append((si, seg, start, off, off + len(vocab)))
-            pieces.append(vocab)
-            off += len(vocab)
         dfs: dict[str, int] = {}
         dists: dict[str, int] = {}
-        if pieces:
-            all_vocab = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            mask = fuzzy_match_mask(probe, all_vocab, max_edits)
-            matched_all = np.flatnonzero(mask)
-            # distance classification costs one MORE pass only over the
-            # (tiny) matched subset, not a second full-vocabulary DP
-            if max_edits == 2 and matched_all.size:
-                m1_all = fuzzy_match_mask(probe, all_vocab[matched_all], 1)
-            else:
-                m1_all = np.ones(matched_all.size, bool)
-            m1_by_idx = dict(zip(matched_all.tolist(), m1_all.tolist()))
-            for si, seg, start, lo, hi in seg_meta:
-                r = seg.reader
-                matched = matched_all[(matched_all >= lo) & (matched_all < hi)]
-                for j in matched.tolist():
-                    t = str(all_vocab[j])
-                    if t not in dists:
-                        dists[t] = (
-                            0 if t == probe else (1 if m1_by_idx[j] else 2)
-                        )
-                    vj = j - lo
-                    if seg.all_alive:
-                        df = r.df(int(start + vj))
-                    else:
-                        df = len(
-                            self._decoded(si, seg, field, t, int(start + vj))[0]
-                        )
-                    if df:
-                        dfs[t] = dfs.get(t, 0) + df
+        for si, seg in enumerate(self._segments.get(coll, [])):
+            r = seg.reader
+            rows, dist = r.fuzzy_rows(field, probe, max_edits)
+            for row, d in zip(rows.tolist(), dist.tolist()):
+                t = str(r._terms[row])
+                dists[t] = d
+                if seg.all_alive:
+                    df = r.df(row)
+                else:
+                    df = len(self._decoded(si, seg, field, t, row)[0])
+                if df:
+                    dfs[t] = dfs.get(t, 0) + df
         items = sorted(
             ((t, dists[t], df) for t, df in dfs.items()),
             key=lambda x: (x[1], -x[2], x[0]),
@@ -4724,14 +4689,9 @@ class SearchEngine:
                     assert isinstance(c, MultiTermClause)
                     erows = self._expand_rows(seg, c)
                     kind, detail = c.kind, c.pattern
-                matched = False
-                for row in erows:
-                    docids, _ = r.postings(int(row))
-                    local = r.local_ids(docids)
-                    j = int(np.searchsorted(local, local_doc))
-                    if j < local.size and local[j] == local_doc:
-                        matched = True
-                        break
+                matched = bool(
+                    (r.local_ids(r.docids_many(erows)) == local_doc).any()
+                )
                 weight = c.boost if matched else 0.0
                 rows.append(
                     {"kind": kind, "occur": c.occur, "field": c.field,
@@ -4824,12 +4784,10 @@ class SearchEngine:
             assert isinstance(c, MultiTermClause)
             range_rows = self._expand_rows(seg, c)
         m = np.zeros(r.n_docs, dtype=bool)
-        for row in range_rows:
-            docids, _ = r.postings(int(row))
-            loc = r.local_ids(docids)
-            if not seg.all_alive:
-                loc = loc[seg.alive[loc]]
-            m[loc] = True
+        loc = r.local_ids(r.docids_many(range_rows))
+        if not seg.all_alive:
+            loc = loc[seg.alive[loc]]
+        m[loc] = True
         return np.flatnonzero(m)
 
     def _match_segment(
@@ -5416,11 +5374,16 @@ class SearchEngine:
         return result
 
     def _expand_rows(self, seg: _LiveSegment, c: MultiTermClause) -> np.ndarray:
-        """Dictionary rows matched by a prefix/wildcard/fuzzy clause within
-        one segment (Q9/Q10 term expansion over the sorted vocabulary;
-        ≙ Lucene MultiTermQuery term enumeration).  Cached per (segment,
-        clause) in the postings LRU — expansion cost is per-segment
-        vocabulary-bound, not corpus-bound."""
+        """Dictionary rows matched by a prefix/wildcard/regexp/fuzzy clause
+        within one segment (Q9/Q10 term expansion over the sorted
+        vocabulary; ≙ Lucene MultiTermQuery term enumeration).  Cached per
+        (segment, clause) in the postings LRU — expansion cost is
+        per-segment vocabulary-bound, not corpus-bound.  Prefix is two
+        binary searches; wildcard/regexp refine their literal-prefix range;
+        fuzzy queries the segment's cached length-bucketed screen
+        (``SegmentReader.fuzzy_rows``), built on the field's first fuzzy
+        use.  Callers decode the rows' docids in one bulk pass
+        (``SegmentReader.docids_many``)."""
         r = seg.reader
         ck = (r.path, c.field, c.kind, c.pattern, c.max_edits)
         hit = self._postings_cache.get(ck)
@@ -5447,11 +5410,7 @@ class SearchEngine:
                 r, c.field, _regexp_literal_prefix(c.pattern), c.pattern
             )
         else:  # fuzzy
-            from lucene_plugin_ray.functions.fuzzy import fuzzy_match_mask
-
-            s, vocab = r.field_vocab(c.field)
-            mask = fuzzy_match_mask(c.pattern, vocab, c.max_edits)
-            rows = s + np.flatnonzero(mask)
+            rows = r.fuzzy_rows(c.field, c.pattern, c.max_edits)[0]
         self._postings_cache[ck] = rows
         if len(self._postings_cache) > self._postings_cache_size:
             self._postings_cache.popitem(last=False)
@@ -5761,13 +5720,12 @@ class SearchEngine:
                 else:
                     assert isinstance(c, MultiTermClause)
                     range_rows = self._expand_rows(seg, c)
+                # one bulk docid decode for the whole expansion (no tfs)
+                local = r.local_ids(r.docids_many(range_rows))
+                if not seg.all_alive:
+                    local = local[seg.alive[local]]
                 matched = np.zeros(n, dtype=bool)
-                for row in range_rows:
-                    docids, _ = r.postings(int(row))
-                    local = r.local_ids(docids)
-                    if not seg.all_alive:
-                        local = local[seg.alive[local]]
-                    matched[local] = True
+                matched[local] = True
                 # constant-score (Lucene 5.x CONSTANT_SCORE rewrite): the
                 # contribution IS the boost (1.0 unboosted)
                 scores[matched] += c.boost

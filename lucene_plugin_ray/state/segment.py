@@ -15,7 +15,8 @@ import os
 
 import numpy as np
 
-from lucene_plugin_ray.functions.codec import decode_region
+from lucene_plugin_ray.functions.codec import decode_region, varint_decode
+from lucene_plugin_ray.functions.fuzzy import FuzzyScreen
 
 
 class _LazyRegion:
@@ -153,6 +154,9 @@ class SegmentReader:
         # presence probed lazily, table loaded on first doc_term_vector call
         self._tv_present: bool | None = None
         self._tv_loaded = False
+        # field → FuzzyScreen, built on a field's first fuzzy expansion so
+        # opening a segment (refresh, ingest) never pays for it
+        self._screens: dict[str, FuzzyScreen] = {}
 
         self.buf = self._map_region(path, "postings.bin", required=True)
         self.pbuf = (
@@ -271,6 +275,20 @@ class SegmentReader:
         s, e = rng
         return s, self._terms[s:e]
 
+    def fuzzy_rows(
+        self, field: str, base: str, max_edits: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(dictionary rows asc, exact DL distances) of the field's terms
+        within ``max_edits`` of ``base`` (Q10 expansion, spell suggest).
+        The field's FuzzyScreen is built on first use and kept for the
+        reader's lifetime (the segment is immutable)."""
+        start, vocab = self.field_vocab(field)
+        screen = self._screens.get(field)
+        if screen is None:
+            screen = self._screens[field] = FuzzyScreen(vocab)
+        rows, dist = screen.match(base, max_edits)
+        return start + rows, dist
+
     def df(self, row: int) -> int:
         return int(self._df[row])
 
@@ -286,6 +304,40 @@ class SegmentReader:
             int(self._toff_end[row]),
             int(self._df[row]),
         )
+
+    def _varints_many(
+        self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, total: int
+    ) -> np.ndarray:
+        """The ``total`` varints stored in byte ranges ``[lo[r], hi[r])`` of
+        ``rows``, concatenated in ``rows`` order.  Maximal runs of
+        byte-adjacent ranges are read as one slice each (a contiguous row
+        range is one slice) and everything decodes in ONE varint pass.  On
+        a remote root each slice goes through ``_LazyRegion``, so only the
+        chunks the rows live in are fetched."""
+        lo, hi = lo[rows], hi[rows]
+        cuts = np.flatnonzero(lo[1:] != hi[:-1]) + 1
+        run_lo = lo[np.concatenate(([0], cuts))]
+        run_hi = hi[np.concatenate((cuts - 1, [rows.size - 1]))]
+        parts = [self.buf[int(a) : int(b)] for a, b in zip(run_lo, run_hi)]
+        return varint_decode(
+            parts[0] if len(parts) == 1 else np.concatenate(parts), count=total
+        )
+
+    def docids_many(self, rows: np.ndarray) -> np.ndarray:
+        """ABSOLUTE docids of every dictionary row in ``rows``, concatenated
+        in ``rows`` order — :meth:`postings` per row without the tfs: one
+        bulk varint decode and one segmented cumsum."""
+        rows = np.asarray(rows, dtype=np.int64)
+        df = self._df[rows].astype(np.int64)
+        total = int(df.sum())
+        if total == 0:
+            return np.empty(0, np.int64)
+        deltas = self._varints_many(rows, self._doff, self._doff_end, total)
+        # per-row cumsum reset: docid = cumsum(deltas) − cum@row_start − 1
+        cum = np.cumsum(deltas.astype(np.int64))
+        starts = np.cumsum(df) - df
+        row_base = np.where(starts > 0, cum[starts - 1], 0)
+        return cum - np.repeat(row_base, df) - 1
 
     def positions(self, row: int, tfs: np.ndarray) -> np.ndarray:
         """Decode dictionary row's token positions → flat int64 positions
@@ -308,11 +360,10 @@ class SegmentReader:
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Decode ONE field's entire postings — (start_row, df, docids, tfs)
         with docids ABSOLUTE and postings grouped by dictionary row (term
-        asc, docid asc inside each run of ``df[j]``).  Fast path: the write
-        layout (encode_many_postings) stores all docid varints then all tf
-        varints contiguously, so a field's dictionary row range decodes in
-        ONE varint pass per region (the merge path's bulk trick); per-row
-        decode_region is the defensive fallback.  The term-vector gather
+        asc, docid asc inside each run of ``df[j]``).  The write layout
+        (encode_many_postings) stores a field's docid varints, then its tf
+        varints, contiguously, so each region is one slice and one varint
+        pass (:meth:`docids_many`).  The term-vector gather
         (pipelines/query.py::term_vector) is the consumer — cost bounded by
         this segment's field postings, never the corpus."""
         rng = self._field_ranges.get(field)
@@ -324,47 +375,9 @@ class SegmentReader:
         total = int(df.sum())
         if total == 0:
             return s, df, empty, empty
-        contiguous = (
-            (self._doff[s + 1 : e] == self._doff_end[s : e - 1]).all()
-            and (self._toff[s + 1 : e] == self._toff_end[s : e - 1]).all()
-            and (df >= 1).all()
-        )
-        if contiguous:
-            from lucene_plugin_ray.functions.codec import varint_decode
-
-            deltas = varint_decode(
-                np.ascontiguousarray(
-                    self.buf[int(self._doff[s]) : int(self._doff_end[e - 1])]
-                ),
-                count=total,
-            )
-            tfs = varint_decode(
-                np.ascontiguousarray(
-                    self.buf[int(self._toff[s]) : int(self._toff_end[e - 1])]
-                ),
-                count=total,
-            )
-            # per-row cumsum reset: docid = cumsum(deltas) − cum@row_start − 1
-            cum = np.cumsum(deltas.astype(np.int64))
-            starts = np.concatenate([[0], np.cumsum(df)])
-            row_base = (
-                np.concatenate(([0], cum[starts[1:-1] - 1]))
-                if (e - s) > 1
-                else np.zeros(1, np.int64)
-            )
-            docids = cum - np.repeat(row_base, df) - 1
-            return s, df, docids, tfs.astype(np.int64)
-        did_parts, tf_parts = [], []
-        for row in range(s, e):
-            d, t = self.postings(row)
-            did_parts.append(d)
-            tf_parts.append(t.astype(np.int64))
-        return (
-            s,
-            df,
-            np.concatenate(did_parts),
-            np.concatenate(tf_parts),
-        )
+        rows = np.arange(s, e, dtype=np.int64)
+        tfs = self._varints_many(rows, self._toff, self._toff_end, total)
+        return s, df, self.docids_many(rows), tfs.astype(np.int64)
 
     # ---- forward term-vector sidecar (tv.parquet) ------------------------
     @property

@@ -33,6 +33,25 @@ def built(ray_session, corpus, tmp_path_factory):
     return cfg, manifest, engine, oracle
 
 
+def test_make_pages_large_corpus():
+    """make_pages above ~12k docs: pa.array of the flat token array comes
+    back chunked and must be combined before ListArray.from_arrays.  Smaller
+    corpora stay byte-identical (pinned content digest)."""
+    import hashlib
+    import json
+
+    big = make_pages(20_000, seed=3)
+    assert big.num_rows >= 20_000
+    assert len(set(big["url"].to_pylist())) == 20_000
+    lens = [len(t.split()) for t in big["text"].to_pylist()]
+    assert 50 < np.median(lens) < 500  # min_len..max_len tokens per page
+    small = make_pages(10_000, seed=7, with_fields=True)
+    digest = hashlib.sha256(
+        json.dumps(small.to_pydict(), default=str).encode()
+    ).hexdigest()
+    assert digest == "5625ed8b67cc664ab1ed40cb6d92bd14acd64602525d839fc96e8fc75e99cfd3"
+
+
 def _assert_rank_identical(engine, oracle, query, collection="default", limit=10, method="taat"):
     got = engine.search(query, collection=collection, limit=limit, method=method)
     exp = oracle.search(query, collection=collection, limit=limit)

@@ -128,6 +128,22 @@ def test_reference_fixture_parity(name):
     assert "versions" in text, (name, fmt, text[-120:])
 
 
+@pytest.mark.parametrize("name", ["test-00.txt", "test-00.xml", "test-00.json",
+                                  "test-00.pdf", "test-00.docx"])
+def test_local_fixture_parity(name, tmp_path):
+    """The properties of test_reference_fixture_parity on locally generated
+    upload files (no reference checkout needed): the file is written and
+    read back as bytes, its format is sniffed from content, the first word
+    is Lorem and the last token is 'versions'."""
+    ext = name.rsplit(".", 1)[1]
+    path = tmp_path / name
+    path.write_bytes(FIXTURES[ext])
+    text, fmt = AutoExtract().extract_one(path.read_bytes())
+    assert fmt == ext, (name, fmt)
+    assert text.split()[0] == "Lorem", (name, fmt, text[:80])
+    assert text.split()[-1] == "versions", (name, fmt, text[-120:])
+
+
 # ---- round-4 formats (VERDICT r03 item 5): rtf / odt / md / csv ----------
 
 def _make_rtf(text: str) -> bytes:

@@ -311,33 +311,56 @@ def test_sharded_phrase_matches_local(grammar_built):
 # fuzzy expansion == DuckDB damerau_levenshtein (the conformance contract)
 # ---------------------------------------------------------------------------
 def test_fuzzy_mask_equals_duckdb():
+    """fuzzy_match_mask and the cached screen (one FuzzyScreen reused by
+    every probe, as a SegmentReader keeps it per field) must return
+    DuckDB's damerau_levenshtein rows AND distances.  Vocabularies: short
+    ASCII terms; 1-40 chars with non-ASCII codepoints (2-, 3- and 4-byte
+    UTF-8) plus one very long outlier term; empty.  DuckDB measures UTF-8
+    BYTES, the screen codepoints, so each non-ASCII codepoint is mapped
+    one-to-one to an unused ASCII letter before the DuckDB call (DL only
+    compares symbols for equality)."""
     import duckdb
 
-    from lucene_plugin_ray.functions.fuzzy import fuzzy_match_mask
+    from lucene_plugin_ray.functions.fuzzy import FuzzyScreen, fuzzy_match_mask
 
     rng = np.random.default_rng(5)
     alpha = np.array(list("abcde"))
-    vocab = sorted(
-        {
-            "".join(rng.choice(alpha, size=rng.integers(1, 8)))
-            for _ in range(1500)
-        }
-    )
-    terms = np.array(vocab, dtype=object)
+    short = {"".join(rng.choice(alpha, size=rng.integers(1, 8))) for _ in range(1500)}
+    alpha = np.array(list("abcdeéß字\U0001F600"))
+    mixed = {"".join(rng.choice(alpha, size=rng.integers(1, 41))) for _ in range(600)}
+    mixed |= {"".join(rng.choice(alpha[:4], size=rng.integers(1, 6))) for _ in range(400)}
+    outlier = "ab字" * 700
+    mixed.add(outlier)
+    lens = {len(t) for t in mixed}
+    assert min(lens) == 1 and max(lens) == len(outlier) and len(lens) > 30
+    ascii_of = str.maketrans({"é": "f", "ß": "g", "字": "h", "\U0001F600": "i"})
     con = duckdb.connect()
-    for base in ["ca", "abc", "bcd", "edcba", "aa"]:
-        for e in (1, 2):
-            mask = fuzzy_match_mask(base, terms, e)
-            want = np.array(
-                [
-                    con.execute(
-                        "select damerau_levenshtein(?, ?)", [base, t]
-                    ).fetchone()[0]
-                    <= e
-                    for t in vocab
-                ]
+    cases = [
+        (short, ["ca", "abc", "bcd", "edcba", "aa"]),
+        (mixed, ["a", "ab", "abé", "字a", "ßcde", "\U0001F600b", "abcdeabcde",
+                 sorted(mixed)[len(mixed) // 2], outlier[:-1], outlier + "c", ""]),
+        (set(), ["abc"]),
+    ]
+    for vocab, bases in cases:
+        vocab = sorted(vocab)
+        terms = np.array(vocab, dtype=object)
+        screen = FuzzyScreen(terms)
+        assert screen.nbytes == 4 * sum(map(len, vocab)) + 8 * len(vocab)
+        for base in bases:
+            by_ascii = dict(
+                con.execute(
+                    "select t, damerau_levenshtein(?, t) from unnest(?::varchar[]) u(t)",
+                    [base.translate(ascii_of), [t.translate(ascii_of) for t in vocab]],
+                ).fetchall()
             )
-            assert (mask == want).all(), (base, e)
+            dist = [by_ascii[t.translate(ascii_of)] for t in vocab]
+            for e in (1, 2):
+                want = [i for i, d in enumerate(dist) if d <= e]
+                rows, got = screen.match(base, e)
+                assert rows.tolist() == want, (base, e)
+                assert got.tolist() == [dist[i] for i in want], (base, e)
+                mask = fuzzy_match_mask(base, terms, e)
+                assert np.flatnonzero(mask).tolist() == want, (base, e)
 
 
 # ---------------------------------------------------------------------------
