@@ -91,21 +91,36 @@ def _estimate_rows(ds) -> "int | None":
             total += meta.num_rows
             seen_any = True
         return total if seen_any else None
-    except Exception:
+    except Exception as e:
+        # the walk reads Ray-private plan internals: say so when a Ray
+        # upgrade breaks it, instead of silently folding at the floor
+        logger.warning(
+            "fold: row estimate unavailable (%s from Ray plan metadata); "
+            "reducer fan-out falls back to est_rows or %d buckets",
+            type(e).__name__, _MIN_BUCKETS,
+        )
         return None
 
 
 def auto_buckets(est_rows: "int | None") -> int:
     """Reducer fan-out for a fold over ``est_rows`` input rows.
 
-    Precedence: the ``LPR_FOLD_BUCKETS`` env var (deployment override)
-    wins; otherwise ``ceil(est_rows / LPR_FOLD_TARGET_ROWS)`` clamped to
+    Precedence: the ``LPR_FOLD_BUCKETS`` env var (deployment override,
+    an integer >= 1 — anything else raises ``ValueError``) wins; otherwise ``ceil(est_rows / LPR_FOLD_TARGET_ROWS)`` clamped to
     [64, 2^20]; with no estimate at all, the floor (64).  Estimates only
     need order-of-magnitude accuracy — B is a heap bound, not a semantic
     knob (bucket-count invariance is pinned by test)."""
     env = os.environ.get("LPR_FOLD_BUCKETS")
     if env:
-        return int(env)
+        try:
+            b = int(env)
+        except ValueError:
+            b = 0
+        if b < 1:
+            raise ValueError(
+                f"LPR_FOLD_BUCKETS must be an integer >= 1, got {env!r}"
+            )
+        return b
     if not est_rows or est_rows <= 0:
         return _MIN_BUCKETS
     b = math.ceil(est_rows / _TARGET_ROWS_PER_BUCKET)

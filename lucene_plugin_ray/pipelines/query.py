@@ -4,17 +4,19 @@ Driver parses the query (grammar Q1–Q7, shared analyzer), prunes to the
 requested collection's segment directories (J1 — the reference's implicit
 ``__collectionKey__`` MUST clause, LuceneIndexBean.java:385-393, becomes
 partition pruning), gathers global term stats across segments (phase 1), then
-scores each segment and merges per-segment top-k (K1 — per-partition bounded
-heap → driver merge, ≙ searcher.search(q, limit), LuceneIndexBean.java:398).
+scores and cuts the top-k (K1, ≙ searcher.search(q, limit),
+LuceneIndexBean.java:398).
 
-Two execution strategies per segment:
+Execution strategies:
 
-* ``taat`` (default) — vectorized term-at-a-time: decode each clause's full
-  posting list with one numpy varint pass, accumulate BM25 into a dense
-  per-segment float64 accumulator, argpartition top-k.  On modern hardware
-  this is the fastest strategy for batch/analytics workloads (memory-bandwidth
+* ``taat`` (default) — vectorized term-at-a-time over the collection scope
+  (every live segment in one docid space, ``_Scope``): decode each clause's
+  full posting list with one numpy varint pass, accumulate BM25 into ONE
+  dense float64 accumulator, argpartition top-k.  On modern hardware this is
+  the fastest strategy for batch/analytics workloads (memory-bandwidth
   bound, no per-document branching).
-* ``bmw`` — document-at-a-time block-max WAND (north rule; J2): term cursors
+* ``bmw`` — per segment, then merged: document-at-a-time block-max WAND
+  (north rule; J2): term cursors
   ordered by current docid, pivot selection against the top-k threshold using
   per-term score upper bounds, block-level refinement with the per-block
   max-tf metadata written at build time, block skipping via searchsorted on
@@ -980,6 +982,103 @@ class _LiveSegment:
             f: int(dl[alive].sum()) for f, dl in reader.doc_len.items()
         }
 
+    @property
+    def scope(self) -> "_Scope":
+        """This segment as a one-member :class:`_Scope` (no copies)."""
+        return _Scope([self])
+
+
+class _Scope:
+    """Live segments laid end to end in one docid space — the unit the
+    boolean/scoring kernels run on.  Member ``i`` owns scope ids
+    ``[offsets[i], offsets[i] + n_docs_i)``: scope id = member-local docid +
+    the member's offset.  ``alive``, ``doc_len[field]``, ``urls`` and the
+    absolute docids are the members' arrays concatenated in member order (a
+    field a member lacks reads 0 there; no posting of that member can name
+    it).  A single segment is the one-member scope: offset 0 and the
+    segment's own arrays, no copies.
+
+    ``key`` names the scope in the postings LRU: the segment path for one
+    member (so per-segment entries keep their keys), the tuple of member
+    paths otherwise."""
+
+    def __init__(self, segs: list[_LiveSegment]):
+        self.segs = segs
+        self.offsets: list[int] = []
+        n = 0
+        for s in segs:
+            self.offsets.append(n)
+            n += s.reader.n_docs
+        self.n = n
+        self.all_alive = all(s.all_alive for s in segs)
+        if len(segs) == 1:
+            r = segs[0].reader
+            self.key: "str | tuple[str, ...]" = r.path
+            self.alive = segs[0].alive
+            self.doc_len = r.doc_len
+            self.urls = r.urls
+            self._doc_base = r.doc_base
+            self._docids = None
+            return
+        readers = [s.reader for s in segs]
+        self.key = tuple(r.path for r in readers)
+        self.alive = np.concatenate([s.alive for s in segs])
+        self.doc_len = {}
+        for f in dict.fromkeys(f for r in readers for f in r.doc_len):
+            dtype = next(r.doc_len[f].dtype for r in readers if f in r.doc_len)
+            self.doc_len[f] = np.concatenate(
+                [r.doc_len.get(f, np.zeros(r.n_docs, dtype)) for r in readers]
+            )
+        self.urls = np.concatenate([r.urls for r in readers])
+        self._docids = np.concatenate(
+            [r.doc_base + np.arange(r.n_docs, dtype=np.int64) for r in readers]
+        )
+
+    def docids(self, ids: np.ndarray) -> np.ndarray:
+        """Absolute (segment doc_base + local) docids of scope ids."""
+        if self._docids is None:
+            return self._doc_base + ids
+        return self._docids[ids]
+
+
+def _top_hits(scope: _Scope, cand: np.ndarray, sc: np.ndarray, limit: int) -> pa.Table:
+    """The (url, score, docid) table of the best ``limit`` candidates
+    (scope ids ``cand`` with scores ``sc``), ordered (score desc, url asc).
+    A bounded selection comes first: ``argpartition`` alone would pick an
+    ARBITRARY subset of the docs tied at the k-th score, so EVERY candidate
+    at or above it is kept and the exact sort breaks the ties.  Url order is
+    invariant under generations, partitioning and compaction, unlike docids
+    (whose ranges are per generation)."""
+    if cand.size > limit:
+        kth = np.partition(sc, sc.size - limit)[sc.size - limit]
+        keep = sc >= kth
+        cand, sc = cand[keep], sc[keep]
+    urls = scope.urls[cand]
+    order = np.lexsort((urls, -sc))[:limit]
+    return pa.table(
+        {
+            # from a list: pyarrow converts an object ndarray far slower
+            "url": pa.array(urls[order].tolist(), type=pa.string()),
+            "score": pa.array(sc[order], type=pa.float64()),
+            "docid": pa.array(scope.docids(cand[order]), type=pa.int64()),
+        }
+    )
+
+
+def _decoded_term_keys(clauses) -> set[tuple[str, str]]:
+    """(field, term) pairs whose posting lists the TAAT/AND executors decode:
+    TERM clauses and synonym members at any nesting depth (phrase and span
+    terms go through the positional path instead)."""
+    out: set[tuple[str, str]] = set()
+    for c in clauses:
+        if isinstance(c, TermClause):
+            out.add((c.field, c.term))
+        elif isinstance(c, SynonymClause):
+            out.update((c.field, t) for t in c.terms)
+        elif isinstance(c, (GroupClause, DisMaxClause)):
+            out |= _decoded_term_keys(c.clauses)
+    return out
+
 
 class SearchEngine:
     """In-process query engine over an index root (one per generation pin).
@@ -988,6 +1087,16 @@ class SearchEngine:
     generation; a new build requires a new SearchEngine (searcher refresh).
     Per-engine LRU caches mirror T3/T4 (LuceneIndexBean.java:104,792) and are
     naturally invalidated by the generation pin.
+
+    Queries are scored once per COLLECTION, not once per segment: the
+    collection's live segments (partitions × generations) form one
+    :class:`_Scope`, built on the collection's first query and kept for the
+    engine's life, and the TAAT / pure-AND executors run over it with one
+    accumulator, one k-th-score cut and one result table.  The aux read ops
+    run the same kernels per segment by passing each segment's one-member
+    scope.  Only the block-max executors (``bmax``/``bmw``) loop over
+    segments: their pruning reads each segment's stored per-block bounds and
+    block layout, which do not concatenate.
     """
 
     def __init__(
@@ -1037,6 +1146,8 @@ class SearchEngine:
         # distinct text-field vocabulary size per collection (classify's
         # Laplace denominator) — generation-pinned like every other cache
         self._vocab_size_cache: dict[str, int] = {}
+        # collection → its scope, built on the collection's first query
+        self._scopes: dict[str, _Scope] = {}
 
         # ---- resolve live segments per collection under the chain ----
         # Three masking mechanisms (D1/D2/D3), all evaluated per
@@ -1096,6 +1207,14 @@ class SearchEngine:
             for f in fields:
                 avgdl[f] = sum(s.sum_dl_alive.get(f, 0) for s in segs) / n
         return n, avgdl
+
+    def _scope(self, coll: str) -> _Scope:
+        """The collection's live segments as one :class:`_Scope`, built on
+        first use and kept for the engine's life."""
+        sc = self._scopes.get(coll)
+        if sc is None:
+            sc = self._scopes[coll] = _Scope(self._segments[coll])
+        return sc
 
     # ------------------------------------------------------------------
     def search(
@@ -1250,8 +1369,8 @@ class SearchEngine:
             n_docs, avgdl = self._stats(coll)
         if n_docs == 0:
             return empty
-        cache, rows, df_map, ttf_map = self._phase1_df(
-            clauses, segs, global_df, global_ttf
+        cache, df_map, ttf_map = self._phase1_df(
+            clauses, [s.scope for s in segs], global_df, global_ttf
         )
         parts = []
         for si, seg in enumerate(segs):
@@ -1263,7 +1382,7 @@ class SearchEngine:
             # match-set-bound in strings, not just in scoring)
             r = seg.reader
             scores, matched = self._eval_boolean(
-                si, seg, clauses, cache, rows, df_map, n_docs, avgdl,
+                seg.scope, clauses, cache, df_map, n_docs, avgdl,
                 min_should=min_should_match, global_ttf=ttf_map,
             )
             cand = np.flatnonzero(matched)
@@ -1365,8 +1484,8 @@ class SearchEngine:
             n_docs, avgdl = self._stats(coll)
         if n_docs == 0:
             return empty
-        cache, rows, df_map, ttf_map = self._phase1_df(
-            clauses, segs, global_df, global_ttf
+        cache, df_map, ttf_map = self._phase1_df(
+            clauses, [s.scope for s in segs], global_df, global_ttf
         )
         scale = float(scale_us)
         parts = []
@@ -1375,7 +1494,7 @@ class SearchEngine:
             # only for the per-segment winners (round 5)
             r = seg.reader
             scores, matched = self._eval_boolean(
-                si, seg, clauses, cache, rows, df_map, n_docs, avgdl,
+                seg.scope, clauses, cache, df_map, n_docs, avgdl,
                 global_ttf=ttf_map,
             )
             cand = np.flatnonzero(matched)
@@ -1442,8 +1561,9 @@ class SearchEngine:
         # ONE phase-1 gather serves both classification and scoring: the
         # rewrite only regroups the same terms, so the dfs (and, for
         # ttf-hungry similarities, ttfs) inject straight into _execute
-        _, _, dfs, ttfs = self._phase1_df(
-            term_clauses, self._segments.get(coll, [])
+        _, dfs, ttfs = self._phase1_df(
+            term_clauses,
+            [self._scope(coll)] if self._segments.get(coll) else [],
         )
         clauses = common_terms_rewrite(
             term_clauses, max_term_frequency, dfs, n_docs
@@ -1516,8 +1636,8 @@ class SearchEngine:
             n_docs, avgdl = self._stats(coll)
         if n_docs == 0:
             return empty
-        cache, rows, df_map, ttf_map = self._phase1_df(
-            clauses, segs, global_df, global_ttf
+        cache, df_map, ttf_map = self._phase1_df(
+            clauses, [s.scope for s in segs], global_df, global_ttf
         )
         parts = []
         for si, seg in enumerate(segs):
@@ -1527,14 +1647,14 @@ class SearchEngine:
             # matched url made this op 5× a plain search at 200k docs)
             r = seg.reader
             scores, matched = self._eval_boolean(
-                si, seg, clauses, cache, rows, df_map, n_docs, avgdl,
+                seg.scope, clauses, cache, df_map, n_docs, avgdl,
                 global_ttf=ttf_map,
             )
             cand = np.flatnonzero(matched)
             if cand.size == 0:
                 continue
             final = scores[cand].copy()
-            neg = self._match_segment(si, seg, nclauses, {}, {})
+            neg = self._match_segment(seg.scope, nclauses, {})
             if neg.size:
                 pos_idx = np.searchsorted(neg, cand)
                 pos_cl = np.minimum(pos_idx, neg.size - 1)
@@ -1663,8 +1783,8 @@ class SearchEngine:
             n_docs, avgdl = self._stats(coll)
         if n_docs == 0:
             return empty
-        cache, rows, df_map, ttf_map = self._phase1_df(
-            clauses, segs, global_df, global_ttf
+        cache, df_map, ttf_map = self._phase1_df(
+            clauses, [s.scope for s in segs], global_df, global_ttf
         )
         parts = []
         for si, seg in enumerate(segs):
@@ -1674,7 +1794,7 @@ class SearchEngine:
             # url made this op ~4× a plain search at 200k docs)
             r = seg.reader
             scores, matched = self._eval_boolean(
-                si, seg, clauses, cache, rows, df_map, n_docs, avgdl,
+                seg.scope, clauses, cache, df_map, n_docs, avgdl,
                 global_ttf=ttf_map,
             )
             cand = np.flatnonzero(matched)
@@ -1774,8 +1894,8 @@ class SearchEngine:
             n_docs, avgdl = self._stats(coll)
         if n_docs == 0:
             return empty
-        cache, rows, df_map, ttf_map = self._phase1_df(
-            clauses, segs, global_df, global_ttf
+        cache, df_map, ttf_map = self._phase1_df(
+            clauses, [s.scope for s in segs], global_df, global_ttf
         )
         parts = []
         for si, seg in enumerate(segs):
@@ -1783,7 +1903,7 @@ class SearchEngine:
             # the per-segment winners (round 5)
             r = seg.reader
             scores, matched = self._eval_boolean(
-                si, seg, clauses, cache, rows, df_map, n_docs, avgdl,
+                seg.scope, clauses, cache, df_map, n_docs, avgdl,
                 global_ttf=ttf_map,
             )
             cand = np.flatnonzero(matched)
@@ -1948,12 +2068,12 @@ class SearchEngine:
             n_docs, avgdl = self._stats(coll)
         if n_docs == 0:
             return empty
-        cache, rows, df, ttf_map = self._phase1_df(
-            clauses, segs, global_df, global_ttf
+        cache, df, ttf_map = self._phase1_df(
+            clauses, [s.scope for s in segs], global_df, global_ttf
         )
         parts = []
         for si, seg in enumerate(segs):
-            fmatch = self._match_segment(si, seg, fclauses, {}, {})
+            fmatch = self._match_segment(seg.scope, fclauses, {})
             if fmatch.size == 0:
                 continue
             # all-numeric: score arrays → filter intersection → top-limit,
@@ -1963,7 +2083,7 @@ class SearchEngine:
             # within a segment (docids are url-ranks)
             r = seg.reader
             scores, matched = self._eval_boolean(
-                si, seg, clauses, cache, rows, df, n_docs, avgdl,
+                seg.scope, clauses, cache, df, n_docs, avgdl,
                 global_ttf=ttf_map,
             )
             cand = np.flatnonzero(matched)
@@ -2195,8 +2315,8 @@ class SearchEngine:
         # segments assigns at most one second score per window row.
         second = np.zeros(len(w_docids), dtype=np.float64)
         if clauses2:
-            cache2, rows2, df2, ttf2 = self._phase1_df(
-                clauses2, segs, global_df, global_ttf
+            cache2, df2, ttf2 = self._phase1_df(
+                clauses2, [s.scope for s in segs], global_df, global_ttf
             )
             w_order = np.argsort(w_urls, kind="stable")
             sorted_w = w_urls[w_order]
@@ -2216,7 +2336,7 @@ class SearchEngine:
                 # exactly — a url alive in this segment resolves to one
                 # local id, a shadowed probe hit is unmatched either way)
                 scores2, matched2 = self._eval_boolean(
-                    si, seg, clauses2, cache2, rows2, df2, n_docs, avgdl,
+                    seg.scope, clauses2, cache2, df2, n_docs, avgdl,
                     global_ttf=ttf2,
                 )
                 win_loc = i[present]
@@ -2275,7 +2395,7 @@ class SearchEngine:
         segs = self._segments.get(coll, [])
         counts: dict[str, int] = {}
         for si, seg in enumerate(segs):
-            matched = self._match_segment(si, seg, clauses, {}, {})
+            matched = self._match_segment(seg.scope, clauses, {})
             if matched.size == 0:
                 continue
             r = seg.reader
@@ -2283,7 +2403,7 @@ class SearchEngine:
             for j in range(len(vocab)):
                 term = str(vocab[j])
                 local, _ = self._decoded(
-                    si, seg, facet_field, term, int(start + j)
+                    seg.scope, facet_field, term, int(start + j)
                 )
                 c = int(_in_sorted(matched, local).sum())
                 if c:
@@ -2331,7 +2451,7 @@ class SearchEngine:
         segs = self._segments.get(coll, [])
         counts: dict[tuple[str, ...], int] = {}
         for si, seg in enumerate(segs):
-            matched = self._match_segment(si, seg, clauses, {}, {})
+            matched = self._match_segment(seg.scope, clauses, {})
             if matched.size == 0:
                 continue
             r = seg.reader
@@ -2344,7 +2464,7 @@ class SearchEngine:
                 for j in range(len(vocab)):
                     term = str(vocab[j])
                     local, _ = self._decoded(
-                        si, seg, f, term, int(start + j)
+                        seg.scope, f, term, int(start + j)
                     )
                     if local.size == 0:
                         continue
@@ -2520,8 +2640,8 @@ class SearchEngine:
 
             sclauses = parse_surround(query, self.cfg.text_column)
             return sum(
-                int(self._match_segment(si, seg, sclauses, {}, {}).size)
-                for si, seg in enumerate(self._segments.get(coll, []))
+                int(self._match_segment(seg.scope, sclauses, {}).size)
+                for seg in self._segments.get(coll, [])
             )
         if syntax != "classic":
             raise ValueError(
@@ -2538,10 +2658,10 @@ class SearchEngine:
         return sum(
             int(
                 self._match_segment(
-                    si, seg, clauses, {}, {}, min_should=min_should_match
+                    seg.scope, clauses, {}, min_should=min_should_match
                 ).size
             )
-            for si, seg in enumerate(segs)
+            for seg in segs
         )
 
     def search_sorted(
@@ -2591,7 +2711,7 @@ class SearchEngine:
         )
         parts = []
         for si, seg in enumerate(segs):
-            matched = self._match_segment(si, seg, clauses, {}, {})
+            matched = self._match_segment(seg.scope, clauses, {})
             if matched.size == 0:
                 continue
             r = seg.reader
@@ -2706,7 +2826,7 @@ class SearchEngine:
 
         parts = []
         for si, seg in enumerate(segs):
-            matched = self._match_segment(si, seg, clauses, {}, {})
+            matched = self._match_segment(seg.scope, clauses, {})
             if matched.size == 0:
                 continue
             r = seg.reader
@@ -3078,7 +3198,7 @@ class SearchEngine:
                 if seg.all_alive:
                     df = r.df(row)
                 else:
-                    df = len(self._decoded(si, seg, field, t, row)[0])
+                    df = len(self._decoded(seg.scope, field, t, row)[0])
                 if df:
                     dfs[t] = dfs.get(t, 0) + df
         items = sorted(
@@ -3122,7 +3242,7 @@ class SearchEngine:
         segs = self._segments.get(coll, [])
         acc: dict[str, list[int]] = {}  # value -> [count, min, max, sum]
         for si, seg in enumerate(segs):
-            matched = self._match_segment(si, seg, clauses, {}, {})
+            matched = self._match_segment(seg.scope, clauses, {})
             if matched.size == 0:
                 continue
             r = seg.reader
@@ -3135,7 +3255,7 @@ class SearchEngine:
             for j in range(len(vocab)):
                 term = str(vocab[j])
                 local, _ = self._decoded(
-                    si, seg, facet_field, term, int(start + j)
+                    seg.scope, facet_field, term, int(start + j)
                 )
                 members = matched[_in_sorted(matched, local)]
                 if members.size == 0:
@@ -3183,7 +3303,7 @@ class SearchEngine:
         segs = self._segments.get(coll, [])
         counts = np.zeros(len(norm), dtype=np.int64)
         for si, seg in enumerate(segs):
-            matched = self._match_segment(si, seg, clauses, {}, {})
+            matched = self._match_segment(seg.scope, clauses, {})
             if matched.size == 0:
                 continue
             r = seg.reader
@@ -3266,14 +3386,14 @@ class SearchEngine:
             n_docs, avgdl = self._stats(coll)
         if n_docs == 0:
             return empty
-        cache, rows, df_map, ttf_map = self._phase1_df(
-            clauses, segs, global_df, global_ttf
+        cache, df_map, ttf_map = self._phase1_df(
+            clauses, [s.scope for s in segs], global_df, global_ttf
         )
         # per group value: (urls, scores, docids) accumulated across segments
         groups: dict[str, list[tuple[str, float, int]]] = {}
         for si, seg in enumerate(segs):
             scores, matched = self._eval_boolean(
-                si, seg, clauses, cache, rows, df_map, n_docs, avgdl,
+                seg.scope, clauses, cache, df_map, n_docs, avgdl,
                 global_ttf=ttf_map,
             )
             if not matched.any():
@@ -3382,7 +3502,7 @@ class SearchEngine:
         if not need_scores:
             # ScoreMode.None: boolean matching only — no stats, no df
             n_docs, avgdl = 1, {}
-            cache, rows, df_map = {}, {}, {}
+            cache, df_map = {}, {}
         else:
             if global_stats is not None:
                 st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
@@ -3395,24 +3515,24 @@ class SearchEngine:
                 n_docs, avgdl = self._stats(coll)
             if n_docs == 0:
                 return {}
-            cache, rows, df_map, ttf_map = self._phase1_df(
-                clauses, segs, global_df, global_ttf
+            cache, df_map, ttf_map = self._phase1_df(
+                clauses, [s.scope for s in segs], global_df, global_ttf
             )
         agg: dict[str, list] = {}  # value -> [count, sum, max, min]
         for si, seg in enumerate(segs):
             if need_scores:
                 scores, matched = self._eval_boolean(
-                    si, seg, clauses, cache, rows, df_map, n_docs, avgdl,
+                    seg.scope, clauses, cache, df_map, n_docs, avgdl,
                     global_ttf=ttf_map,
                 )
                 cand = np.flatnonzero(matched)
             else:
                 scores = None
-                cand = self._match_segment(si, seg, clauses, {}, {})
+                cand = self._match_segment(seg.scope, clauses, {})
             if cand.size == 0:
                 continue
             if rclauses is not None:
-                rmatch = self._match_segment(si, seg, rclauses, {}, {})
+                rmatch = self._match_segment(seg.scope, rclauses, {})
                 cand = cand[_in_sorted(cand, rmatch)]
                 if cand.size == 0:
                     continue
@@ -3560,11 +3680,11 @@ class SearchEngine:
             r = seg.reader
             rmatch = xmatch = None
             if rclauses is not None:
-                rmatch = self._match_segment(si, seg, rclauses, {}, {})
+                rmatch = self._match_segment(seg.scope, rclauses, {})
                 if rmatch.size == 0:
                     continue
             if xclauses is not None:
-                xmatch = self._match_segment(si, seg, xclauses, {}, {})
+                xmatch = self._match_segment(seg.scope, xclauses, {})
             # ONE pass over the to-field's postings with a per-row score
             # map (round 5: replaces a per-value decode + searchsorted
             # loop).  Posting rows are term-sorted exactly like the old
@@ -3707,10 +3827,10 @@ class SearchEngine:
             return 0
         n = 0
         for si, seg in enumerate(self._segments.get(coll, [])):
-            ma = self._match_segment(si, seg, ca, {}, {})
+            ma = self._match_segment(seg.scope, ca, {})
             if ma.size == 0:
                 continue
-            mb = self._match_segment(si, seg, cb, {}, {})
+            mb = self._match_segment(seg.scope, cb, {})
             if mb.size == 0:
                 continue
             n += int(np.count_nonzero(_in_sorted(ma, mb)))
@@ -3899,11 +4019,11 @@ class SearchEngine:
         segs = self._segments.get(coll, [])
         counts: dict[str, dict[str, int]] = {f: {} for f in dim_clauses}
         for si, seg in enumerate(segs):
-            base = self._match_segment(si, seg, base_clauses, {}, {})
+            base = self._match_segment(seg.scope, base_clauses, {})
             if base.size == 0:
                 continue
             fsets = {
-                f: self._match_segment(si, seg, cl, {}, {})
+                f: self._match_segment(seg.scope, cl, {})
                 for f, cl in dim_clauses.items()
             }
             r = seg.reader
@@ -3920,7 +4040,7 @@ class SearchEngine:
                 acc = counts[f]
                 for j in range(len(vocab)):
                     term = str(vocab[j])
-                    local, _ = self._decoded(si, seg, f, term, int(start + j))
+                    local, _ = self._decoded(seg.scope, f, term, int(start + j))
                     c = int(_in_sorted(side, local).sum())
                     if c:
                         acc[term] = acc.get(term, 0) + c
@@ -4003,7 +4123,7 @@ class SearchEngine:
                 if row < 0:
                     continue
                 local, _ = self._decoded(
-                    si, seg, self.cfg.text_column, w, int(row)
+                    seg.scope, self.cfg.text_column, w, int(row)
                 )
                 if local.size == 0:
                     continue
@@ -4092,7 +4212,7 @@ class SearchEngine:
             for j in range(len(vocab)):
                 cval = str(vocab[j])
                 clocal, _ = self._decoded(
-                    si, seg, class_field, cval, int(start + j)
+                    seg.scope, class_field, cval, int(start + j)
                 )
                 m = _in_sorted(local, clocal)
                 if not m.any():
@@ -4252,7 +4372,7 @@ class SearchEngine:
                 if seg.all_alive:
                     df = r.df(int(row))
                 else:
-                    df = len(self._decoded(si, seg, field, t, int(row))[0])
+                    df = len(self._decoded(seg.scope, field, t, int(row))[0])
                 if df:
                     dfs[t] = dfs.get(t, 0) + df
         return rank_completions_table(dfs, k)
@@ -4303,7 +4423,7 @@ class SearchEngine:
                 if seg.all_alive:
                     df = r.df(row)
                 else:
-                    df = len(self._decoded(si, seg, field, t, row)[0])
+                    df = len(self._decoded(seg.scope, field, t, row)[0])
                 if df:
                     dfs[t] = dfs.get(t, 0) + df
         return rank_completions_table(dfs, k)
@@ -4402,7 +4522,7 @@ class SearchEngine:
             for si, seg, rows_map in lazy_rows:
                 row = rows_map.get(term)
                 if row is not None:
-                    df += len(self._decoded(si, seg, field, term, row)[0])
+                    df += len(self._decoded(seg.scope, field, term, row)[0])
             if df > 0:
                 exact_of[term] = df
                 if len(heap) < k:
@@ -4430,7 +4550,7 @@ class SearchEngine:
         segs = self._segments.get(coll, [])
         counts: dict[int, int] = {}
         for si, seg in enumerate(segs):
-            matched = self._match_segment(si, seg, clauses, {}, {})
+            matched = self._match_segment(seg.scope, clauses, {})
             if matched.size == 0:
                 continue
             ts = seg.reader.warc_ts[matched].astype(np.int64, copy=False)
@@ -4620,7 +4740,7 @@ class SearchEngine:
             elif isinstance(c, TermClause):
                 df = global_df[(c.field, c.term)]
                 got = (
-                    self._term_postings(si, seg, c, {}, {})
+                    self._term_postings(seg.scope, c.field, c.term, {})
                     if df and r.doc_len.get(c.field) is not None
                     else None
                 )
@@ -4660,7 +4780,7 @@ class SearchEngine:
                 matched = pf > 0
             elif isinstance(c, GroupClause):
                 g_scores, g_match = self._eval_boolean(
-                    si, seg, list(c.clauses), {}, {}, global_df,
+                    seg.scope, list(c.clauses), {}, global_df,
                     n_docs, avgdl, global_ttf=gttf,
                 )
                 matched = bool(g_match[local_doc])
@@ -4731,82 +4851,62 @@ class SearchEngine:
         }
 
     def _clause_match_local(
-        self, si: int, seg: _LiveSegment, c: Clause, cache: dict, rows: dict
+        self, scope: _Scope, c: Clause, cache: dict
     ) -> np.ndarray:
-        """Sorted local docids ONE clause matches in one segment —
-        alive-masked, with the scoring path's doc_len guard.  The shared
-        boolean kernel of :meth:`_match_segment` and the MUST_NOT handling
-        in :meth:`_score_segment_taat`."""
-        r = seg.reader
+        """Sorted scope ids ONE clause matches — alive-masked, with the
+        scoring path's doc_len guard.  The shared boolean kernel of
+        :meth:`_match_segment` and the MUST_NOT handling in
+        :meth:`_eval_boolean`."""
+        empty = np.empty(0, np.int64)
         if isinstance(c, MatchAllClause):
-            # *:* — every live doc in the segment
-            if seg.all_alive:
-                return np.arange(r.n_docs, dtype=np.int64)
-            return np.flatnonzero(seg.alive).astype(np.int64, copy=False)
-        if isinstance(c, TermClause):
-            if r.doc_len.get(c.field) is None:
-                return np.empty(0, np.int64)
-            got = self._term_postings(si, seg, c, cache, rows)
-            return got[0] if got is not None else np.empty(0, np.int64)
-        if isinstance(c, PhraseClause):
-            if r.doc_len.get(c.field) is None:
-                return np.empty(0, np.int64)
-            got = self._phrase_postings(seg, c)
-            return got[0] if got is not None else np.empty(0, np.int64)
-        if isinstance(c, SpanClause):
-            if r.doc_len.get(c.field) is None:
-                return np.empty(0, np.int64)
-            got = self._span_postings(seg, c)
-            return got[0] if got is not None else np.empty(0, np.int64)
-        if isinstance(c, SynonymClause):
-            if r.doc_len.get(c.field) is None:
-                return np.empty(0, np.int64)
-            m = np.zeros(r.n_docs, dtype=bool)
-            for t in c.terms:
-                got = self._term_postings(
-                    si, seg, TermClause(c.occur, c.field, t), cache, rows
-                )
-                if got is not None:
-                    m[got[0]] = True
-            return np.flatnonzero(m)
+            # *:* — every live doc in the scope
+            if scope.all_alive:
+                return np.arange(scope.n, dtype=np.int64)
+            return np.flatnonzero(scope.alive).astype(np.int64, copy=False)
+        if isinstance(c, (RangeClause, MultiTermClause)):
+            return np.flatnonzero(self._constant_mask(scope, c))
         if isinstance(c, GroupClause):
             # a group matches per its inner boolean semantics (recursion)
-            return self._match_segment(si, seg, list(c.clauses), cache, rows)
+            return self._match_segment(scope, list(c.clauses), cache)
         if isinstance(c, DisMaxClause):
             # DisMax matches when ANY leg matches (union)
-            m = np.zeros(r.n_docs, dtype=bool)
+            m = np.zeros(scope.n, dtype=bool)
             for leg in c.clauses:
-                m[self._clause_match_local(si, seg, leg, cache, rows)] = True
+                m[self._clause_match_local(scope, leg, cache)] = True
             return np.flatnonzero(m)
-        if isinstance(c, RangeClause):
-            range_rows = r.term_range(c.field, c.lo, c.hi, c.lo_inc, c.hi_inc)
-        else:
-            assert isinstance(c, MultiTermClause)
-            range_rows = self._expand_rows(seg, c)
-        m = np.zeros(r.n_docs, dtype=bool)
-        loc = r.local_ids(r.docids_many(range_rows))
-        if not seg.all_alive:
-            loc = loc[seg.alive[loc]]
-        m[loc] = True
+        if scope.doc_len.get(c.field) is None:
+            return empty
+        if isinstance(c, TermClause):
+            got = self._term_postings(scope, c.field, c.term, cache)
+            return got[0] if got is not None else empty
+        if isinstance(c, (PhraseClause, SpanClause)):
+            got = self._scope_positional(scope, c)
+            return got[0] if got is not None else empty
+        assert isinstance(c, SynonymClause)
+        m = np.zeros(scope.n, dtype=bool)
+        for t in c.terms:
+            got = self._term_postings(scope, c.field, t, cache)
+            if got is not None:
+                m[got[0]] = True
         return np.flatnonzero(m)
 
     def _match_segment(
-        self, si: int, seg: _LiveSegment, clauses: list[Clause],
-        cache: dict, rows: dict, min_should: int = 0,
+        self, scope: _Scope, clauses: list[Clause], cache: dict,
+        min_should: int = 0,
     ) -> np.ndarray:
-        """Sorted local docids matching the boolean semantics of the scoring
+        """Sorted scope ids matching the boolean semantics of the scoring
         path (all MUST clauses; else at least one SHOULD; never a MUST_NOT
-        match) — the score-free twin of :meth:`_score_segment_taat`, used by
+        match) — the score-free twin of :meth:`_eval_boolean`, used by
         faceting/count where EVERY matching doc is needed, not a top-k.
         ``min_should`` mirrors BooleanQuery.setMinimumNumberShouldMatch."""
-        n = seg.reader.n_docs
+        n = scope.n
         musts = [c for c in clauses if c.occur == MUST]
         must_cnt = np.zeros(n, dtype=np.int16) if musts else None
         should_cnt = np.zeros(n, dtype=np.int16) if min_should > 0 else None
         any_hit = np.zeros(n, dtype=bool)
         prohibited: np.ndarray | None = None
         for c in clauses:
-            local = self._clause_match_local(si, seg, c, cache, rows)
+            local = self._clause_match_local(scope, c, cache)
             if c.occur == MUST_NOT:
                 if local.size:
                     if prohibited is None:
@@ -4849,23 +4949,17 @@ class SearchEngine:
     ) -> dict[tuple[str, str], int]:
         """Alive-masked df of each (field, term) within this engine's loaded
         partitions — one shard's contribution to the global df sum."""
-        segs = self._segments.get(coll, [])
+        scope = self._scope(coll) if self._segments.get(coll) else None
         out: dict[tuple[str, str], int] = {}
+        cache: dict = {}
         for field, term in terms:
             key = (field, term)
-            if key in out:
-                continue
-            df = 0
-            for si, seg in enumerate(segs):
-                row = seg.reader.lookup(field, term)
-                if row < 0:
-                    continue
-                if seg.all_alive:
-                    df += seg.reader.df(row)
-                else:
-                    local, _ = self._decoded(si, seg, field, term, row)
-                    df += len(local)
-            out[key] = df
+            if key not in out:
+                out[key] = (
+                    self._scope_df(scope, field, term, False, cache)[0]
+                    if scope is not None
+                    else 0
+                )
         return out
 
     def local_term_ttfs(
@@ -4875,20 +4969,16 @@ class SearchEngine:
         this engine's loaded partitions — one shard's contribution to the
         global ttf sum (the df twin of :meth:`local_term_dfs`, gathered by
         sharded fleets running a ttf-hungry similarity)."""
-        segs = self._segments.get(coll, [])
+        scope = self._scope(coll) if self._segments.get(coll) else None
         out: dict[tuple[str, str], int] = {}
         for field, term in terms:
             key = (field, term)
             if key in out:
                 continue
-            ttf = 0
-            for si, seg in enumerate(segs):
-                row = seg.reader.lookup(field, term)
-                if row < 0:
-                    continue
-                _, tfs = self._decoded(si, seg, field, term, row)
-                ttf += int(tfs.sum())
-            out[key] = ttf
+            got = (
+                self._decoded(scope, field, term) if scope is not None else None
+            )
+            out[key] = int(got[1].sum()) if got is not None else 0
         return out
 
     def search_partial(
@@ -4937,18 +5027,22 @@ class SearchEngine:
     def _phase1_df(
         self,
         clauses: list[Clause],
-        segs: list,
+        scopes: list[_Scope],
         df_override: dict[tuple[str, str], int] | None = None,
         ttf_override: dict[tuple[str, str], int] | None = None,
-    ) -> tuple[dict, dict, dict, dict]:
-        """Phase 1 of every scored execution: (decode cache, per-segment
-        dictionary rows, global df per scored (field, term), global TOTAL
-        term frequency — gathered only when the engine's similarity needs
-        it, else empty) — shared by search and search_grouped.
+        decode: bool = True,
+    ) -> tuple[dict, dict, dict]:
+        """Phase 1 of every scored execution: (per-query decode cache,
+        global df per scored (field, term) summed over ``scopes``, global
+        TOTAL term frequency — gathered only when the engine's similarity
+        needs it, else empty) — shared by search and the aux read ops.
+        ``decode``: the executor decodes the query's term postings anyway
+        (TAAT / pure-AND), so their df is the length of the scope's cached
+        decode and a warm term costs no dictionary lookup; the block-max
+        executors pass False and keep the dictionary df (no decode).
         ``ttf_override`` follows the ``df_override`` injection contract
         (sharded callers sum ttfs over shards)."""
-        cache: dict[tuple[int, str, str], tuple[np.ndarray, np.ndarray]] = {}
-        rows: dict[tuple[int, str, str], int] = {}
+        cache: dict = {}
         global_df: dict[tuple[str, str], int] = {}
         global_ttf: dict[tuple[str, str], int] = {}
         need_ttf = self.sim.needs_ttf
@@ -4961,44 +5055,51 @@ class SearchEngine:
                 "callers injecting global_df must inject global_ttf too "
                 "(gather with local_term_ttfs per shard and sum)"
             )
-        for field, term in scored_term_keys(clauses):
-            key = (field, term)
+        decoded = _decoded_term_keys(clauses) if decode else ()
+        for key in scored_term_keys(clauses):
             if key in global_df:
                 continue
             if df_override is not None:
-                # df supplied globally; still record per-segment dictionary
-                # rows for the scoring strategies' lazy decodes
-                for si, seg in enumerate(segs):
-                    rows[(si, field, term)] = seg.reader.lookup(field, term)
+                # df supplied globally; the executor decodes lazily
                 global_df[key] = df_override.get(key, 0)
                 if need_ttf:
                     global_ttf[key] = int((ttf_override or {}).get(key, 0))
                 continue
-            df = 0
-            ttf = 0
-            for si, seg in enumerate(segs):
-                row = seg.reader.lookup(field, term)
-                rows[(si, field, term)] = row
-                if row < 0:
-                    continue
-                if seg.all_alive and not need_ttf:
-                    # df straight from the term dictionary — no decode;
-                    # scoring strategies decode lazily (block-max decodes
-                    # only surviving blocks)
-                    df += seg.reader.df(row)
-                    continue
-                # ttf needs the tf stream (the dictionary stores df only) —
-                # the decode lands in the query-shared cache, so the
-                # scoring pass never decodes twice
-                local, tfs = self._decoded(si, seg, field, term, row)
-                cache[(si, field, term)] = (local, tfs)
-                df += len(local)
-                if need_ttf:
-                    ttf += int(tfs.sum())
+            df = ttf = 0
+            for scope in scopes:
+                d, t = self._scope_df(scope, *key, key in decoded, cache)
+                df += d
+                ttf += t
             global_df[key] = df
             if need_ttf:
                 global_ttf[key] = ttf
-        return cache, rows, global_df, global_ttf
+        return cache, global_df, global_ttf
+
+    def _scope_df(
+        self, scope: _Scope, field: str, term: str, decode: bool, cache: dict
+    ) -> tuple[int, int]:
+        """(alive df, ttf) of (field, term) over one scope.  Read off the
+        scope's decoded postings — through the LRU, so a warm term costs no
+        dictionary lookup — when the term is cached, when ``decode``, when a
+        member has dead docs (the dictionary df counts them) or when the
+        similarity needs ttf (the dictionary stores df only); otherwise the
+        members' dictionary df, with no decode.  ttf is 0 unless needed."""
+        need_ttf = self.sim.needs_ttf
+        ck = (scope.key, field, term)
+        if (
+            decode or need_ttf or not scope.all_alive
+            or ck in cache or ck in self._postings_cache
+        ):
+            got = self._term_postings(scope, field, term, cache)
+            if got is None:
+                return 0, 0
+            return len(got[0]), int(got[1].sum()) if need_ttf else 0
+        df = 0
+        for seg in scope.segs:
+            row = seg.reader.lookup(field, term)
+            if row >= 0:
+                df += seg.reader.df(row)
+        return df, 0
 
     # ------------------------------------------------------------------
     def _execute(
@@ -5012,165 +5113,204 @@ class SearchEngine:
         min_should: int = 0,
         ttf_override: dict[tuple[str, str], int] | None = None,
     ) -> pa.Table:
-        """``stats_override``/``df_override``/``ttf_override``: inject
+        """Top-``limit`` hits (url, score, docid) of ``clauses`` over one
+        collection — the path behind :meth:`search` and
+        :meth:`search_partial` (so behind every sharded actor).
+
+        TAAT and the pure-AND intersection run ONCE per query over the
+        collection's :class:`_Scope` (its live segments in one docid
+        space): one accumulator, one k-th-score cut, one (score desc, url
+        asc) sort and one table, however many partitions × generations the
+        collection holds.  Every doc's float sum adds its clauses in query
+        order, exactly as a per-segment pass would, so scores are
+        bit-identical to scoring each segment and merging.  The block-max
+        executors (``bmax``/``bmw``) still score segment by segment and
+        merge on (score desc, url asc): they prune with each segment's
+        stored per-block bounds and block layout.
+
+        ``stats_override``/``df_override``/``ttf_override``: inject
         GLOBAL (n_docs, avgdl), per-(field, term) df — and, for ttf-hungry
         similarities, total term frequency — computed across ALL partitions:
         used by the sharded path (pipelines/sharded.py) where this engine
         holds only a partition subset but must score with corpus-global
         statistics."""
         segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()), "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
         if not clauses or not segs:
-            return empty
+            return RESULT_SCHEMA.empty_table()
         n_docs, avgdl = (
             stats_override if stats_override is not None else self._stats(coll)
         )
         if n_docs == 0:
-            return empty
-
-        # ---- phase 1: global df per BM25-scored term (TERM clauses + each
-        # phrase's constituent terms — PhraseQuery idf sums per-term idfs);
-        # postings decoded lazily by the scoring strategy.
+            return RESULT_SCHEMA.empty_table()
         term_clauses = [c for c in clauses if isinstance(c, TermClause)]
-        cache, rows, global_df, global_ttf = self._phase1_df(
-            clauses, segs, df_override, ttf_override
-        )
-
-        # ---- phase 2: per-segment scoring + top-k, then merge (K1)
-        # block-max strategies handle pure-SHOULD term queries only;
-        # anything with MUST or MUST_NOT falls back to TAAT (which owns the
-        # boolean bookkeeping).  They also store BM25-specific score upper
-        # bounds, so a non-BM25 similarity always takes the exact paths.
+        # block-max strategies handle unboosted pure-SHOULD term queries
+        # only (anything with MUST or MUST_NOT falls back to TAAT, which
+        # owns the boolean bookkeeping), and they store BM25-specific score
+        # upper bounds, so a non-BM25 similarity always takes the exact paths
         unboosted = (
             all(getattr(c, "boost", 1.0) == 1.0 for c in clauses)
             and min_should == 0
         )
-        is_bm25 = self.sim.name == "bm25"
-        use_bmw = (
-            method == "bmw"
-            and unboosted
-            and is_bm25
-            and all(isinstance(c, TermClause) and c.occur == SHOULD for c in clauses)
-            and len(term_clauses) > 0
+        block_max_ok = (
+            unboosted
+            and self.sim.name == "bm25"
+            and len(term_clauses) == len(clauses)
+            and all(c.occur == SHOULD for c in term_clauses)
         )
-        pure_and = (
+        threshold = self.cfg.bmax_auto_df_threshold
+        if method == "auto" and not (block_max_ok and threshold <= n_docs):
+            # auto routes big pure-SHOULD unboosted BM25 disjunctions (max
+            # global df ≥ IndexConfig.bmax_auto_df_threshold) to block-max;
+            # a df never exceeds n_docs, so below that the route is TAAT
+            # before any df is gathered.  Exactness is not at stake — bmax
+            # == taat is pinned (tests/test_build_search.py
+            # test_bmax_equals_taat and the auto-routing twin) — only speed.
+            method = "taat"
+        block_max = block_max_ok and method in ("auto", "bmax", "bmw")
+
+        # ---- phase 1: global df per scored term (TERM clauses + each
+        # phrase's constituent terms — PhraseQuery idf sums per-term idfs)
+        scope = self._scope(coll)
+        cache, global_df, global_ttf = self._phase1_df(
+            clauses, [scope], df_override, ttf_override, decode=not block_max
+        )
+        if method == "auto":
+            max_df = max(global_df.get((c.field, c.term), 0) for c in term_clauses)
+            block_max = max_df >= threshold
+            method = "bmax" if block_max else "taat"
+
+        # ---- phase 2: score + top-k
+        if block_max:
+            score_segment = (
+                self._score_segment_bmw if method == "bmw"
+                else self._score_segment_bmax
+            )
+            parts = [
+                t for si, seg in enumerate(segs)
+                if (
+                    t := score_segment(
+                        si, seg, term_clauses, global_df, n_docs, avgdl, limit
+                    )
+                ).num_rows
+            ]
+            if not parts:
+                return RESULT_SCHEMA.empty_table()
+            merged = pa.concat_tables(parts)
+            # within a segment the per-segment docid tiebreak coincides with
+            # url order (docids are url ranks), so segment-level truncation
+            # stays consistent with this (score desc, url asc) merge
+            order = np.lexsort(
+                (
+                    merged["url"].to_numpy(zero_copy_only=False),
+                    -merged["score"].to_numpy(),
+                )
+            )[:limit]
+            return merged.take(pa.array(order))
+        if (
             len(clauses) > 1
             and unboosted
             and all(isinstance(c, TermClause) and c.occur == MUST for c in clauses)
             and method != "bmw"
+        ):
+            return self._score_segment_and(
+                scope, term_clauses, cache, global_df, n_docs, avgdl, limit,
+                global_ttf=global_ttf,
+            )
+        return self._score_segment_taat(
+            scope, clauses, cache, global_df, n_docs, avgdl, limit,
+            min_should=min_should, global_ttf=global_ttf,
         )
-        if method == "auto":
-            # route big pure-SHOULD unboosted BM25 disjunctions to the
-            # vectorized block-max path: at 255-cap top-k over Zipf-head
-            # terms block-max skipping beats the full TAAT accumulator,
-            # while low-df queries stay TAAT (per-block bookkeeping would
-            # cost more than it prunes).  Exactness is not at stake —
-            # bmax == taat is pinned (tests/test_query_executor.py
-            # test_bmw_equals_taat and the auto-routing twin) — only speed.
-            eligible = (
-                unboosted
-                and is_bm25
-                and all(
-                    isinstance(c, TermClause) and c.occur == SHOULD
-                    for c in clauses
-                )
-                and len(term_clauses) > 0
-            )
-            max_df = (
-                max(
-                    (global_df.get((c.field, c.term), 0) for c in term_clauses),
-                    default=0,
-                )
-                if eligible
-                else 0
-            )
-            method = (
-                "bmax"
-                if eligible and max_df >= self.cfg.bmax_auto_df_threshold
-                else "taat"
-            )
-        use_bmax = (
-            method == "bmax"
-            and unboosted
-            and is_bm25
-            and all(isinstance(c, TermClause) and c.occur == SHOULD for c in clauses)
-            and len(term_clauses) > 0
-        )
-        parts = []
-        for si, seg in enumerate(segs):
-            if use_bmw:
-                t = self._score_segment_bmw(
-                    si, seg, term_clauses, global_df, n_docs, avgdl, limit
-                )
-            elif use_bmax:
-                t = self._score_segment_bmax(
-                    si, seg, term_clauses, rows, global_df, n_docs, avgdl, limit
-                )
-            elif pure_and:
-                t = self._score_segment_and(
-                    si, seg, term_clauses, cache, rows, global_df, n_docs,
-                    avgdl, limit, global_ttf=global_ttf,
-                )
-            else:
-                t = self._score_segment_taat(
-                    si, seg, clauses, cache, rows, global_df, n_docs, avgdl,
-                    limit, min_should=min_should, global_ttf=global_ttf,
-                )
-            if t.num_rows:
-                parts.append(t)
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        # global tiebreak: (score desc, url asc) — url order is invariant
-        # under generations/partitioning/compaction, unlike docids (whose
-        # ranges are per-generation).  Within a segment the per-segment
-        # docid tiebreak coincides with url order (docids are url-ranks),
-        # so segment-level truncation stays consistent with this merge.
-        order = np.lexsort(
-            (
-                merged["url"].to_numpy(zero_copy_only=False),
-                -merged["score"].to_numpy(),
-            )
-        )[:limit]
-        return merged.take(pa.array(order))
 
     # ------------------------------------------------------------------
     def _decoded(
-        self, si: int, seg: _LiveSegment, field: str, term: str, row: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Alive-filtered decoded postings, via the cross-query LRU."""
-        ck = (seg.reader.path, field, term)
+        self, scope: _Scope, field: str, term: str, row: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Alive-filtered decoded postings of (field, term) over a scope →
+        (sorted scope ids, tfs), or None when no member holds the term —
+        via the cross-query LRU, ONE entry per (scope, term): a collection
+        scope's entry holds the members' decodes concatenated, never
+        alongside per-segment copies.  ``row``: the dictionary row, when
+        the caller of a one-member scope already looked it up."""
+        ck = (scope.key, field, term)
         hit = self._postings_cache.get(ck)
         if hit is not None:
             self._postings_cache.move_to_end(ck)
             return hit
-        docids, tfs = seg.reader.postings(row)
-        local = seg.reader.local_ids(docids)
-        if not seg.all_alive:
-            ok = seg.alive[local]
-            tfs, local = tfs[ok], local[ok]
-        self._postings_cache[ck] = (local, tfs)
+        ids: list[np.ndarray] = []
+        tfs: list[np.ndarray] = []
+        for seg, off in zip(scope.segs, scope.offsets):
+            r = seg.reader
+            rw = row if row is not None else r.lookup(field, term)
+            if rw < 0:
+                continue
+            docids, tf = r.postings(rw)
+            local = r.local_ids(docids)
+            if not seg.all_alive:
+                ok = seg.alive[local]
+                tf, local = tf[ok], local[ok]
+            ids.append(local + off if off else local)
+            tfs.append(tf)
+        if not ids:
+            return None
+        got = (
+            (ids[0], tfs[0]) if len(ids) == 1
+            else (np.concatenate(ids), np.concatenate(tfs))
+        )
+        self._postings_cache[ck] = got
         if len(self._postings_cache) > self._postings_cache_size:
             self._postings_cache.popitem(last=False)
-        return local, tfs
-
-    def _term_postings(
-        self, si: int, seg: _LiveSegment, c: TermClause, cache: dict, rows: dict
-    ):
-        got = cache.get((si, c.field, c.term))
-        if got is not None:
-            return got
-        row = rows.get((si, c.field, c.term), -2)
-        if row == -2:
-            row = seg.reader.lookup(c.field, c.term)
-        if row < 0:
-            return None
-        got = self._decoded(si, seg, c.field, c.term, row)
-        cache[(si, c.field, c.term)] = got
         return got
+
+    def _term_postings(self, scope: _Scope, field: str, term: str, cache: dict):
+        """:meth:`_decoded` through the per-query cache (phase 1 fills it;
+        no LRU traffic or eviction risk within one query)."""
+        ck = (scope.key, field, term)
+        if ck in cache:
+            return cache[ck]
+        got = cache[ck] = self._decoded(scope, field, term)
+        return got
+
+    def _scope_positional(
+        self, scope: _Scope, c: "PhraseClause | SpanClause"
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Phrase / span matches over a scope → (scope ids asc, freqs), or
+        None: each member's cached per-segment match shifted by its
+        offset."""
+        match = (
+            self._span_postings if isinstance(c, SpanClause)
+            else self._phrase_postings
+        )
+        if len(scope.segs) == 1:
+            return match(scope.segs[0], c)
+        ids: list[np.ndarray] = []
+        freqs: list[np.ndarray] = []
+        for seg, off in zip(scope.segs, scope.offsets):
+            got = match(seg, c)
+            if got is not None:
+                ids.append(got[0] + off)
+                freqs.append(got[1])
+        if not ids:
+            return None
+        return np.concatenate(ids), np.concatenate(freqs)
+
+    def _constant_mask(
+        self, scope: _Scope, c: "RangeClause | MultiTermClause"
+    ) -> np.ndarray:
+        """bool[scope.n]: the live docs a range / prefix / wildcard / regexp
+        / fuzzy clause matches — per member, one bulk docid decode (no tfs)
+        of its expanded dictionary rows."""
+        m = np.zeros(scope.n, dtype=bool)
+        for seg, off in zip(scope.segs, scope.offsets):
+            r = seg.reader
+            if isinstance(c, RangeClause):
+                rows = r.term_range(c.field, c.lo, c.hi, c.lo_inc, c.hi_inc)
+            else:
+                rows = self._expand_rows(seg, c)
+            local = r.local_ids(r.docids_many(rows))
+            if not seg.all_alive:
+                local = local[seg.alive[local]]
+            m[local + off if off else local] = True
+        return m
 
     # ---- phrase + multi-term machinery (Q8/Q9/Q10/Q14) -----------------
     def _phrase_postings(
@@ -5440,11 +5580,9 @@ class SearchEngine:
     # ------------------------------------------------------------------
     def _score_segment_taat(
         self,
-        si: int,
-        seg: _LiveSegment,
+        scope: _Scope,
         clauses: list[Clause],
         cache: dict,
-        rows: dict,
         global_df: dict,
         n_docs: int,
         avgdl: dict[str, float],
@@ -5452,61 +5590,45 @@ class SearchEngine:
         min_should: int = 0,
         global_ttf: dict | None = None,
     ) -> pa.Table:
-        r = seg.reader
+        """TAAT top-k over one scope: :meth:`_eval_boolean`, then the
+        bounded selection and (score desc, url asc) sort of
+        :func:`_top_hits`."""
         scores, matched = self._eval_boolean(
-            si, seg, clauses, cache, rows, global_df, n_docs, avgdl,
+            scope, clauses, cache, global_df, n_docs, avgdl,
             min_should=min_should, global_ttf=global_ttf,
         )
         cand = np.flatnonzero(matched)
         if cand.size == 0:
-            return pa.table(
-                {"url": pa.array([], pa.string()),
-                 "score": pa.array([], pa.float64()),
-                 "docid": pa.array([], pa.int64())}
-            )
-        if cand.size > limit:
-            # bounded selection before the exact sort (per-partition heap K1).
-            # argpartition alone would pick an ARBITRARY subset of docs tied
-            # at the k-th score — keep EVERY candidate at or above the k-th
-            # score so the (score desc, docid asc) tiebreak stays exact.
-            kth = np.partition(scores[cand], cand.size - limit)[cand.size - limit]
-            cand = cand[scores[cand] >= kth]
-        order = np.lexsort((cand, -scores[cand]))[:limit]
-        cand = cand[order]
-        return pa.table(
-            {
-                "url": pa.array(r.urls[cand], type=pa.string()),
-                "score": pa.array(scores[cand], type=pa.float64()),
-                "docid": pa.array(r.doc_base + cand, type=pa.int64()),
-            }
-        )
+            return RESULT_SCHEMA.empty_table()
+        return _top_hits(scope, cand, scores[cand], limit)
 
     def _eval_boolean(
         self,
-        si: int,
-        seg: _LiveSegment,
+        scope: _Scope,
         clauses: list[Clause],
         cache: dict,
-        rows: dict,
         global_df: dict,
         n_docs: int,
         avgdl: dict[str, float],
         min_should: int = 0,
         global_ttf: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One boolean level → (dense scores float64[n], matched bool[n])
-        under Lucene BooleanQuery semantics — the recursive heart of the
-        TAAT path; :class:`GroupClause` nests by calling back in (a matching
-        group contributes its inner sum × boost, a non-matching group
-        contributes nothing).  ``min_should`` is
+        """One boolean level over a scope → (dense scores float64[scope.n],
+        matched bool[scope.n]) under Lucene BooleanQuery semantics — the
+        recursive heart of the TAAT path; :class:`GroupClause` nests by
+        calling back in (a matching group contributes its inner sum ×
+        boost, a non-matching group contributes nothing).  ``scope`` is a
+        collection scope on the search path (every clause's per-segment
+        matches mapped into scope ids by member offset) or one segment's
+        scope for the aux ops; per doc the clauses add in query order, so
+        both give bit-identical scores.  ``min_should`` is
         BooleanQuery.setMinimumNumberShouldMatch: a doc must additionally
         match at least that many SHOULD clauses (fewer SHOULD clauses than
         ``min_should`` ⇒ the level matches nothing, Lucene parity).
         ``global_ttf``: corpus-global total term frequency per scored
         (field, term) — required by ttf-hungry similarities (lmdirichlet),
         empty otherwise."""
-        r = seg.reader
-        n = r.n_docs
+        n = scope.n
         sim = self.sim
         gttf = global_ttf or {}
         scores = np.zeros(n, dtype=np.float64)
@@ -5528,7 +5650,7 @@ class SearchEngine:
             if c.occur == MUST_NOT:
                 # prohibited clauses exclude their matches and contribute
                 # NO score (Lucene BooleanQuery MUST_NOT)
-                local = self._clause_match_local(si, seg, c, cache, rows)
+                local = self._clause_match_local(scope, c, cache)
                 if local.size:
                     if prohibited is None:
                         prohibited = np.zeros(n, dtype=bool)
@@ -5536,7 +5658,7 @@ class SearchEngine:
                 continue
             if isinstance(c, GroupClause):
                 g_scores, g_match = self._eval_boolean(
-                    si, seg, list(c.clauses), cache, rows, global_df,
+                    scope, list(c.clauses), cache, global_df,
                     n_docs, avgdl, global_ttf=global_ttf,
                 )
                 if c.boost != 1.0:
@@ -5558,8 +5680,10 @@ class SearchEngine:
                 anym = np.zeros(n, dtype=bool)
                 for leg in c.clauses:
                     if isinstance(leg, TermClause):
-                        got = self._term_postings(si, seg, leg, cache, rows)
-                        dl = r.doc_len.get(leg.field)
+                        got = self._term_postings(
+                            scope, leg.field, leg.term, cache
+                        )
+                        dl = scope.doc_len.get(leg.field)
                         df = global_df.get((leg.field, leg.term), 0)
                         if got is None or dl is None or df == 0:
                             continue
@@ -5576,7 +5700,7 @@ class SearchEngine:
                         anym[local] = True
                         continue
                     l_scores, l_match = self._eval_boolean(
-                        si, seg, [leg], cache, rows, global_df,
+                        scope, [leg], cache, global_df,
                         n_docs, avgdl, global_ttf=global_ttf,
                     )
                     l_scores = np.where(l_match, l_scores, 0.0)
@@ -5595,8 +5719,8 @@ class SearchEngine:
                 # *:* — constant score boost × 1.0 on every live doc
                 alive = (
                     np.arange(n, dtype=np.int64)
-                    if seg.all_alive
-                    else np.flatnonzero(seg.alive)
+                    if scope.all_alive
+                    else np.flatnonzero(scope.alive)
                 )
                 scores[alive] += c.boost
                 if must_cnt is not None and c.occur == MUST:
@@ -5604,14 +5728,14 @@ class SearchEngine:
                 _note_should(alive, c)
                 continue
             if isinstance(c, TermClause):
-                got = self._term_postings(si, seg, c, cache, rows)
+                got = self._term_postings(scope, c.field, c.term, cache)
                 if got is None:
                     continue
                 local, tfs = got
                 df = global_df[(c.field, c.term)]
                 if df == 0:
                     continue
-                dl = r.doc_len.get(c.field)
+                dl = scope.doc_len.get(c.field)
                 if dl is None:
                     continue
                 s = sim.scorer(
@@ -5627,7 +5751,7 @@ class SearchEngine:
             elif isinstance(c, SynonymClause):
                 # Lucene SynonymQuery: the group scores as ONE pseudo-term —
                 # per-doc tf = Σ member tfs, idf from the MAX member df
-                dl = r.doc_len.get(c.field)
+                dl = scope.doc_len.get(c.field)
                 if dl is None:
                     continue
                 max_df = max(
@@ -5639,9 +5763,7 @@ class SearchEngine:
                 agg = np.zeros(n, dtype=np.float64)
                 seen = np.zeros(n, dtype=bool)
                 for t in c.terms:
-                    got = self._term_postings(
-                        si, seg, TermClause(c.occur, c.field, t), cache, rows
-                    )
+                    got = self._term_postings(scope, c.field, t, cache)
                     if got is None:
                         continue
                     local, tfs = got
@@ -5663,39 +5785,17 @@ class SearchEngine:
                 if must_cnt is not None and c.occur == MUST:
                     must_cnt[docs] += 1
                 _note_should(docs, c)
-            elif isinstance(c, PhraseClause):
-                # Q8: the similarity over the phrase frequency as a
-                # pseudo-term — constituent-term weights aggregate per the
+            elif isinstance(c, (PhraseClause, SpanClause)):
+                # Q8: the similarity over the phrase (or span) frequency as
+                # a pseudo-term — constituent-term weights aggregate per the
                 # similarity's phrase contract (BM25/classic sum idfs,
                 # Lucene PhraseWeight parity; lmdirichlet sums ttfs),
-                # GLOBAL dfs so sharded scores are exact
-                got = self._phrase_postings(seg, c)
+                # GLOBAL dfs so sharded scores are exact; exclude terms of
+                # a span_not never contribute (SpanWeight parity)
+                got = self._scope_positional(scope, c)
                 if got is None:
                     continue
-                dl = r.doc_len.get(c.field)
-                if dl is None:
-                    continue
-                u_docs, pf = got
-                s = sim.phrase_scorer(
-                    [global_df.get((c.field, t), 0) for t in c.terms],
-                    sum(gttf.get((c.field, t), 0) for t in c.terms),
-                    n_docs, avgdl.get(c.field, 1.0),
-                )(pf, dl[u_docs])
-                if c.boost != 1.0:
-                    s = s * c.boost
-                scores[u_docs] += s
-                if must_cnt is not None and c.occur == MUST:
-                    must_cnt[u_docs] += 1
-                _note_should(u_docs, c)
-            elif isinstance(c, SpanClause):
-                # span family: pseudo-term over the span frequency, the
-                # PhraseClause scoring contract verbatim (constituent-term
-                # statistics aggregate per the similarity; exclude terms of
-                # a span_not never contribute — SpanWeight parity)
-                got = self._span_postings(seg, c)
-                if got is None:
-                    continue
-                dl = r.doc_len.get(c.field)
+                dl = scope.doc_len.get(c.field)
                 if dl is None:
                     continue
                 u_docs, pf = got
@@ -5712,22 +5812,10 @@ class SearchEngine:
                 _note_should(u_docs, c)
             else:
                 # constant-score expansion clauses: Q3 range over the sorted
-                # dictionary, Q9/Q10 prefix/wildcard/fuzzy expansion
-                if isinstance(c, RangeClause):
-                    range_rows = r.term_range(
-                        c.field, c.lo, c.hi, c.lo_inc, c.hi_inc
-                    )
-                else:
-                    assert isinstance(c, MultiTermClause)
-                    range_rows = self._expand_rows(seg, c)
-                # one bulk docid decode for the whole expansion (no tfs)
-                local = r.local_ids(r.docids_many(range_rows))
-                if not seg.all_alive:
-                    local = local[seg.alive[local]]
-                matched = np.zeros(n, dtype=bool)
-                matched[local] = True
-                # constant-score (Lucene 5.x CONSTANT_SCORE rewrite): the
-                # contribution IS the boost (1.0 unboosted)
+                # dictionary, Q9/Q10 prefix/wildcard/fuzzy expansion — the
+                # contribution IS the boost (Lucene 5.x CONSTANT_SCORE
+                # rewrite; 1.0 unboosted)
+                matched = self._constant_mask(scope, c)
                 scores[matched] += c.boost
                 if must_cnt is not None and c.occur == MUST:
                     must_cnt[matched] += 1
@@ -5752,64 +5840,45 @@ class SearchEngine:
     # ------------------------------------------------------------------
     def _score_segment_and(
         self,
-        si: int,
-        seg: _LiveSegment,
+        scope: _Scope,
         clauses: list[TermClause],
         cache: dict,
-        rows: dict,
         global_df: dict,
         n_docs: int,
         avgdl: dict[str, float],
         limit: int,
         global_ttf: dict | None = None,
     ) -> pa.Table:
-        """Pure-AND path: sorted posting-list intersection (J2), rarest term
-        first, galloping via searchsorted — no dense accumulator.  Equivalent
-        to TAAT with all-MUST (tested), faster when the intersection is
+        """Pure-AND path over one scope: sorted posting-list intersection
+        (J2), rarest term first, galloping via searchsorted — no dense
+        accumulator.  Scores add in clause order, so they equal TAAT with
+        all-MUST bit for bit (tested); faster when the intersection is
         selective.  Similarity-generic: scores come from the engine's
         ``sim`` like the TAAT path."""
-        r = seg.reader
-        empty = pa.table(
-            {"url": pa.array([], pa.string()), "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
         lists = []
         for c in clauses:
-            got = self._term_postings(si, seg, c, cache, rows)
+            got = self._term_postings(scope, c.field, c.term, cache)
             if got is None or len(got[0]) == 0:
-                return empty  # a MUST term absent from this segment → no hits
-            lists.append((c, got[0], got[1]))
-        lists.sort(key=lambda x: len(x[1]))
-        cand = lists[0][1]
-        for _, local, _tf in lists[1:]:
+                # a MUST term absent from the scope → no hits
+                return RESULT_SCHEMA.empty_table()
+            lists.append(got)
+        by_len = sorted(lists, key=lambda x: len(x[0]))
+        cand = by_len[0][0]
+        for local, _tf in by_len[1:]:
             pos = np.searchsorted(local, cand)
             pos[pos >= local.size] = local.size - 1
             cand = cand[local[pos] == cand]
             if cand.size == 0:
-                return empty
+                return RESULT_SCHEMA.empty_table()
         scores = np.zeros(cand.size, dtype=np.float64)
         gttf = global_ttf or {}
-        for c, local, tfs in lists:
+        for c, (local, tfs) in zip(clauses, lists):
             pos = np.searchsorted(local, cand)
-            df = global_df[(c.field, c.term)]
-            dl = r.doc_len[c.field]
             scores += self.sim.scorer(
-                df, gttf.get((c.field, c.term), 0),
+                global_df[(c.field, c.term)], gttf.get((c.field, c.term), 0),
                 n_docs, avgdl.get(c.field, 1.0),
-            )(tfs[pos], dl[cand])
-        if cand.size > limit:
-            kth = np.partition(scores, cand.size - limit)[cand.size - limit]
-            keep = scores >= kth
-            cand, scores = cand[keep], scores[keep]
-        order = np.lexsort((cand, -scores))[:limit]
-        cand, scores = cand[order], scores[order]
-        return pa.table(
-            {
-                "url": pa.array(r.urls[cand], type=pa.string()),
-                "score": pa.array(scores, type=pa.float64()),
-                "docid": pa.array(r.doc_base + cand, type=pa.int64()),
-            }
-        )
+            )(tfs[pos], scope.doc_len[c.field][cand])
+        return _top_hits(scope, cand, scores, limit)
 
     # ------------------------------------------------------------------
     def _score_segment_bmax(
@@ -5817,7 +5886,6 @@ class SearchEngine:
         si: int,
         seg: _LiveSegment,
         clauses: list[TermClause],
-        rows: dict,
         global_df: dict,
         n_docs: int,
         avgdl: dict[str, float],
@@ -5853,9 +5921,7 @@ class SearchEngine:
         )
         terms = []
         for c in clauses:
-            row = rows.get((si, c.field, c.term), -2)
-            if row == -2:
-                row = r.lookup(c.field, c.term)
+            row = r.lookup(c.field, c.term)
             if row < 0:
                 continue
             df_g = global_df[(c.field, c.term)]

@@ -230,3 +230,43 @@ def test_auto_sized_fold_result_unchanged(ray_session, monkeypatch):
     import pandas as pd
 
     pd.testing.assert_frame_equal(big, base)
+
+
+@pytest.mark.parametrize("bad", ["0", "-3", "2.5", "many", " "])
+def test_fold_buckets_env_rejects_non_positive_or_non_integer(monkeypatch, bad):
+    """LPR_FOLD_BUCKETS is validated: a value that is not an integer >= 1
+    raises ValueError naming the variable (0 would divide by zero in the
+    bucket modulo, a negative value would produce negative bucket ids)."""
+    from lucene_plugin_ray.functions import fold as fold_mod
+
+    monkeypatch.setenv("LPR_FOLD_BUCKETS", bad)
+    with pytest.raises(ValueError, match="LPR_FOLD_BUCKETS"):
+        fold_mod.auto_buckets(10**9)
+    monkeypatch.setenv("LPR_FOLD_BUCKETS", "1")
+    assert fold_mod.auto_buckets(10**9) == 1
+
+
+def test_estimate_rows_logs_when_plan_walk_raises(caplog):
+    """_estimate_rows reads Ray-private plan internals; when that walk
+    raises it returns None and logs ONE warning naming the exception type,
+    so a Ray upgrade cannot silently pin every fold at the bucket floor."""
+    import logging
+
+    from lucene_plugin_ray.functions import fold as fold_mod
+
+    class _Plan:
+        @property
+        def _logical_plan(self):
+            raise AttributeError("no logical plan in this Ray")
+
+    class _StubDataset:
+        _plan = _Plan()
+
+        def _meta_count(self):
+            return None
+
+    with caplog.at_level(logging.WARNING, logger=fold_mod.logger.name):
+        assert fold_mod._estimate_rows(_StubDataset()) is None
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "AttributeError" in warnings[0].getMessage()
