@@ -247,6 +247,29 @@ class HashedTokens:
         s = int(self.starts[i])
         return self.data[s : s + int(self.lens[i])].tobytes()
 
+    def token_strings(self, idx: np.ndarray) -> pa.StringArray:
+        """Strings of tokens ``idx`` (any order, repeats allowed) as one
+        Arrow array: offsets by cumsum of the lengths, bytes by one gather
+        from ``data`` — no per-token Python.  The buffer is pure ASCII
+        (non-ASCII batches never reach this path), so it is valid UTF-8."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lens = self.lens[idx]
+        offsets = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        total = int(offsets[-1])
+        if total >= (1 << 31):
+            raise ValueError(
+                f"{total} bytes of token strings exceed int32 string offsets"
+            )
+        gather = np.repeat(self.starts[idx] - offsets[:-1], lens) + np.arange(
+            total, dtype=np.int64
+        )
+        return pa.StringArray.from_buffers(
+            idx.size,
+            pa.py_buffer(offsets.astype(np.int32)),
+            pa.py_buffer(self.data[gather]),
+        )
+
 
 def tokenize_column_hashed(texts: pa.Array | pa.ChunkedArray) -> "HashedTokens | None":
     """Buffer-direct analyzer fast path: tokenize + hash WITHOUT materializing

@@ -214,7 +214,7 @@ def prepare_postings_from_parts(
     return PreparedPostings(
         field_names=field_names,
         term_fields=g_field_id[live_v],
-        terms=g_terms[live_v],
+        terms=pa.array(g_terms[live_v], type=pa.string()),
         starts=new_starts,
         docids=did,
         tfs=tf,

@@ -7,8 +7,9 @@ construction and segment write — and emits one small manifest row per
 (collection) segment written.
 
 This fusion is the engine's key scale decision: the ONLY all-to-all exchange
-in the build is the hash repartition by document key (uniform — urls are
-~unique), after which everything is partition-local and fully vectorized.
+in the build is the sort-based ``groupby("_p")`` on the hash partition id of
+the document key (uniform — urls are ~unique), after which everything is
+partition-local and fully vectorized.
 Term-keyed shuffles (Zipf-skewed) are avoided for posting construction; the
 term dimension never leaves the partition.  (≙ reference behavior: Lucene
 builds per-segment postings locally in IndexWriter's inversion buffer,
@@ -324,10 +325,11 @@ def encode_and_write_segment(
                 pa.array(boff, type=pa.int32()), pa.array(flat, type=typ)
             )
 
-        field_name_arr = np.array(prepared.field_names, dtype=object)
         terms_cols = {
-                "field": pa.array(field_name_arr[prepared.term_fields], type=pa.string()),
-                "term": pa.array(prepared.terms, type=pa.string()),
+                "field": pa.array(prepared.field_names, type=pa.string()).take(
+                    prepared.term_fields
+                ),
+                "term": prepared.terms,
                 "df": pa.array(np.diff(starts), type=pa.int64()),
                 "doff": pa.array(tmeta["doff"], type=pa.int64()),
                 "doff_end": pa.array(tmeta["doff_end"], type=pa.int64()),
@@ -533,8 +535,12 @@ def _build_postings_numeric(
     bound (the dominant cost under 32-way task concurrency).  Instead: hash
     each token to u64 (mixed FNV-1a), lexsort the numeric (field_id, hash,
     docid) triples, derive tf as run lengths, then order the ~|vocab| term
-    GROUPS lexicographically (a small string sort) and gather posting rows by
-    group — every per-token pass is numeric.
+    GROUPS lexicographically and gather posting rows by group — every
+    per-token pass is numeric.  Term strings exist only at group level and
+    only as Arrow arrays: the ASCII path gathers them from the token buffer
+    in one pass (``HashedTokens.token_strings``), the Unicode path with an
+    Arrow ``take``; ``pc.sort_indices`` orders (field id, term) and the
+    sorted ``pa.string()`` array goes straight to terms.parquet.
 
     Hash collisions within a partition's per-field vocabulary would merge two
     terms (probability |V|²/2⁶⁵ ≈ 1e-10 at 100k terms); at 10¹²-doc scale
@@ -560,12 +566,7 @@ def _build_postings_numeric(
             if len(ht.parents) == 0:
                 continue
             parents, hashes, positions = ht.parents, ht.hashes, ht.positions
-
-            def _mat(idxs, _ht=ht):
-                return np.array(
-                    [_ht.token_bytes(int(i)).decode() for i in idxs], dtype=object
-                )
-
+            materializers.append(ht.token_strings)
         else:
             # exact Unicode path (same spec, same hash formula)
             parents, terms, doc_len, positions = tokenize_column(
@@ -575,10 +576,7 @@ def _build_postings_numeric(
             if len(parents) == 0:
                 continue
             hashes = mix64_np(fnv1a_bytes_column(terms))
-
-            def _mat(idxs, _terms=terms):
-                return _terms.take(pa.array(idxs)).to_numpy(zero_copy_only=False)
-
+            materializers.append(terms.take)
         fid = len(field_names)
         field_names.append(field)
         fid_parts.append(np.full(len(parents), fid, dtype=np.int16))
@@ -587,7 +585,6 @@ def _build_postings_numeric(
         # PRE-stop-filter positions (StopFilter enablePositionIncrements
         # parity) — phrase gaps over removed stop words match Lucene 5.2.1
         pos_parts.append(positions)
-        materializers.append(_mat)
     if not fid_parts:
         return None, dl_arrays
 
@@ -622,15 +619,20 @@ def _build_postings_numeric(
     # term string for each group: first token of the group's first run
     first_tok = order[run_starts[g_starts]]
     g_field_id = p_fid[g_starts]
-    # map flat token index → (field materializer, local index)
-    term_strs = np.empty(g_starts.size, dtype=object)
-    for a_i, mat in enumerate(materializers):
-        sel = (first_tok >= tok_offsets[a_i]) & (first_tok < tok_offsets[a_i + 1])
-        if sel.any():
-            term_strs[sel] = mat(first_tok[sel] - tok_offsets[a_i])
+    # groups are field-major, so field f's groups are one contiguous run:
+    # materialize each run's strings in bulk from its own field's tokens
+    f_bounds = np.searchsorted(g_field_id, np.arange(len(field_names) + 1))
+    term_strs = pa.concat_arrays([
+        mat(first_tok[f_bounds[f] : f_bounds[f + 1]] - tok_offsets[f])
+        for f, mat in enumerate(materializers)
+    ])
 
-    # lexicographic (field, term) order over the small group set
-    g_order = np.lexsort((term_strs, g_field_id))
+    # lexicographic (field, term) order over the small group set: Arrow
+    # sorts strings by UTF-8 bytes, which is codepoint order
+    g_order = pc.sort_indices(
+        pa.table({"f": g_field_id, "t": term_strs}),
+        sort_keys=[("f", "ascending"), ("t", "ascending")],
+    ).to_numpy()
     lens = g_ends - g_starts
     lens_o = lens[g_order]
     new_starts = np.concatenate([[0], np.cumsum(lens_o)]).astype(np.int64)
@@ -658,7 +660,7 @@ def _build_postings_numeric(
         PreparedPostings(
             field_names=field_names,
             term_fields=g_field_id[g_order],
-            terms=term_strs[g_order],
+            terms=term_strs.take(g_order),
             starts=new_starts,
             docids=p_did[row_idx],
             tfs=out_tf,
@@ -670,7 +672,9 @@ def _build_postings_numeric(
 
 class PreparedPostings:
     """Sorted posting runs ready for encode_many_postings (term groups in
-    (field, term) lex order; docid-ascending within each term).
+    (field, term) lex order; docid-ascending within each term).  ``terms``
+    is a ``pa.StringArray`` and ``term_fields`` an integer array of indices
+    into ``field_names``.
 
     ``pos_deltas`` (optional): uint64 flat per-token position deltas grouped
     per posting in the same order (doc-local delta encoding, see

@@ -31,7 +31,7 @@ from lucene_plugin_ray.functions.analysis import (
 )
 
 
-def _vocab_stats_hashed(ht) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _vocab_stats_hashed(ht) -> tuple[pa.StringArray, np.ndarray, np.ndarray]:
     """(vocab terms, df, total_tf) from hashed tokens — string
     materialization only at VOCAB level (per distinct term per batch), every
     per-token pass numeric."""
@@ -47,8 +47,7 @@ def _vocab_stats_hashed(ht) -> tuple[list[str], np.ndarray, np.ndarray]:
     tok_h_start = pair_start[h_start]
     total_tf = np.diff(np.concatenate([tok_h_start, [h_s.size]]))   # tokens/term
     uniq_idx = order[tok_h_start]
-    terms = [ht.token_bytes(int(i)).decode() for i in uniq_idx]
-    return terms, df.astype(np.int64), total_tf.astype(np.int64)
+    return ht.token_strings(uniq_idx), df.astype(np.int64), total_tf.astype(np.int64)
 
 
 class _PartialTermStats:
@@ -70,8 +69,7 @@ class _PartialTermStats:
                 # level strings only (same trick as the segment build)
                 if len(ht.hashes) == 0:
                     continue
-                v_terms, v_df, v_tf = _vocab_stats_hashed(ht)
-                term_arr = pa.array(v_terms, type=pa.string())
+                term_arr, v_df, v_tf = _vocab_stats_hashed(ht)
                 df_arr = pa.array(v_df, type=pa.int64())
                 tf_arr = pa.array(v_tf, type=pa.int64())
             else:

@@ -90,8 +90,13 @@ class _LazyRegion:
 _LAZY_FETCH_THRESHOLD = 4 << 20
 
 
-class SegmentReader:
-    """Read-only view of one segment directory (immutable once renamed)."""
+class SegmentDocs:
+    """The doc side of one segment: meta.json + docs.parquet only.
+
+    Enough for live-doc resolution (:func:`resolve_live_partition`) and the
+    delta build's prior-state read (:func:`live_prior_table`), which never
+    touch a term dictionary or a postings region.
+    :class:`SegmentReader` builds on it."""
 
     def __init__(self, path: str):
         from lucene_plugin_ray.state import storage
@@ -105,6 +110,27 @@ class SegmentReader:
         self.n_docs: int = meta["n_docs"]
         self.sum_dl: dict[str, int] = json.loads(meta["sum_dl_json"])
 
+        d = storage.read_parquet(storage.join(path, "docs.parquet"))
+        self.urls = d["url"].to_numpy(zero_copy_only=False)
+        self.text_sha256 = d["text_sha256"].to_numpy(zero_copy_only=False)
+        self.warc_ts = (
+            d["warc_ts"].to_numpy(zero_copy_only=False)
+            if "warc_ts" in d.column_names
+            else np.zeros(self.n_docs, np.int64)
+        )
+        self.doc_len: dict[str, np.ndarray] = {}
+        for name in d.column_names:
+            if name.startswith("dl_"):
+                self.doc_len[name[3:]] = d[name].to_numpy(zero_copy_only=False)
+
+
+class SegmentReader(SegmentDocs):
+    """Read-only view of one segment directory (immutable once renamed)."""
+
+    def __init__(self, path: str):
+        from lucene_plugin_ray.state import storage
+
+        super().__init__(path)
         t = storage.read_parquet(storage.join(path, "terms.parquet"))
         self._fields = t["field"].to_numpy(zero_copy_only=False)
         self._terms = t["term"].to_numpy(zero_copy_only=False)
@@ -136,19 +162,6 @@ class SegmentReader:
             bounds = np.concatenate([change, [len(self._fields)]])
             for i, s in enumerate(change):
                 self._field_ranges[str(self._fields[s])] = (int(s), int(bounds[i + 1]))
-
-        d = storage.read_parquet(storage.join(path, "docs.parquet"))
-        self.urls = d["url"].to_numpy(zero_copy_only=False)
-        self.text_sha256 = d["text_sha256"].to_numpy(zero_copy_only=False)
-        self.warc_ts = (
-            d["warc_ts"].to_numpy(zero_copy_only=False)
-            if "warc_ts" in d.column_names
-            else np.zeros(self.n_docs, np.int64)
-        )
-        self.doc_len: dict[str, np.ndarray] = {}
-        for name in d.column_names:
-            if name.startswith("dl_"):
-                self.doc_len[name[3:]] = d[name].to_numpy(zero_copy_only=False)
 
         # forward term-vector sidecar (IndexConfig.store_term_vectors):
         # presence probed lazily, table loaded on first doc_term_vector call
@@ -447,9 +460,9 @@ class SegmentReader:
 
 
 def resolve_live_partition(
-    readers: list[SegmentReader],
+    readers: list[SegmentDocs],
     tomb_by_gen: list[tuple[int, dict[str, set[str]]]],
-) -> list[tuple[SegmentReader, np.ndarray]]:
+) -> list[tuple[SegmentDocs, np.ndarray]]:
     """Alive masks for one (collection, partition)'s segment stack.
 
     Shared by the query engine, the delta build (stale-row filtering) and
@@ -463,7 +476,7 @@ def resolve_live_partition(
     generations, so the key sets involved are bounded by the partition size.
     """
     readers = sorted(readers, key=lambda r: r.generation, reverse=True)
-    out: list[tuple[SegmentReader, np.ndarray]] = []
+    out: list[tuple[SegmentDocs, np.ndarray]] = []
     newer_keys: set[str] = set()
     for r in readers:
         alive = np.ones(r.n_docs, dtype=bool)
@@ -485,24 +498,27 @@ def live_prior_table(
     """Live (key='collection\\x00url', warc_ts, text_sha256) rows of one
     partition's existing segment stack — the small side of the delta build's
     partition-local last-write-wins join (stages/segment_write.py
-    drop_stale_vs_prior)."""
+    drop_stale_vs_prior).  Reads only meta.json + docs.parquet of each
+    segment (:class:`SegmentDocs`)."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    readers = [SegmentReader(p) for p in paths]
-    by_coll: dict[str, list[SegmentReader]] = {}
-    for r in readers:
+    by_coll: dict[str, list[SegmentDocs]] = {}
+    for p in paths:
+        r = SegmentDocs(p)
         by_coll.setdefault(r.collection, []).append(r)
     keys, tss, shas = [], [], []
     for coll, group in by_coll.items():
         for r, alive in resolve_live_partition(group, tomb_by_gen):
             idx = np.flatnonzero(alive)
-            for i in idx:
-                keys.append(coll + "\x00" + r.urls[i])
+            keys.append(pc.binary_join_element_wise(
+                coll, pa.array(r.urls[idx], type=pa.string()), "\x00"
+            ))
             tss.append(r.warc_ts[idx])
             shas.append(r.text_sha256[idx])
     return pa.table(
         {
-            "key": pa.array(keys, type=pa.string()),
+            "key": pa.concat_arrays(keys) if keys else pa.array([], pa.string()),
             "warc_ts": pa.array(
                 np.concatenate(tss) if tss else np.empty(0, np.int64), type=pa.int64()
             ),

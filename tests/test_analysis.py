@@ -88,6 +88,8 @@ def test_hashed_fast_path_matches_exact():
         "x" * 256 + " ok 123abc",
         "edge",  # token flush at row boundary (next row starts with alnum)
         "left right",
+        "y" * MAX_TOKEN_LENGTH,  # longest kept token, alone in its row
+        "Z" * MAX_TOKEN_LENGTH + " end",
     ]
     arr = pa.array(texts, type=pa.string())
     ht = tokenize_column_hashed(arr)
@@ -100,6 +102,22 @@ def test_hashed_fast_path_matches_exact():
     # token strings recoverable from the buffer
     got_toks = [ht.token_bytes(i).decode() for i in range(len(ht.parents))]
     assert got_toks == terms.to_pylist()
+    # bulk strings == per-token decode: empty, one token, unsorted with
+    # repeats, max-length tokens, tokens either side of row boundaries
+    n_tok = len(ht.parents)
+    row_edges = np.flatnonzero(np.diff(ht.parents))
+    for idx in (
+        [],
+        [3],
+        [n_tok - 1, 0, 5, 5, 2, n_tok - 1, 0],
+        np.flatnonzero(ht.lens == MAX_TOKEN_LENGTH),
+        np.concatenate([row_edges, row_edges + 1]),
+        np.arange(n_tok)[::-1],
+    ):
+        got = ht.token_strings(np.asarray(idx, dtype=np.int64))
+        assert got.type == pa.string()
+        assert got.to_pylist() == [ht.token_bytes(int(i)).decode() for i in idx]
+    assert (ht.lens == MAX_TOKEN_LENGTH).sum() == 2
 
 
 def test_hashed_fast_path_rejects_non_ascii():
@@ -123,6 +141,11 @@ def test_hashed_fast_path_property_ascii(texts):
     assert ht.parents.tolist() == parents.tolist()
     assert ht.doc_len.tolist() == doc_len.tolist()
     assert ht.hashes.tolist() == [hash_token_bytes(t.encode()) for t in terms.to_pylist()]
+    # bulk strings: every token, reversed and doubled
+    idx = np.concatenate([np.arange(len(ht.parents))[::-1]] * 2)
+    assert ht.token_strings(idx).to_pylist() == [
+        ht.token_bytes(int(i)).decode() for i in idx
+    ]
 
 
 def test_positions_are_pre_stop_filter():
