@@ -40,12 +40,16 @@ reference test exercises these):
       expanded constant-score like Q9 (Lucene RegexpQuery under the
       CONSTANT_SCORE rewrite); the whole term must match (RegexpQuery is
       always anchored).  Pattern lowercased (lowercaseExpandedTerms
-      parity) and evaluated with Python ``re.fullmatch`` — the shared
-      operator subset (literals, ``.``, ``[...]``, ``?*+``, ``{n,m}``,
-      ``|``, ``()``, ``\\`` escapes) behaves identically to Lucene's
-      RegExp; Lucene's automaton-only operators (``~`` complement, ``&``
-      intersection, ``@`` any-string, ``#`` empty, ``<n-m>`` intervals)
-      are REJECTED loudly rather than silently diverging.
+      parity) and evaluated as an anchored RE2 match over the term
+      dictionary (one Arrow kernel call) — the shared operator subset
+      (literals, ``.``, ``[...]``, ``?*+``, ``{n,m}``, ``|``, ``()``,
+      backslash escapes of ASCII punctuation) behaves identically in
+      Lucene's RegExp, RE2 and Python ``re`` (the oracle).  Lucene's
+      automaton-only operators (``~`` complement, ``&`` intersection, ``@``
+      any-string, ``#`` empty, ``<n-m>`` intervals), the Python/RE2-only
+      ``(?…)`` groups, ``{,n}`` and POSIX ``[:alpha:]`` classes, and any
+      pattern RE2 cannot compile are REJECTED loudly rather than silently
+      diverging.
   Q9  prefix / wildcard      ``te*``, ``t?st*`` — term-expanded over the
       dictionary; constant-score 1.0 (Lucene 5.2.1 MultiTermQuery
       CONSTANT_SCORE rewrite).  Leading wildcards rejected
@@ -90,7 +94,11 @@ Scoring semantics encoded in the AST (shared by engine and oracle):
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
+
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from lucene_plugin_ray.functions.analysis import analyze, analyze_with_positions
 
@@ -305,6 +313,51 @@ Clause = (
     | SynonymClause | GroupClause | DisMaxClause | MatchAllClause
     | SpanClause
 )
+
+
+def regexp_fullmatch(terms: pa.Array, src: str) -> pa.Array:
+    """Boolean mask of the ``terms`` that regexp ``src`` matches WHOLE
+    (anchored, DOTALL — Lucene RegexpQuery semantics), evaluated by RE2 in
+    one Arrow kernel call."""
+    return pc.match_substring_regex(terms, f"^(?s:{src})$")
+
+
+def _regexp_dialect_error(pat: str) -> str | None:
+    """Why ``pat`` would mean something else to Lucene RegExp, RE2 or
+    Python ``re`` (the oracle), or None when the three agree on it."""
+    i, n = 0, len(pat)
+    class_body = -1  # index where the open [...] class's body starts
+    while i < n:
+        ch = pat[i]
+        if ch == "\\":
+            # '\<alnum>' is a Perl class or backref in Python/RE2 but a
+            # literal in Lucene (and lowercasing would turn \D into \d);
+            # RE2 also rejects escapes of non-ASCII characters
+            if i + 1 == n or pat[i + 1] not in string.punctuation:
+                return ("backslash may only escape ASCII punctuation (Perl "
+                        "classes like \\d/\\D diverge from Lucene RegExp "
+                        "semantics)")
+            i += 2
+            continue
+        if ch in "~&@#<>":
+            # Lucene-RegExp automaton operators we do not implement
+            return ("only literals, '.', '[...]', '?*+', '{n,m}', '|', '()' "
+                    "and backslash escapes of punctuation are supported, not "
+                    f"the Lucene-RegExp operator {ch!r}")
+        if class_body >= 0:
+            if ch == "]" and i > class_body:
+                class_body = -1
+            elif ch == "[" and pat[i + 1:i + 2] == ":":
+                return "POSIX classes like [:alpha:] are not Lucene RegExp"
+        elif ch == "[":
+            # a ']' right after '[' or '[^' is a literal member
+            class_body = i + 1 + (pat[i + 1:i + 2] == "^")
+        elif pat.startswith("(?", i):
+            return "'(?...)' groups are Python/RE2 extensions"
+        elif pat.startswith("{,", i):
+            return "a repeat needs its lower bound ('{0,n}', not '{,n}')"
+        i += 1
+    return None
 
 
 def scored_term_keys(clauses) -> list[tuple[str, str]]:
@@ -556,25 +609,9 @@ def _parse_level(
             raw_pat = item[1:-1]
             if not raw_pat:
                 raise QueryParseError("empty regexp '//'")
-            # Lucene-RegExp automaton operators we do not implement: loud
-            # rejection beats silently diverging semantics
-            if re.search(r"(?<!\\)[~&@#<>]", raw_pat):
-                raise QueryParseError(
-                    f"unsupported Lucene-RegExp operator in {item!r}: only "
-                    "literals, '.', '[...]', '?*+', '{n,m}', '|', '()' and "
-                    "backslash escapes of punctuation are supported"
-                )
-            # '\<alnum>' diverges between the dialects (Python/RE2 Perl
-            # classes \d \D \w … and backrefs \1 vs Lucene RegExp, where a
-            # backslash makes the next char LITERAL) — and naive
-            # lowercasing would silently invert \D→\d.  Reject loudly;
-            # bare letters/digits never need escaping.
-            if re.search(r"\\[A-Za-z0-9]", raw_pat):
-                raise QueryParseError(
-                    f"unsupported escape in {item!r}: backslash may only "
-                    "escape punctuation (Perl classes like \\d/\\D diverge "
-                    "from Lucene RegExp semantics)"
-                )
+            why = _regexp_dialect_error(raw_pat)
+            if why is not None:
+                raise QueryParseError(f"unsupported regexp {item!r}: {why}")
             # lowercase OUTSIDE escape sequences only (the escaped chars
             # are punctuation, but keep the fold escape-aware on principle)
             pat = re.sub(
@@ -585,7 +622,8 @@ def _parse_level(
             )
             try:
                 re.compile(pat)
-            except re.error as e:
+                regexp_fullmatch(pa.array([""], pa.string()), pat)
+            except (re.error, pa.ArrowInvalid) as e:
                 raise QueryParseError(f"invalid regexp {item!r}: {e}") from e
             clauses.append(
                 MultiTermClause(occur, field, "regexp", pat, boost=boost)

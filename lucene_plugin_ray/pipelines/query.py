@@ -60,6 +60,7 @@ from lucene_plugin_ray.functions.queryparse import (
     apply_fields,
     apply_synonyms,
     parse_query,
+    regexp_fullmatch,
     scored_term_keys,
     validate_dismax_fields,
 )
@@ -5563,18 +5564,12 @@ class SearchEngine:
         """Shared wildcard/regexp term enumeration: binary-search the sorted
         vocabulary down to ``prefix``, then keep the rows whose term
         fullmatches ``rx_src`` (anchored, DOTALL — Lucene RegexpQuery
-        matches the WHOLE term)."""
-        import re as _re
-
-        rows = r.prefix_rows(field, prefix)
+        matches the WHOLE term) in one RE2 pass over the range."""
+        rows = r.prefix_rows(field, prefix)  # one contiguous range
         if rows.size:
-            rx = _re.compile(rx_src, _re.DOTALL)
-            keep = np.fromiter(
-                (rx.fullmatch(t) is not None for t in r._terms[rows]),
-                bool,
-                rows.size,
-            )
-            rows = rows[keep]
+            terms = r._term_strings.slice(int(rows[0]), rows.size)
+            keep = regexp_fullmatch(terms, rx_src)
+            rows = rows[keep.to_numpy(zero_copy_only=False)]
         return rows
 
     # ------------------------------------------------------------------

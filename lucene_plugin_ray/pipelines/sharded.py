@@ -27,14 +27,18 @@ The shard merge is exact without tie closure: the (score desc, url asc)
 comparator is a TOTAL order (url is the primary key within a collection), so
 every document in the global top-k ranks within its own shard's top-k.
 
-Memory per actor is 1/num_shards of the index (term dictionaries + doc
+Memory per shard is 1/num_shards of the index (term dictionaries + doc
 arrays of the assigned partitions; postings stay mmapped) — the property the
 whole-index QueryExecutor lacks.  Shard count is an execution knob, not an
-index property: any num_shards yields identical results (tested).
+index property: any num_shards yields identical results (tested).  The
+serving fleet starts at most one actor per cluster CPU, so on a cluster with
+fewer CPUs than shards an actor pins the partitions of several shards and
+holds correspondingly more of the index.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import OrderedDict
 
 import numpy as np
@@ -69,6 +73,8 @@ from lucene_plugin_ray.pipelines.query import (
     validate_taxonomy_fields,
 )
 from lucene_plugin_ray.state.manifest import load_manifest_chain
+
+logger = logging.getLogger(__name__)
 
 _STATS_SCHEMA = pa.schema(
     [
@@ -831,9 +837,17 @@ class _ShardActor:
 
 
 class ShardedSearcherService:
-    """Persistent distributed searcher: ``num_shards`` long-lived actors,
-    each holding 1/num_shards of the index; ``search_batch`` runs the
-    two-phase df-then-score protocol against all of them and merges exactly.
+    """Persistent distributed searcher: up to ``num_shards`` long-lived
+    actors, each pinning one round-robin partition subset; ``search_batch``
+    runs the two-phase df-then-score protocol against all of them and merges
+    exactly.
+
+    ``num_shards`` is the largest fleet the service starts: it is capped at
+    the partition count and at the cluster's CPU count (read once, at
+    construction).  Actors beyond the CPU count would only time-share CPUs,
+    and one engine scores its whole subset as one scope, so fewer, larger
+    shards cost less CPU per batch for identical results.  ``len(actors)``
+    is the fleet actually started; a cap is logged at INFO.
 
     This is the one place the engine drops below the Dataset API: a serving
     fleet with pinned in-memory state and sub-second per-batch latency is
@@ -847,7 +861,17 @@ class ShardedSearcherService:
         chain = load_manifest_chain(index_root, generation)
         self.generation = chain[-1].generation
         P = chain[-1].num_partitions
-        num_shards = max(1, min(num_shards or min(P, 8), P))
+        if not ray.is_initialized():
+            ray.init()  # cluster_resources() needs a running Ray
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+        requested = num_shards or min(P, 8)
+        num_shards = max(1, min(requested, P, cpus))
+        if num_shards < min(requested, P):
+            logger.info(
+                "ShardedSearcherService: %d shards requested, the cluster "
+                "has %d CPUs; starting %d shard actors",
+                requested, cpus, num_shards,
+            )
         specs = shard_assignment(P, num_shards)
         self.num_partitions = P
         self._fields = list(chain[-1].fields)

@@ -134,6 +134,8 @@ class SegmentReader(SegmentDocs):
         t = storage.read_parquet(storage.join(path, "terms.parquet"))
         self._fields = t["field"].to_numpy(zero_copy_only=False)
         self._terms = t["term"].to_numpy(zero_copy_only=False)
+        # the same strings as Arrow, for vectorized (RE2) term filtering
+        self._term_strings = t["term"]
         self._df = t["df"].to_numpy(zero_copy_only=False)
         self._doff = t["doff"].to_numpy(zero_copy_only=False)
         self._doff_end = t["doff_end"].to_numpy(zero_copy_only=False)

@@ -131,9 +131,15 @@ EXPANSION_QUERIES = [
     "[w00010 TO w00020]", "{w00010 TO w00020}", "[w00990 TO *]",
     "+w0000* +pagehit", "pagehit -w030*", "w030*", "w0301?", "w00005 w0010~1",
 ]
+# regexps with no literal prefix (a full-vocabulary range), alternation,
+# negated and ']'-first classes, bounded repeats
+REGEXP_PROBES = [
+    "/w00.*/", "/.*hit/", "/(w0001|page)[a-z0-9]*/", "/[^w].*/",
+    "/w0{2,3}1.?/", "/page\\.?hit/", "/[]w]00[0-9]+/", "/w00(1|2){2}[0-9]*/",
+]
 
 
-@pytest.mark.parametrize("q", EXPANSION_QUERIES)
+@pytest.mark.parametrize("q", EXPANSION_QUERIES + REGEXP_PROBES)
 def test_expansion_queries_equal_oracle(multigen, q):
     engine, oracle = multigen
     got = engine.search(q, limit=1000)  # every match: the corpus is 300 docs
@@ -141,6 +147,39 @@ def test_expansion_queries_equal_oracle(multigen, q):
     assert got.num_rows == len(exp), q
     g = sorted(zip(got["url"].to_pylist(), [round(s, 9) for s in got["score"].to_pylist()]))
     assert g == sorted((u, round(s, 9)) for u, s in exp), q
+
+
+def test_vectorized_term_filter_equals_python_re(multigen):
+    """Wildcard/regexp expansion filters each dictionary range in one RE2
+    pass; on every segment it keeps exactly the rows a Python re.fullmatch
+    scan of the field's whole vocabulary keeps."""
+    import re
+
+    from lucene_plugin_ray.functions.queryparse import MultiTermClause, parse_query
+
+    engine, _ = multigen
+    clauses = [
+        c
+        for q in EXPANSION_QUERIES + REGEXP_PROBES
+        for c in parse_query(q)
+        if isinstance(c, MultiTermClause) and c.kind in ("wildcard", "regexp")
+    ]
+    assert {c.kind for c in clauses} == {"wildcard", "regexp"}
+    matched = 0
+    for seg in engine._segments["default"]:
+        r = seg.reader
+        for c in clauses:
+            src = c.pattern if c.kind == "regexp" else "".join(
+                ".*" if ch == "*" else "." if ch == "?" else re.escape(ch)
+                for ch in c.pattern
+            )
+            rx = re.compile(src, re.DOTALL)
+            start, vocab = r.field_vocab(c.field)
+            want = start + np.flatnonzero([rx.fullmatch(t) is not None for t in vocab])
+            got = engine._expand_rows(seg, c)
+            np.testing.assert_array_equal(got, want, err_msg=c.pattern)
+            matched += got.size
+    assert matched
 
 
 @pytest.mark.parametrize("probe", ["pagehti", "w00012", "w0010", "zzzz"])

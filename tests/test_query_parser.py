@@ -348,6 +348,31 @@ def test_regexp_escape_rejection_and_case_fold():
     assert c.kind == "regexp" and c.pattern == r"page\.hit"
 
 
+def test_regexp_rejects_constructs_outside_the_shared_dialect():
+    """Every admitted regexp must mean the same to Lucene RegExp, RE2 (the
+    engine's term filter) and Python re (the oracle).  Python's (?...)
+    groups, '{,n}', POSIX classes, non-ASCII escapes and patterns RE2
+    cannot compile (possessive repeats, repeat counts over 1000) are
+    rejected loudly instead of silently diverging."""
+    for q in (
+        "/w(?=0)0001/", "/w(?!0)0001/", "/w(?:0)0001/", "/(?i)w0001/",
+        "/(?s)w0001/", "/a{,2}/", "/[[:alpha:]]+/", "/[a[:digit:]]/",
+        "/\\\u00e9/", "/a*+/", "/a++/", "/a{2000}/",
+        "/a\\\\~b/",  # an escaped backslash does not escape the operator
+    ):
+        with pytest.raises(QueryParseError):
+            parse_query(q)
+    # the same characters where the dialects agree stay admitted: inside a
+    # class, escaped, an escaped backslash before a letter, a bounded repeat
+    for q, pat in (
+        ("/w[(?]0/", "w[(?]0"), ("/w\\(?0/", "w\\(?0"),
+        ("/[]a]b/", "[]a]b"), ("/[:a]b/", "[:a]b"),
+        ("/a\\\\d/", "a\\\\d"), ("/a{0,2}/", "a{0,2}"),
+    ):
+        (c,) = parse_query(q)
+        assert c.kind == "regexp" and c.pattern == pat, q
+
+
 def test_sloppy_slop_clamped():
     from lucene_plugin_ray.functions.queryparse import _SLOP_MAX
 

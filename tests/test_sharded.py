@@ -256,6 +256,75 @@ def test_service_survives_shard_actor_kill(built):
         svc.shutdown()
 
 
+@pytest.mark.parametrize("num_shards,actors", [(3, 3), (4, 4), (8, 4)])
+def test_service_fleet_is_capped_at_cluster_cpus(built, caplog, num_shards, actors):
+    """The session cluster has 4 CPUs: up to 4 shards start one actor each
+    (the multi-actor protocol stays covered); 8 shards over the
+    8-partition index start 4 actors whose round-robin subsets cover every
+    partition exactly once, and the cap is logged."""
+    import logging
+
+    import ray as _ray
+
+    from lucene_plugin_ray.pipelines.sharded import ShardedSearcherService
+
+    root, cfg, engine = built
+    assert int(_ray.cluster_resources()["CPU"]) == 4
+    caplog.set_level(logging.INFO, logger="lucene_plugin_ray.pipelines.sharded")
+    svc = ShardedSearcherService(root, cfg=cfg, num_shards=num_shards)
+    try:
+        assert len(svc.actors) == len(svc.shard_partitions) == actors
+        flat = sorted(p for parts in svc.shard_partitions for p in parts)
+        assert flat == list(range(8))
+        assert svc.count("pagehit") == engine.count("pagehit")
+        capped = [r.getMessage() for r in caplog.records if "shard actors" in r.getMessage()]
+        if num_shards > actors:
+            assert capped == ["ShardedSearcherService: 8 shards requested, the "
+                              "cluster has 4 CPUs; starting 4 shard actors"]
+        else:
+            assert capped == []
+    finally:
+        svc.shutdown()
+
+
+def test_one_cpu_fleet_answers_like_four_actors_and_engine(built, monkeypatch):
+    """On a one-CPU cluster the service starts ONE actor pinning every
+    partition; its whole read surface answers exactly like a 4-actor fleet
+    and like the whole-index engine."""
+    import ray as _ray
+
+    from lucene_plugin_ray.pipelines.sharded import ShardedSearcherService
+
+    root, cfg, engine = built
+    four = ShardedSearcherService(root, cfg=cfg, num_shards=4)
+    monkeypatch.setattr(_ray, "cluster_resources", lambda: {"CPU": 1.0})
+    one = ShardedSearcherService(root, cfg=cfg, num_shards=4)
+    try:
+        assert len(four.actors) == 4
+        assert len(one.actors) == 1 and one.shard_partitions == [list(range(8))]
+        qt = _query_table()
+        batch = one.search_batch(qt)
+        assert batch.equals(four.search_batch(qt))
+        for qid, q, k in QUERIES:
+            got = batch.filter(pa.compute.equal(batch["qid"], qid))
+            exp = engine.search(q, limit=k)
+            assert got.select(["url", "score"]).equals(exp.select(["url", "score"])), q
+        for q in ("pagehit", "w00000 w00001", "*:*", "zzznope"):
+            assert one.count(q) == four.count(q) == engine.count(q), q
+        facets = one.facets("w00000", "text")
+        assert facets.num_rows > 0
+        assert facets.equals(four.facets("w00000", "text"))
+        assert facets.equals(engine.facets("w00000", "text"))
+        for url in engine.search("w00001 w00002", limit=3)["url"].to_pylist():
+            tv = one.term_vector(url)
+            assert tv.equals(four.term_vector(url)) and tv.equals(engine.term_vector(url))
+            ex = one.explain("w00001 w00002", url)
+            assert ex == four.explain("w00001 w00002", url) == engine.explain("w00001 w00002", url)
+    finally:
+        one.shutdown()
+        four.shutdown()
+
+
 def test_sharded_snippets_match_local(built):
     """Snippet parity through the persistent service: identical (url, score,
     start, n_terms, snippet) rows to SearchEngine.snippets given the same
