@@ -11,6 +11,9 @@ under bm25 it must also agree with ``OracleIndex``.  The block-max executors
 must sit in the postings LRU once, under the scope.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -87,7 +90,9 @@ def multigen(ray_session, tmp_path_factory):
         return pa.table({"collection": ["default"] * len(us), "url": us})
 
     root = str(tmp_path_factory.mktemp("idx_scope"))
-    cfg = IndexConfig(index_root=root, num_partitions=4, field_columns=("foo",))
+    cfg = IndexConfig(
+        index_root=root, num_partitions=4, field_columns=("foo", "age")
+    )
     build_index(rows_of(urls[:cut1]), cfg)
     up1, del1 = urls[0:cut1:6][:40], urls[3:cut1:11][:15]
     d1 = deletes(del1)
@@ -277,3 +282,389 @@ def test_warm_term_cached_once_under_the_scope(multigen, monkeypatch):
     assert len(seg_keys) == len(set(seg_keys)) == 1 + sum(
         1 for s in scope.segs if s.reader.lookup("text", "w00001") >= 0
     )
+
+
+# ---- aux read ops: pinned outputs ------------------------------------------
+# sha256 of each aux op's canonical output under bm25 on the multigen index,
+# on the full engine and on a partitions={0, 1} engine that is handed the
+# full engine's statistics (the sharded contract: ``global_stats`` and
+# ``global_df`` where the op takes them).  The digests were computed with the
+# per-segment implementation of these ops (commit c0e24d4) and must not move
+# when an op is rewritten.  The one tolerated difference is the float ``sum``
+# of ``join_from_aggregates``: its summation order follows the evaluation
+# order, so it is compared with rtol=1e-12 against the values pinned below,
+# and every other column is pinned exactly.
+
+AUX_Q = "w00001 w00002"
+AUX_NOW_US = 1_800_000_000_000_000
+
+
+def _aux_anchor(full, q, k):
+    """(score, url) of row ``k`` of the full engine's ranking of ``q``."""
+    row = full.search(q, limit=k + 1).to_pylist()[k]
+    return row["score"], row["url"]
+
+
+def _aux_calls(full):
+    """(op name, call(eng, inj) → list of outputs); ``inj`` holds the
+    injected statistics for ops that take them (empty on the full engine)."""
+    s5, u5 = _aux_anchor(full, AUX_Q, 5)
+    s3, u3 = _aux_anchor(full, "w00003 w00001", 3)
+    sorted_rows = full.search_sorted(AUX_Q, limit=8).to_pylist()
+    by_rows = full.search_sorted_by(
+        AUX_Q, [("foo", "asc"), ("warc_ts", "desc")], limit=9
+    ).to_pylist()
+    probe_urls = full.search("w00004 w00005", limit=30)["url"].to_pylist()
+    vote_urls = np.array(sorted(set(probe_urls) | {"http://not.live/x"}), dtype=object)
+    votes = (np.arange(vote_urls.size, dtype=np.int64) * 37) % 11 + 1
+    join_scores = {"20": 1.5, "21": 0.25, "23": 2.0, "25": 0.75, "29": 1.0}
+    ranges = [("a", 0, 150), ("b", 150, None), ("c", None, 300, False, True),
+              ("d", 200, 400, True, True)]
+    ts_ranges = [("old", None, 1_500_000_000_000_000), ("new", 1_500_000_000_000_000, None)]
+    return [
+        ("search_after", lambda e, i: [
+            e.search_after(AUX_Q, s5, u5, limit=10, **i),
+            e.search_after("w00003 w00001", s3, u3, limit=7,
+                           synonyms={"w00001": ["w00002"]}, **i),
+            e.search_after("w00003 w00001 w00004", s3, u3, limit=7,
+                           min_should_match=2, **i),
+        ]),
+        ("search_function", lambda e, i: [
+            e.search_function(AUX_Q, AUX_NOW_US, 86_400_000_000 * 30, limit=12, **i),
+        ]),
+        ("search_boosting", lambda e, i: [
+            e.search_boosting(AUX_Q, "w00003", demote=0.3, limit=12, **i),
+        ]),
+        ("search_diversified", lambda e, i: [
+            e.search_diversified(AUX_Q, "foo", max_per_key=2, limit=12, **i),
+            e.search_diversified("w00003", "age", max_per_key=1, limit=8, **i),
+        ]),
+        ("search_expression", lambda e, i: [
+            e.search_expression(
+                AUX_Q, "_score * 2 + doc_len / 1000 + warc_ts / 1e16",
+                limit=12, **i),
+            e.search_expression_range(
+                AUX_Q, "_score + doc_len / 100", lo=3.0, hi=9.0, limit=12, **i),
+        ]),
+        ("search_filtered", lambda e, i: [
+            e.search_filtered(AUX_Q, "foo:v1 foo:v2 foo:lamb", limit=12, **i),
+        ]),
+        ("rescore", lambda e, i: [
+            e.rescore(AUX_Q, '"w00001 w00002"~3 w00003', window_size=30,
+                      weight=1.5, limit=20, include_first=True, **i),
+        ]),
+        ("search_sorted", lambda e, i: [
+            e.search_sorted(AUX_Q, limit=15),
+            e.search_sorted(AUX_Q, limit=15, descending=False),
+            e.search_sorted(AUX_Q, limit=10, after_ts=sorted_rows[-1]["warc_ts"],
+                            after_url=sorted_rows[-1]["url"]),
+        ]),
+        ("search_sorted_by", lambda e, i: [
+            e.search_sorted_by(AUX_Q, [("foo", "asc"), ("warc_ts", "desc")], limit=15),
+            e.search_sorted_by(AUX_Q, [("doc_len", "desc"), ("age", "desc")], limit=15),
+            e.search_sorted_by(
+                AUX_Q, [("foo", "asc"), ("warc_ts", "desc")], limit=10,
+                after_keys=[by_rows[-1]["foo"], by_rows[-1]["warc_ts"]],
+                after_url=by_rows[-1]["url"]),
+        ]),
+        ("search_grouped", lambda e, i: [
+            e.search_grouped(AUX_Q, "foo", group_limit=5, docs_per_group=3, **i),
+            e.search_grouped("w00003 w00004", "age", group_limit=4, docs_per_group=2,
+                             synonyms={"w00003": ["w00005"]}, **i),
+        ]),
+        ("count", lambda e, i: [
+            e.count(AUX_Q),
+            e.count("w00001 w00003 w00004", min_should_match=2),
+            e.count("lamb w00001", fields={"text": 1.0, "foo": 2.0}),
+            e.count("w00001", synonyms={"w00001": ["w00006"]}),
+            e.count("5N(w00001, w00002)", syntax="surround"),
+        ]),
+        ("boolean_overlap_count", lambda e, i: [
+            e.boolean_overlap_count("w00001", "w00002"),
+            e.boolean_overlap_count("foo:v1", "w00003"),
+        ]),
+        ("facets", lambda e, i: [
+            e.facets(AUX_Q, "foo"),
+            e.facets("w00003", "age"),
+            e.facets("5N(w00001, w00002)", "foo", syntax="surround"),
+        ]),
+        ("facets_taxonomy_counts", lambda e, i: [
+            e.facets_taxonomy_counts(AUX_Q, ["foo", "age"]),
+            e.facets_taxonomy_counts("w00003", ["age", "foo"]),
+        ]),
+        ("facets_stats", lambda e, i: [
+            e.facets_stats(AUX_Q, "foo"),
+            e.facets_stats("w00003", "age", value_source="warc_ts"),
+        ]),
+        ("facet_ranges", lambda e, i: [
+            e.facet_ranges(AUX_Q, ranges),
+            e.facet_ranges("w00003", ts_ranges, value_source="warc_ts"),
+        ]),
+        ("drill_sideways_counts", lambda e, i: [
+            e.drill_sideways_counts(AUX_Q, {"foo": ["v1", "v2", "lamb"], "age": "25"}),
+            e.drill_sideways_counts("w00003", {"age": ["21", "22"]}),
+        ]),
+        ("date_histogram", lambda e, i: [
+            e.date_histogram(AUX_Q, interval_us=86_400_000_000),
+            e.date_histogram("w00003", interval_us=3_600_000_000 * 7),
+        ]),
+        ("join_from_aggregates", lambda e, i: [
+            e.join_from_aggregates(AUX_Q, "foo", **i),
+            e.join_from_aggregates("w00003", "age", need_scores=False, **i),
+            e.join_from_aggregates(AUX_Q, "age", restrict_query="foo:v1 foo:v3", **i),
+        ]),
+        ("join_to_hits", lambda e, i: [
+            e.join_to_hits("age", join_scores, "max", limit=15),
+            e.join_to_hits("age", join_scores, "total", limit=15,
+                           restrict_query="w00001"),
+            e.join_to_hits("foo", {"lamb": 1.0, "little": 2.5, "v3": 0.5}, "avg",
+                           limit=15, exclude_query="w00002"),
+            e.join_to_hits("foo", {"lamb": 1.0, "little": 2.5}, "min", limit=15),
+        ]),
+        ("classify_partials", lambda e, i: [
+            e.classify_partials("w00001 w00002 lamb little w00003", "foo"),
+            e.classify_partials("w00004 w00001 nosuchterm", "age"),
+        ]),
+        ("class_votes_for_urls", lambda e, i: [
+            e.class_votes_for_urls(vote_urls, votes, "foo"),
+            e.class_votes_for_urls(vote_urls, votes, "age"),
+        ]),
+    ]
+
+
+AUX_INJECTED = {
+    "search_after", "search_function", "search_boosting", "search_diversified",
+    "search_expression", "search_filtered", "rescore", "search_grouped",
+    "join_from_aggregates",
+}
+
+
+def _canon(x):
+    """A JSON-able, order-canonical form of an op output (floats by repr)."""
+    if isinstance(x, pa.Table):
+        return {
+            "schema": [[f.name, str(f.type)] for f in x.schema],
+            "rows": [[_canon(v) for v in r.values()] for r in x.to_pylist()],
+        }
+    if isinstance(x, dict):
+        items = [[_canon(k), _canon(v)] for k, v in x.items()]
+        return sorted(items, key=lambda kv: json.dumps(kv[0]))
+    if isinstance(x, (list, tuple)):
+        return [_canon(v) for v in x]
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+def _digest(outputs) -> str:
+    return hashlib.sha256(
+        json.dumps(_canon(outputs), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _aux_digests(multigen):
+    """{op: (digest, join sums or None)} for the full and the shard engine."""
+    from lucene_plugin_ray.pipelines.query import SearchEngine
+
+    cfg, _ = multigen
+    full = SearchEngine(cfg.index_root, cfg=cfg)
+    shard = SearchEngine(cfg.index_root, cfg=cfg, partitions={0, 1})
+    calls = _aux_calls(full)
+    queries = [AUX_Q, "w00003 w00001 w00004", "w00003", "w00003 w00004",
+               "w00003 w00005", '"w00001 w00002"~3 w00003']
+    keys = sorted({k for q in queries for k in scored_term_keys(parse_query(q))})
+    inj = {
+        "global_stats": full.local_collection_stats(),
+        "global_df": full.local_term_dfs("default", keys),
+    }
+    out = {}
+    for label, eng in (("full", full), ("shard", shard)):
+        for name, call in calls:
+            got = call(eng, inj if label == "shard" and name in AUX_INJECTED else {})
+            sums = None
+            if name == "join_from_aggregates":
+                sums = [{v: a[1] for v, a in agg.items()} for agg in got]
+                got = [{v: [a[0], a[2], a[3]] for v, a in agg.items()} for agg in got]
+            out[(label, name)] = (_digest(got), sums)
+    return out
+
+
+AUX_PINS = {
+    ("full", "search_after"):
+        "3ef023b5469e4f04be336f03e27cdeb6f7166a60adc27a1a7002615a15632975",
+    ("full", "search_function"):
+        "2ee920f7dc8afe9ddd71501cd4edad181f5f6981a695e708165f04b13a0931d7",
+    ("full", "search_boosting"):
+        "6a734211779dfc0335c9c76c8400f8c51b688d357d4040d5c2b01385da93a577",
+    ("full", "search_diversified"):
+        "f99713ff71bb9affd39c235ac04c297f4fd22897dc45f18057f005cf20ccd398",
+    ("full", "search_expression"):
+        "c77338ca3728fe6920161b71ccbd8f21df2983d018c70cf7ca7ba42b6a4a9147",
+    ("full", "search_filtered"):
+        "c848afa79c84a2a721d2e0f6a3b68cbf0010c599f8ba7f5878fbab9875e2d342",
+    ("full", "rescore"):
+        "6fd1dcc5952f6477fbeb76c6888ccd28782973e44c98ecf93ed429e4dcdd53ad",
+    ("full", "search_sorted"):
+        "9aaf16986d36949144c6c6710bbdb0ed1459c3cf1b682c954f84b5f407f3b9a5",
+    ("full", "search_sorted_by"):
+        "9a71517c16e7e60a731e2f0882f060bde1ac2ebf9bf80555d2b5444eab1fcf4e",
+    ("full", "search_grouped"):
+        "0eb6a2e3036a022fc90b3e8e0f787ef67b5f04c8e6a4b74c8b7503f90f90be35",
+    ("full", "count"):
+        "1dcafa48943d8f55f990d478341bb5b7379dd702ec109d2214cac4e890b66d0f",
+    ("full", "boolean_overlap_count"):
+        "b5a5bc33179f14b7b1d91dfceb5c0becc1e300cb0d7ce27911535b57669df0e6",
+    ("full", "facets"):
+        "9e8d5db9723201b35dde645b0221a70bd337f232501996006570b93ab1e793f4",
+    ("full", "facets_taxonomy_counts"):
+        "3e3eb1c6570bc54094285e02e54eec235f001af33a7b75ef51e3eeda971c1a5f",
+    ("full", "facets_stats"):
+        "0c5fb7a2c799bb6f3f98f5d70290f9e36ca2952c96f89b62bce3510afdfda844",
+    ("full", "facet_ranges"):
+        "a12ff139ac8fea35f6d9abaf1c77574b53b7a29cbc7c684a87ade8571be948b9",
+    ("full", "drill_sideways_counts"):
+        "439899dfd824f5753fff36b3a9a9af28eca2b2493ced1dca039d645d1c3d4fbd",
+    ("full", "date_histogram"):
+        "ad134c7fed106dcc55a9bdf726b0ad13623efa5c0f7fef5f3d01580b96f1ba6e",
+    ("full", "join_from_aggregates"):
+        "2ed383bb32b3bcd0a971b6c4ad1f2833cbc0e14ea71b677133d5d1fee7d289bd",
+    ("full", "join_to_hits"):
+        "2470c011259c9d955b6e26c6bdfddc32aea52d0df6bb5e4ebaa00ab753845b4c",
+    ("full", "classify_partials"):
+        "33298bf71506ee6e88e467ce3d9da2118b9ffb524195d91f5a6297eb59044f4d",
+    ("full", "class_votes_for_urls"):
+        "25eae83a1827131dc2e1e2f518fa73d9373dc834df8d81983673ce92202c09f2",
+    ("shard", "search_after"):
+        "692ce7dfd509d9a8cd2c19b67cee1eb39497d02b1c6d6f58384028328a434bdb",
+    ("shard", "search_function"):
+        "5eaeb4dc3ce846c95e710dae65a9d7144ec69137c50a8cdfc40b3254f42e69f7",
+    ("shard", "search_boosting"):
+        "f7138589a57458d167a84329674ddb04c4c491566f964dee6fd57b2a87d68c1e",
+    ("shard", "search_diversified"):
+        "eba9f3fece3f0f41825557b4b1417b9fd9482ea4cd9cd38d32dc86cb694b53fd",
+    ("shard", "search_expression"):
+        "52b4d1f18629551e8b0254d9842f2f2995442ad793e3dba4f0f4b3868567e3b6",
+    ("shard", "search_filtered"):
+        "67607c310013538a13b044b27902af74dec0df30a388b8b5cd354a2e589bb285",
+    ("shard", "rescore"):
+        "c4689323aedde388a0c99b3dfb8edbba60e5167a4ccdd8fc92476bbf176cade2",
+    ("shard", "search_sorted"):
+        "beadd53897b34fdccc423c827a62bcca5cc31e72557a295aa649d951dd379797",
+    ("shard", "search_sorted_by"):
+        "c7c9650e700f92189e3c5d4c473094ec2672083a26ad623406dbc2ca00fc736b",
+    ("shard", "search_grouped"):
+        "0aa9cf1f7230ccdad266edf362f759755765aa7c3b0f3d3e7ba72990a27f5e98",
+    ("shard", "count"):
+        "be2351b1000bdee2f0b7f1cdf348f394abe60bfafa25e083705c48c18cc4924b",
+    ("shard", "boolean_overlap_count"):
+        "efc9f0247c531b7141e7a4c4f61c4620036cf33e56041a04b8aaf0dd391c6587",
+    ("shard", "facets"):
+        "a4853bc8fa494c11b11784e5febf1cd5886bdb45424a59bf53ec4f93d00de80f",
+    ("shard", "facets_taxonomy_counts"):
+        "186ab67f20f8cafeb0a08e6359ebdac7ed100c6cf951b67db27354d1b4ba4833",
+    ("shard", "facets_stats"):
+        "313476327c92ef8b25445709bb6b96e27f32dcf690d247470b5da2a25a1770cc",
+    ("shard", "facet_ranges"):
+        "f7c38cefc4ddc390a5c53586a446069d9a72778aadb0d7ae0cbc544079a031b1",
+    ("shard", "drill_sideways_counts"):
+        "205cdfcb0f27d1d01ffd5e00a579716452f2ee768c859bd8525016a103e348c5",
+    ("shard", "date_histogram"):
+        "5452299003ca60be99b1d3a4a2ab106a9df9759f6ab576ba2e12c69a99286d76",
+    ("shard", "join_from_aggregates"):
+        "9f51d26c33f6b7580f9a2b851a6e7b0b96d2de433b507c6be22e6fb7285549a5",
+    ("shard", "join_to_hits"):
+        "e0ec171ec71bb054efca639a0b23e8b30b97eebd75ddc8fc263a936d64d20255",
+    ("shard", "classify_partials"):
+        "256b8eb4e089cdebed9a1e15ff9ca2d423dd15927e5e13e2a35254f263b5e0b7",
+    ("shard", "class_votes_for_urls"):
+        "ebc52459e0e58edc9516411e66b5a006e93bf3444258bcd6fb5d1b12e4253cfa",
+}
+
+AUX_JOIN_SUMS = {
+    "full": [
+        {
+            "lamb": 58.944654483192636,
+            "little": 58.944654483192636,
+            "v0": 29.75679225223991,
+            "v1": 30.83164676191622,
+            "v2": 35.19230522230607,
+            "v3": 27.454520510993945,
+            "v4": 33.52676180120602,
+            "v5": 39.98498253076864,
+            "v6": 26.786101476212092,
+        },
+        {
+            "20": 0.0,
+            "21": 0.0,
+            "22": 0.0,
+            "23": 0.0,
+            "24": 0.0,
+            "27": 0.0,
+            "28": 0.0,
+            "29": 0.0,
+            "26": 0.0,
+            "25": 0.0,
+        },
+        {
+            "21": 5.056009934483223,
+            "22": 8.479569960958798,
+            "24": 7.723339568741173,
+            "28": 9.864616450319218,
+            "26": 7.304918395323993,
+            "27": 6.883406467057635,
+            "23": 5.857403841147996,
+            "29": 7.116902654878122,
+        },
+    ],
+    "shard": [
+        {
+            "lamb": 30.16540169125514,
+            "little": 30.16540169125514,
+            "v0": 15.985014984642818,
+            "v1": 15.696703853384193,
+            "v2": 21.27455323295763,
+            "v3": 14.439954526821692,
+            "v4": 17.44342021905149,
+            "v5": 19.89237317787996,
+            "v6": 12.792891995547489,
+        },
+        {
+            "20": 0.0,
+            "21": 0.0,
+            "22": 0.0,
+            "23": 0.0,
+            "24": 0.0,
+            "27": 0.0,
+            "28": 0.0,
+            "29": 0.0,
+            "26": 0.0,
+            "25": 0.0,
+        },
+        {
+            "21": 1.7746657991832109,
+            "22": 4.722192923945165,
+            "24": 4.009180857869239,
+            "28": 5.953929155995121,
+            "26": 3.806104363380066,
+            "27": 5.237034634993105,
+            "23": 1.7551560309324823,
+            "29": 2.878394613907493,
+        },
+    ],
+}
+
+
+def test_aux_ops_pinned(multigen):
+    got = _aux_digests(multigen)
+    assert {k: v[0] for k, v in got.items()} == {
+        (label, name): d for (label, name), d in AUX_PINS.items()
+    }
+    for label in ("full", "shard"):
+        sums = got[(label, "join_from_aggregates")][1]
+        want = AUX_JOIN_SUMS[label]
+        assert [sorted(s) for s in sums] == [sorted(w) for w in want]
+        for s, w in zip(sums, want):
+            np.testing.assert_allclose(
+                [s[v] for v in sorted(w)], [w[v] for v in sorted(w)],
+                rtol=1e-12, atol=0,
+            )
