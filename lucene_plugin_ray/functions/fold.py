@@ -51,8 +51,9 @@ _MIN_BUCKETS = 64
 # Post-combiner rows a single reducer bucket may hold: one bucket's Arrow
 # group_by must fit a worker heap.  1 M rows × ~100 B/row keys ≈ 100 MB per
 # bucket — comfortable against a multi-GB worker heap even with the
-# group_by's own working set.
-_TARGET_ROWS_PER_BUCKET = int(os.environ.get("LPR_FOLD_TARGET_ROWS", "1000000"))
+# group_by's own working set.  ``LPR_FOLD_TARGET_ROWS`` overrides it per
+# deployment.
+_TARGET_ROWS_PER_BUCKET = 1_000_000
 # Backstop against absurd hints; at 2^20 buckets the exchange metadata
 # itself (not the data) starts to dominate and the deployment should raise
 # LPR_FOLD_TARGET_ROWS instead.
@@ -102,34 +103,46 @@ def _estimate_rows(ds) -> "int | None":
         return None
 
 
+def _env_count(name: str) -> "int | None":
+    """The integer >= 1 in environment variable ``name``, read at call
+    time; None when unset or empty.  Anything else raises ``ValueError``
+    naming the variable."""
+    env = os.environ.get(name)
+    if not env:
+        return None
+    try:
+        v = int(env)
+    except ValueError:
+        v = 0
+    if v < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {env!r}")
+    return v
+
+
 def auto_buckets(est_rows: "int | None") -> int:
     """Reducer fan-out for a fold over ``est_rows`` input rows.
 
-    Precedence: the ``LPR_FOLD_BUCKETS`` env var (deployment override,
-    an integer >= 1 — anything else raises ``ValueError``) wins; otherwise ``ceil(est_rows / LPR_FOLD_TARGET_ROWS)`` clamped to
-    [64, 2^20]; with no estimate at all, the floor (64).  Estimates only
-    need order-of-magnitude accuracy — B is a heap bound, not a semantic
-    knob (bucket-count invariance is pinned by test)."""
-    env = os.environ.get("LPR_FOLD_BUCKETS")
-    if env:
-        try:
-            b = int(env)
-        except ValueError:
-            b = 0
-        if b < 1:
-            raise ValueError(
-                f"LPR_FOLD_BUCKETS must be an integer >= 1, got {env!r}"
-            )
+    Precedence: the ``LPR_FOLD_BUCKETS`` env var (deployment override)
+    wins; otherwise ``ceil(est_rows / target)`` clamped to [64, 2^20],
+    where target is ``LPR_FOLD_TARGET_ROWS`` or 1 M rows per bucket; with
+    no estimate at all, the floor (64).  Both variables are read on every
+    call and must be integers >= 1 — anything else raises ``ValueError``.
+    Estimates only need order-of-magnitude accuracy — B is a heap bound,
+    not a semantic knob (bucket-count invariance is pinned by test)."""
+    b = _env_count("LPR_FOLD_BUCKETS")
+    if b is not None:
         return b
+    target = _env_count("LPR_FOLD_TARGET_ROWS") or _TARGET_ROWS_PER_BUCKET
     if not est_rows or est_rows <= 0:
         return _MIN_BUCKETS
-    b = math.ceil(est_rows / _TARGET_ROWS_PER_BUCKET)
+    b = math.ceil(est_rows / target)
     b = max(_MIN_BUCKETS, min(_MAX_BUCKETS, b))
     if b != _MIN_BUCKETS:
         logger.info(
             "fold: auto-sized %d reducer buckets for ~%d input rows", b, est_rows
         )
     return b
+
 
 # (column, arrow_fn, alias) — arrow_fn is a pyarrow group_by aggregation
 # name: "sum", "min", "max", "count", "count_all", "mean"

@@ -28,6 +28,7 @@ Both are tested rank-identical to each other and to the brute-force oracle.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import OrderedDict
@@ -706,12 +707,11 @@ def _diversify_hits(t: pa.Table, max_per_key: int, limit: int) -> pa.Table:
     table: order by the (score desc, url asc) total order, keep each row
     while its key has produced < ``max_per_key`` kept rows (null keys are
     unconstrained), truncate at ``limit``.  Equal to the rank-within-key
-    ≤ cap filter because the scan order is total — shared by the
-    per-segment pass, the engine merge and the sharded driver merge (the
-    idempotence of cap-then-recap under a total order is what makes the
-    distributed merge exact).  The per-SEGMENT pass uses the all-int
-    :func:`_diversify_codes` twin instead; this function serves the
-    cross-segment and sharded-driver merges (object-url tiebreak)."""
+    ≤ cap filter because the scan order is total, and capping per shard
+    then recapping the union is idempotent — what makes the sharded driver
+    merge exact.  The engine uses the all-int
+    :func:`_diversify_codes` twin; this function serves the sharded-driver
+    merge (object-url tiebreak)."""
     if t.num_rows == 0:
         return t
     import pyarrow.compute as pc
@@ -754,18 +754,12 @@ def _diversify_hits(t: pa.Table, max_per_key: int, limit: int) -> pa.Table:
 
 
 def _diversify_codes(
-    scores: np.ndarray,
-    docids: np.ndarray,
-    codes: np.ndarray,
-    max_per_key: int,
-    limit: int,
+    order: np.ndarray, codes: np.ndarray, max_per_key: int, limit: int
 ) -> np.ndarray:
-    """Index twin of :func:`_diversify_hits` for ONE segment's hits with
-    integer key codes (docid asc == url asc within a segment): returns the
-    selected row indices in scan order.  Code -1 = missing key =
-    unconstrained.  All-int — no object strings touch the full match
-    set."""
-    order = np.lexsort((docids, -scores))
+    """Index twin of :func:`_diversify_hits` for hits with integer key
+    codes, already in scan order (``order``): returns the selected row
+    indices in scan order.  Code -1 = missing key = unconstrained.
+    All-int — no object strings touch the full match set."""
     csort = codes[order]
     keep = np.ones(csort.size, dtype=bool)
     present = csort >= 0
@@ -983,25 +977,77 @@ class _LiveSegment:
             f: int(dl[alive].sum()) for f, dl in reader.doc_len.items()
         }
 
-    @property
-    def scope(self) -> "_Scope":
-        """This segment as a one-member :class:`_Scope` (no copies)."""
-        return _Scope([self])
+
+class _FieldColumn:
+    """One indexed metadata field over a scope, built from its postings:
+
+    * ``vocab`` — the sorted union of the members' field dictionaries, so a
+      code (index into ``vocab``) names the same term in every member and
+      codes order like the terms;
+    * ``codes`` / ``ids`` — one entry per posting (dead docs included),
+      ordered by code, then scope id; ``bounds[j]:bounds[j + 1]`` is term
+      ``j``'s run;
+    * ``min_code`` — per scope id, the code of the doc's minimum term, -1
+      when the doc has none: the SortedDocValues ordinal reconstructed from
+      the inverted index (SortedSetSortField's 'min' selector for
+      multi-valued docs)."""
+
+    def __init__(self, scope: "_Scope", field: str):
+        vocabs = [s.reader.field_vocab(field) for s in scope.segs]
+        present = [v for _, v in vocabs if v.size]
+        self.vocab = (
+            np.unique(np.concatenate(present)) if present else np.empty(0, object)
+        )
+        codes, ids = [], []
+        for (start, v), seg, off in zip(vocabs, scope.segs, scope.offsets):
+            if not v.size:
+                continue
+            r = seg.reader
+            rows = np.arange(start, start + v.size, dtype=np.int64)
+            codes.append(
+                np.repeat(np.searchsorted(self.vocab, v), r._df[rows].astype(np.int64))
+            )
+            ids.append(r.local_ids(r.docids_many(rows)) + off)
+        self.codes = np.concatenate(codes) if codes else np.empty(0, np.int64)
+        self.ids = np.concatenate(ids) if ids else np.empty(0, np.int64)
+        # each member's postings are already (code, id)-ordered and member
+        # offsets ascend, so a stable sort by code gives (code, id) order
+        order = np.argsort(self.codes, kind="stable")
+        self.codes, self.ids = self.codes[order], self.ids[order]
+        self.bounds = np.searchsorted(self.codes, np.arange(self.vocab.size + 1))
+        self.min_code = np.full(scope.n, -1, dtype=np.int64)
+        # the first occurrence of a doc in code order is its minimum term
+        uniq, first = np.unique(self.ids, return_index=True)
+        self.min_code[uniq] = self.codes[first]
+
+    def terms(self, codes: np.ndarray) -> np.ndarray:
+        """Object array of the terms of ``codes``, None where -1."""
+        out = np.full(codes.size, None, dtype=object)
+        got = codes >= 0
+        out[got] = self.vocab[codes[got]]
+        return out
+
+    def within(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, ids) of the postings whose scope id is set in ``mask``,
+        in (code, id) order."""
+        keep = mask[self.ids]
+        return self.codes[keep], self.ids[keep]
 
 
 class _Scope:
-    """Live segments laid end to end in one docid space — the unit the
-    boolean/scoring kernels run on.  Member ``i`` owns scope ids
+    """Live segments laid end to end in one docid space — the unit every
+    read op runs on.  Member ``i`` owns scope ids
     ``[offsets[i], offsets[i] + n_docs_i)``: scope id = member-local docid +
-    the member's offset.  ``alive``, ``doc_len[field]``, ``urls`` and the
+    the member's offset, so within a member scope id order is url order
+    (docids are url ranks).  ``alive``, ``doc_len[field]``, ``urls`` and the
     absolute docids are the members' arrays concatenated in member order (a
     field a member lacks reads 0 there; no posting of that member can name
     it).  A single segment is the one-member scope: offset 0 and the
-    segment's own arrays, no copies.
+    segment's own arrays, no copies.  ``warc_ts`` and the per-field
+    :class:`_FieldColumn` are built on first use and kept with the scope.
 
     ``key`` names the scope in the postings LRU: the segment path for one
-    member (so per-segment entries keep their keys), the tuple of member
-    paths otherwise."""
+    member, the tuple of member paths otherwise."""
 
     def __init__(self, segs: list[_LiveSegment]):
         self.segs = segs
@@ -1012,6 +1058,7 @@ class _Scope:
             n += s.reader.n_docs
         self.n = n
         self.all_alive = all(s.all_alive for s in segs)
+        self._fields: dict[str, _FieldColumn] = {}
         if len(segs) == 1:
             r = segs[0].reader
             self.key: "str | tuple[str, ...]" = r.path
@@ -1041,6 +1088,31 @@ class _Scope:
             return self._doc_base + ids
         return self._docids[ids]
 
+    @functools.cached_property
+    def warc_ts(self) -> np.ndarray:
+        """int64 epoch-µs per scope id."""
+        return np.concatenate(
+            [s.reader.warc_ts.astype(np.int64, copy=False) for s in self.segs]
+        )
+
+    def field(self, name: str) -> _FieldColumn:
+        col = self._fields.get(name)
+        if col is None:
+            col = self._fields[name] = _FieldColumn(self, name)
+        return col
+
+    def live_ids(self, urls: np.ndarray) -> np.ndarray:
+        """Scope id of each url's live copy (-1 where none is live)."""
+        out = np.full(len(urls), -1, dtype=np.int64)
+        for seg, off in zip(self.segs, self.offsets):
+            su = seg.reader.urls
+            i = np.searchsorted(su, urls)
+            ok = i < su.size
+            ok[ok] &= su[i[ok]] == urls[ok]
+            ok[ok] &= self.alive[i[ok] + off]
+            out[ok] = i[ok] + off
+        return out
+
 
 def _top_hits(scope: _Scope, cand: np.ndarray, sc: np.ndarray, limit: int) -> pa.Table:
     """The (url, score, docid) table of the best ``limit`` candidates
@@ -1050,6 +1122,8 @@ def _top_hits(scope: _Scope, cand: np.ndarray, sc: np.ndarray, limit: int) -> pa
     at or above it is kept and the exact sort breaks the ties.  Url order is
     invariant under generations, partitioning and compaction, unlike docids
     (whose ranges are per generation)."""
+    if cand.size == 0:
+        return RESULT_SCHEMA.empty_table()
     if cand.size > limit:
         kth = np.partition(sc, sc.size - limit)[sc.size - limit]
         keep = sc >= kth
@@ -1064,6 +1138,41 @@ def _top_hits(scope: _Scope, cand: np.ndarray, sc: np.ndarray, limit: int) -> pa
             "docid": pa.array(scope.docids(cand[order]), type=pa.int64()),
         }
     )
+
+
+def _url_order(scope: _Scope, ids: np.ndarray, keys: tuple) -> np.ndarray:
+    """Indices that sort scope ids ``ids`` by ``keys`` (``np.lexsort``
+    order: the last key is primary) with the url-asc tiebreak last.  Within
+    a member scope id order is url order, so one numeric lexsort settles
+    every row but ties across members; only the tied rows' urls are
+    compared — no object sort over a full match set."""
+    order = np.lexsort((ids, *keys))
+    if order.size < 2:
+        return order
+    same = np.ones(order.size - 1, dtype=bool)
+    for k in keys:
+        ks = k[order]
+        same &= ks[1:] == ks[:-1]
+    if same.any():
+        tied = np.flatnonzero(
+            np.concatenate(([False], same)) | np.concatenate((same, [False]))
+        )
+        run = np.concatenate(([0], np.cumsum(~same)))[tied]
+        sub = np.lexsort((scope.urls[ids[order[tied]]], run))
+        order[tied] = order[tied][sub]
+    return order
+
+
+def _id_mask(n: int, ids: np.ndarray) -> np.ndarray:
+    """bool[n], True at ``ids``."""
+    m = np.zeros(n, dtype=bool)
+    m[ids] = True
+    return m
+
+
+def _run_starts(codes: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a sorted non-empty array."""
+    return np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
 
 
 def _decoded_term_keys(clauses) -> set[tuple[str, str]]:
@@ -1089,15 +1198,22 @@ class SearchEngine:
     Per-engine LRU caches mirror T3/T4 (LuceneIndexBean.java:104,792) and are
     naturally invalidated by the generation pin.
 
-    Queries are scored once per COLLECTION, not once per segment: the
+    Every read op runs once per COLLECTION, not once per segment: the
     collection's live segments (partitions × generations) form one
     :class:`_Scope`, built on the collection's first query and kept for the
-    engine's life, and the TAAT / pure-AND executors run over it with one
-    accumulator, one k-th-score cut and one result table.  The aux read ops
-    run the same kernels per segment by passing each segment's one-member
-    scope.  Only the block-max executors (``bmax``/``bmw``) loop over
-    segments: their pruning reads each segment's stored per-block bounds and
-    block layout, which do not concatenate.
+    engine's life.  ``search`` and the scored aux ops (paging, function /
+    expression / boosting / filtered / diversified / grouped search,
+    rescore, field sorts, joins) make one :meth:`_eval_boolean` pass with
+    one accumulator and one cut under the total order; the counting ops
+    (count, facets, histograms, drill-sideways, classification) make one
+    :meth:`_match_segment` pass and read metadata fields through the
+    scope's :class:`_FieldColumn`.  What still loops over segments:
+    ``term_vector`` and ``explain`` (per-document lookups in the doc's own
+    segment); the block-max executors (``bmax``/``bmw``), whose pruning
+    reads each segment's stored per-block bounds and block layout, which
+    do not concatenate; and the vocabulary ops (``suggest``, ``complete``,
+    ``complete_infix``, ``top_terms``, ``text_vocab_*``, ``index_stats``),
+    which merge term dictionaries, not docid spaces.
     """
 
     def __init__(
@@ -1197,7 +1313,17 @@ class SearchEngine:
     def collections(self) -> list[str]:
         return sorted(self._segments)
 
-    def _stats(self, coll: str) -> tuple[int, dict[str, float]]:
+    def _stats(
+        self, coll: str, global_stats: dict[str, dict] | None = None
+    ) -> tuple[int, dict[str, float]]:
+        """(n_docs, avgdl per field) of a collection: this engine's alive
+        docs, or the injected corpus-global ``global_stats`` ({coll:
+        {n_docs, sum_dl: {field: int}}}, summed over every shard — the
+        :meth:`search_partial` contract)."""
+        if global_stats is not None:
+            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
+            n = int(st["n_docs"])
+            return n, ({f: v / n for f, v in st["sum_dl"].items()} if n else {})
         segs = self._segments.get(coll, [])
         n = sum(s.n_alive for s in segs)
         avgdl: dict[str, float] = {}
@@ -1216,6 +1342,73 @@ class SearchEngine:
         if sc is None:
             sc = self._scopes[coll] = _Scope(self._segments[coll])
         return sc
+
+    def _check_query_opts(
+        self, fields: dict[str, float] | None, tie_breaker: float,
+        min_should_match: int,
+    ) -> None:
+        """Validate the dismax ``fields``/``tie_breaker`` pair and
+        ``min_should_match`` of a classic query."""
+        if fields is not None:
+            self._check_fields(fields, tie_breaker)
+        elif tie_breaker != 0.0:
+            raise ValueError("tie_breaker requires fields= (dismax)")
+        if min_should_match < 0:
+            raise ValueError("min_should_match must be >= 0")
+
+    def _rewrite(
+        self, query: str, synonyms: dict[str, list[str]] | None = None,
+        fields: dict[str, float] | None = None, tie_breaker: float = 0.0,
+    ) -> list[Clause]:
+        """A classic query's clauses with the synonym rewrite, then the
+        dismax ``fields`` rewrite, applied."""
+        clauses = parse_query(query, default_field=self.cfg.text_column)
+        if synonyms:
+            clauses = list(apply_synonyms(tuple(clauses), synonyms))
+        if fields:
+            clauses = list(
+                apply_fields(
+                    tuple(clauses), fields, tie_breaker, self.cfg.text_column
+                )
+            )
+        return clauses
+
+    def _scored(
+        self,
+        clauses: list[Clause],
+        coll: str,
+        global_stats: dict[str, dict] | None = None,
+        global_df: dict[tuple[str, str], int] | None = None,
+        global_ttf: dict[tuple[str, str], int] | None = None,
+        min_should: int = 0,
+    ) -> "tuple[_Scope, np.ndarray, np.ndarray] | None":
+        """The scored ops' one pass: phase 1 and one :meth:`_eval_boolean`
+        over the collection scope → (scope, dense scores, sorted matching
+        scope ids), or None when nothing can match.  The injection params
+        follow the :meth:`search_partial` sharded contract."""
+        if not clauses or not self._segments.get(coll):
+            return None
+        n_docs, avgdl = self._stats(coll, global_stats)
+        if n_docs == 0:
+            return None
+        scope = self._scope(coll)
+        cache, df, ttf = self._phase1_df(clauses, [scope], global_df, global_ttf)
+        scores, matched = self._eval_boolean(
+            scope, clauses, cache, df, n_docs, avgdl,
+            min_should=min_should, global_ttf=ttf,
+        )
+        return scope, scores, np.flatnonzero(matched)
+
+    def _match(
+        self, coll: str, clauses: list[Clause], min_should: int = 0
+    ) -> "tuple[_Scope, np.ndarray] | None":
+        """The counting ops' one pass: (collection scope, sorted scope ids
+        matching ``clauses``) from the score-free :meth:`_match_segment`;
+        None when the collection has no live segment."""
+        if not self._segments.get(coll):
+            return None
+        scope = self._scope(coll)
+        return scope, self._match_segment(scope, clauses, {}, min_should)
 
     # ------------------------------------------------------------------
     def search(
@@ -1252,12 +1445,7 @@ class SearchEngine:
         matches than SHOULD clauses ⇒ zero hits, Lucene parity)."""
         limit = limit if limit is not None else self.cfg.result_limit
         coll = sanitize_collection(collection)
-        if fields is not None:
-            self._check_fields(fields, tie_breaker)
-        elif tie_breaker != 0.0:
-            raise ValueError("tie_breaker requires fields= (dismax)")
-        if min_should_match < 0:
-            raise ValueError("min_should_match must be >= 0")
+        self._check_query_opts(fields, tie_breaker, min_should_match)
         syn_key = (
             tuple(sorted((k, tuple(v)) for k, v in synonyms.items()))
             if synonyms
@@ -1272,15 +1460,7 @@ class SearchEngine:
             self._results_cache.move_to_end(cache_key)
             return hit
 
-        clauses = parse_query(query, default_field=self.cfg.text_column)
-        if synonyms:
-            clauses = list(apply_synonyms(tuple(clauses), synonyms))
-        if fields:
-            clauses = list(
-                apply_fields(
-                    tuple(clauses), fields, tie_breaker, self.cfg.text_column
-                )
-            )
+        clauses = self._rewrite(query, synonyms, fields, tie_breaker)
         table = self._execute(
             clauses, coll, limit, method, min_should=min_should_match
         )
@@ -1313,19 +1493,17 @@ class SearchEngine:
         uses exact float equality against scores produced by the same
         arithmetic, so concatenated pages reproduce
         ``search(limit=Σ page sizes)`` bit-for-bit — unlike offset paging
-        there is no re-fetch of earlier pages, and each segment ships at
-        most ``limit`` post-anchor rows into the merge.
+        there is no re-fetch of earlier pages.
 
-        Scoring still evaluates the full match set per segment — exact
-        BM25 paging cannot skip scoring (Lucene's paging collector scores
-        every candidate too), so this path is TAAT; block-max early
-        termination is a top-k-from-the-start optimization and does not
-        apply after an anchor.
+        Scoring still evaluates the full match set — exact BM25 paging
+        cannot skip scoring (Lucene's paging collector scores every
+        candidate too), so this path is TAAT; block-max early termination
+        is a top-k-from-the-start optimization and does not apply after an
+        anchor.  Urls are read only for the rows tied at ``after_score``
+        and for the page itself.
 
         ``global_stats``/``global_df`` inject corpus-global statistics on
         the sharded path (the :meth:`search_partial` contract)."""
-        import math
-
         if not isinstance(after_url, str):
             raise ValueError("after_url must be a str (previous page's url)")
         after_score = float(after_score)
@@ -1335,97 +1513,24 @@ class SearchEngine:
         if limit <= 0:
             raise ValueError("limit must be positive")
         coll = sanitize_collection(collection)
-        if fields is not None:
-            self._check_fields(fields, tie_breaker)
-        elif tie_breaker != 0.0:
-            raise ValueError("tie_breaker requires fields= (dismax)")
-        if min_should_match < 0:
-            raise ValueError("min_should_match must be >= 0")
-        clauses = parse_query(query, default_field=self.cfg.text_column)
-        if synonyms:
-            clauses = list(apply_synonyms(tuple(clauses), synonyms))
-        if fields:
-            clauses = list(
-                apply_fields(
-                    tuple(clauses), fields, tie_breaker, self.cfg.text_column
-                )
-            )
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
+        self._check_query_opts(fields, tie_breaker, min_should_match)
+        clauses = self._rewrite(query, synonyms, fields, tie_breaker)
+        got = self._scored(
+            clauses, coll, global_stats, global_df, global_ttf,
+            min_should=min_should_match,
         )
-        if not clauses or not segs:
-            return empty
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: s / n_docs for f, s in st["sum_dl"].items()}
-                if n_docs
-                else {}
-            )
-        else:
-            n_docs, avgdl = self._stats(coll)
-        if n_docs == 0:
-            return empty
-        cache, df_map, ttf_map = self._phase1_df(
-            clauses, [s.scope for s in segs], global_df, global_ttf
-        )
-        parts = []
-        for si, seg in enumerate(segs):
-            # all-numeric page scan: the (score desc, docid asc) segment
-            # order IS the total order (docids are url ranks), the anchor
-            # predicate needs url STRINGS only for rows TIED at
-            # after_score, and urls materialize only for the ≤ limit page
-            # rows (round 5 — the full-match-set table made paging
-            # match-set-bound in strings, not just in scoring)
-            r = seg.reader
-            scores, matched = self._eval_boolean(
-                seg.scope, clauses, cache, df_map, n_docs, avgdl,
-                min_should=min_should_match, global_ttf=ttf_map,
-            )
-            cand = np.flatnonzero(matched)
-            if cand.size == 0:
-                continue
-            sc = scores[cand]
-            # anchor predicate FIRST (it commutes with the total order),
-            # then top-limit — no full-match-set sort
-            keep = sc < after_score
-            ties = np.flatnonzero(sc == after_score)
-            if ties.size:
-                keep[ties] = r.urls[cand[ties]] > after_url
-            cand, sc = cand[keep], sc[keep]
-            if cand.size == 0:
-                continue
-            if cand.size > limit:
-                kth = np.partition(sc, cand.size - limit)[cand.size - limit]
-                k2 = sc >= kth
-                cand, sc = cand[k2], sc[k2]
-            order = np.lexsort((cand, -sc))[:limit]
-            cand, sc = cand[order], sc[order]
-            parts.append(
-                pa.table(
-                    {
-                        "url": pa.array(r.urls[cand], type=pa.string()),
-                        "score": pa.array(sc, type=pa.float64()),
-                        "docid": pa.array(
-                            r.doc_base + cand, type=pa.int64()
-                        ),
-                    }
-                )
-            )
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        order = np.lexsort(
-            (
-                merged["url"].to_numpy(zero_copy_only=False),
-                -merged["score"].to_numpy(),
-            )
-        )[:limit]
-        return merged.take(pa.array(order))
+        if got is None:
+            return RESULT_SCHEMA.empty_table()
+        scope, scores, cand = got
+        # the anchor predicate commutes with the total order, so it runs
+        # before the top-limit cut
+        sc = scores[cand]
+        keep = sc < after_score
+        ties = np.flatnonzero(sc == after_score)
+        if ties.size:
+            keep[ties] = scope.urls[cand[ties]] > after_url
+        cand = cand[keep]
+        return _top_hits(scope, cand, scores[cand], limit)
 
     def search_function(
         self,
@@ -1447,12 +1552,12 @@ class SearchEngine:
         explicit argument, never the wall clock, so results are a pure
         function of the index (reproducible across shards/retries).
 
-        Scoring evaluates the full match set per segment (the weight is
+        Scoring evaluates the full match set (the weight is
         doc-dependent, so BM25 top-k early termination is unsound — a
-        low-BM25 recent doc can outrank the BM25 leader), then truncates
-        per segment under the (final desc, url asc) total order; the
-        merge is exact for the same reason search's is.  Returns
-        (url, score, docid) with score = the weighted final.
+        low-BM25 recent doc can outrank the BM25 leader), then cuts the
+        top ``limit`` under the (final desc, url asc) total order, which
+        per-shard partials merge exactly.  Returns (url, score, docid)
+        with score = the weighted final.
 
         ``global_stats``/``global_df`` follow the :meth:`search_partial`
         injection contract for the sharded path."""
@@ -1465,75 +1570,13 @@ class SearchEngine:
             raise ValueError("limit must be positive")
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
-        if not clauses or not segs:
-            return empty
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: s / n_docs for f, s in st["sum_dl"].items()}
-                if n_docs
-                else {}
-            )
-        else:
-            n_docs, avgdl = self._stats(coll)
-        if n_docs == 0:
-            return empty
-        cache, df_map, ttf_map = self._phase1_df(
-            clauses, [s.scope for s in segs], global_df, global_ttf
-        )
+        got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
+        if got is None:
+            return RESULT_SCHEMA.empty_table()
+        scope, scores, cand = got
+        age = np.maximum(now_us - scope.warc_ts[cand], 0).astype(np.float64)
         scale = float(scale_us)
-        parts = []
-        for si, seg in enumerate(segs):
-            # all-numeric: recency weight + truncation over arrays, urls
-            # only for the per-segment winners (round 5)
-            r = seg.reader
-            scores, matched = self._eval_boolean(
-                seg.scope, clauses, cache, df_map, n_docs, avgdl,
-                global_ttf=ttf_map,
-            )
-            cand = np.flatnonzero(matched)
-            if cand.size == 0:
-                continue
-            ts = r.warc_ts.astype(np.int64, copy=False)[cand]
-            age = np.maximum(now_us - ts, 0).astype(np.float64)
-            final = scores[cand] * (scale / (scale + age))
-            if cand.size > limit:
-                kth = np.partition(final, cand.size - limit)[cand.size - limit]
-                keep = final >= kth
-                cand, final = cand[keep], final[keep]
-            # segment-local tiebreak: docid asc == url asc within a
-            # segment (docids are url-ranks), so the numeric lexsort
-            # replaces the object-array url sort
-            order = np.lexsort((cand, -final))[:limit]
-            cand, final = cand[order], final[order]
-            parts.append(
-                pa.table(
-                    {
-                        "url": pa.array(r.urls[cand], type=pa.string()),
-                        "score": pa.array(final, type=pa.float64()),
-                        "docid": pa.array(
-                            r.doc_base + cand, type=pa.int64()
-                        ),
-                    }
-                )
-            )
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        order = np.lexsort(
-            (
-                merged["url"].to_numpy(zero_copy_only=False),
-                -merged["score"].to_numpy(),
-            )
-        )[:limit]
-        return merged.take(pa.array(order))
+        return _top_hits(scope, cand, scores[cand] * (scale / (scale + age)), limit)
 
     def search_common(
         self,
@@ -1570,11 +1613,7 @@ class SearchEngine:
             term_clauses, max_term_frequency, dfs, n_docs
         )
         if not clauses:
-            return pa.table(
-                {"url": pa.array([], pa.string()),
-                 "score": pa.array([], pa.float64()),
-                 "docid": pa.array([], pa.int64())}
-            )
+            return RESULT_SCHEMA.empty_table()
         return self._execute(
             clauses, coll, limit, "taat",
             df_override=dfs, ttf_override=ttfs,
@@ -1597,10 +1636,10 @@ class SearchEngine:
         (Lucene's context/boosting pair — demote 0 < d < 1 pushes
         undesirable context down without excluding it; the negative query
         contributes no statistics, exactly like a filter).  The weight is
-        doc-dependent, so the full match set is scored per segment
-        (search_function argument), truncated under the (final desc,
-        url asc) total order, merged exactly.  Injection params follow
-        the :meth:`search_partial` sharded contract."""
+        doc-dependent, so the full match set is scored (search_function
+        argument) and cut under the (final desc, url asc) total order.
+        Injection params follow the :meth:`search_partial` sharded
+        contract."""
         if not (0.0 < demote < 1.0):
             raise ValueError("demote must be in (0, 1)")
         limit = limit if limit is not None else self.cfg.result_limit
@@ -1617,81 +1656,13 @@ class SearchEngine:
             raise ValueError(
                 "negative_query must contain at least one clause"
             )
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
-        if not clauses or not segs:
-            return empty
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: s / n_docs for f, s in st["sum_dl"].items()}
-                if n_docs
-                else {}
-            )
-        else:
-            n_docs, avgdl = self._stats(coll)
-        if n_docs == 0:
-            return empty
-        cache, df_map, ttf_map = self._phase1_df(
-            clauses, [s.scope for s in segs], global_df, global_ttf
-        )
-        parts = []
-        for si, seg in enumerate(segs):
-            # score arrays, demote, TRUNCATE — and only then materialize
-            # urls for the per-segment winners: the full match set never
-            # becomes strings/tables (round 5 — materializing every
-            # matched url made this op 5× a plain search at 200k docs)
-            r = seg.reader
-            scores, matched = self._eval_boolean(
-                seg.scope, clauses, cache, df_map, n_docs, avgdl,
-                global_ttf=ttf_map,
-            )
-            cand = np.flatnonzero(matched)
-            if cand.size == 0:
-                continue
-            final = scores[cand].copy()
-            neg = self._match_segment(seg.scope, nclauses, {})
-            if neg.size:
-                pos_idx = np.searchsorted(neg, cand)
-                pos_cl = np.minimum(pos_idx, neg.size - 1)
-                final[neg[pos_cl] == cand] *= demote
-            if cand.size > limit:
-                # keep every candidate at/above the k-th FINAL score so
-                # the (score desc, docid asc) tiebreak stays exact
-                kth = np.partition(final, cand.size - limit)[cand.size - limit]
-                keep = final >= kth
-                cand, final = cand[keep], final[keep]
-            # segment-local tiebreak: docid asc == url asc within a
-            # segment (docids are url-ranks), so the numeric lexsort
-            # replaces the object-array url sort
-            order = np.lexsort((cand, -final))[:limit]
-            cand, final = cand[order], final[order]
-            parts.append(
-                pa.table(
-                    {
-                        "url": pa.array(r.urls[cand], type=pa.string()),
-                        "score": pa.array(final, type=pa.float64()),
-                        "docid": pa.array(
-                            r.doc_base + cand, type=pa.int64()
-                        ),
-                    }
-                )
-            )
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        order = np.lexsort(
-            (
-                merged["url"].to_numpy(zero_copy_only=False),
-                -merged["score"].to_numpy(),
-            )
-        )[:limit]
-        return merged.take(pa.array(order))
+        got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
+        if got is None:
+            return RESULT_SCHEMA.empty_table()
+        scope, scores, cand = got
+        final = scores[cand]
+        final[_in_sorted(cand, self._match_segment(scope, nclauses, {}))] *= demote
+        return _top_hits(scope, cand, final, limit)
 
     def search_surround(
         self,
@@ -1733,7 +1704,7 @@ class SearchEngine:
         doc only while its ``key_field`` value has produced fewer than
         ``max_per_key`` kept hits (the host/domain SERP-diversification
         collector).  Keys are the per-doc minimum analyzed term of an
-        indexed metadata field (:meth:`_doc_field_values` — the
+        indexed metadata field (:class:`_FieldColumn` ``min_code`` — the
         SortedDocValues key the Lucene collector reads); docs MISSING the
         field are unconstrained (each its own key — documented choice;
         Lucene's collector requires a key and would refuse).  Greedy
@@ -1754,80 +1725,37 @@ class SearchEngine:
                 f"cannot diversify on the tokenized text field "
                 f"{key_field!r}; use an indexed metadata field"
             )
-        known = {self.cfg.text_column, *self.cfg.field_columns}
-        for seg in self._segments.get(coll, []):
-            known.update(seg.reader.doc_len.keys())
+        known = self._known_fields(coll)
         if key_field not in known:
             raise ValueError(
                 f"unsupported key field {key_field!r}: not an indexed "
                 f"field of this index (have {sorted(known)})"
             )
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "key": pa.array([], pa.string()),
-             "docid": pa.array([], pa.int64())}
-        )
-        if not clauses or not segs:
-            return empty
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: s / n_docs for f, s in st["sum_dl"].items()}
-                if n_docs
-                else {}
+        got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
+        if got is None:
+            return pa.schema(
+                [("url", pa.string()), ("score", pa.float64()),
+                 ("key", pa.string()), ("docid", pa.int64())]
+            ).empty_table()
+        scope, scores, cand = got
+        # all-int until after the cap: scores + key codes over the match
+        # set, strings only for the <= limit survivors
+        col = scope.field(key_field)
+        sc = scores[cand]
+        sel = cand[
+            _diversify_codes(
+                _url_order(scope, cand, (-sc,)), col.min_code[cand],
+                max_per_key, limit,
             )
-        else:
-            n_docs, avgdl = self._stats(coll)
-        if n_docs == 0:
-            return empty
-        cache, df_map, ttf_map = self._phase1_df(
-            clauses, [s.scope for s in segs], global_df, global_ttf
-        )
-        parts = []
-        for si, seg in enumerate(segs):
-            # all-numeric until after the diversify cap: scores + int key
-            # codes over the full match set, urls/strings only for the
-            # ≤ limit survivors (round 5 — materializing every matched
-            # url made this op ~4× a plain search at 200k docs)
-            r = seg.reader
-            scores, matched = self._eval_boolean(
-                seg.scope, clauses, cache, df_map, n_docs, avgdl,
-                global_ttf=ttf_map,
-            )
-            cand = np.flatnonzero(matched)
-            if cand.size == 0:
-                continue
-            # int key codes (dictionary rows) — the cap only needs key
-            # IDENTITY; strings materialize for the <= limit survivors
-            codes, terms = self._doc_field_codes(si, seg, key_field)
-            csub = codes[cand]
-            docids = r.doc_base + cand
-            sc = scores[cand]
-            sel = _diversify_codes(sc, docids, csub, max_per_key, limit)
-            csel = cand[sel]
-            ksel = csub[sel]
-            keys = np.full(ksel.size, None, dtype=object)
-            got = ksel >= 0
-            keys[got] = terms[ksel[got]]
-            parts.append(
-                pa.table(
-                    {
-                        "url": pa.array(r.urls[csel], type=pa.string()),
-                        "score": pa.array(sc[sel], type=pa.float64()),
-                        "key": pa.array(keys, pa.string()),
-                        "docid": pa.array(docids[sel], type=pa.int64()),
-                    }
-                )
-            )
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        return _diversify_hits(merged, max_per_key, limit).select(
-            ["url", "score", "key", "docid"]
+        ]
+        return pa.table(
+            {
+                "url": pa.array(scope.urls[sel], pa.string()),
+                "score": pa.array(scores[sel], pa.float64()),
+                "key": pa.array(col.terms(col.min_code[sel]), pa.string()),
+                "docid": pa.array(scope.docids(sel), pa.int64()),
+            }
         )
 
     def search_expression(
@@ -1852,13 +1780,13 @@ class SearchEngine:
 
         The final score is the expression value; matching is the base
         query's.  Like :meth:`search_function`, the weight is
-        doc-dependent so the full match set is scored per segment, then
-        truncated under the (final desc, url asc) total order — the merge
-        stays exact.  An expression yielding NaN for any scored doc is a
-        loud error (NaN breaks the total order); ±inf is allowed and
-        sorts like IEEE doubles.  ``search_function(now, scale)`` is the
-        special case ``_score * scale / (scale + max(0, now - warc_ts))``
-        — pinned bit-identical in tests.  Injection params follow the
+        doc-dependent so the full match set is scored, then cut under the
+        (final desc, url asc) total order.  An expression yielding NaN for
+        any scored doc is a loud error (NaN breaks the total order); ±inf
+        is allowed and sorts like IEEE doubles.
+        ``search_function(now, scale)`` is the special case
+        ``_score * scale / (scale + max(0, now - warc_ts))`` — pinned
+        bit-identical in tests.  Injection params follow the
         :meth:`search_partial` sharded contract."""
         from lucene_plugin_ray.functions.expressions import (
             _RESERVED_VARIABLES,
@@ -1875,108 +1803,43 @@ class SearchEngine:
             raise ValueError("limit must be positive")
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
-        if not clauses or not segs:
-            return empty
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: s / n_docs for f, s in st["sum_dl"].items()}
-                if n_docs
-                else {}
+        got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
+        if got is None or got[2].size == 0:
+            return RESULT_SCHEMA.empty_table()
+        scope, scores, cand = got
+        # bind only the per-doc sources the compiled expression READS
+        # (compile_expression reports the used-name set)
+        env: dict = {"_score": scores[cand], **bindings}
+        if "doc_len" in used:
+            env["doc_len"] = scope.doc_len[self.cfg.text_column][cand].astype(
+                np.float64
             )
-        else:
-            n_docs, avgdl = self._stats(coll)
-        if n_docs == 0:
-            return empty
-        cache, df_map, ttf_map = self._phase1_df(
-            clauses, [s.scope for s in segs], global_df, global_ttf
-        )
-        parts = []
-        for si, seg in enumerate(segs):
-            # all-numeric: expression over score/doc arrays, urls only for
-            # the per-segment winners (round 5)
-            r = seg.reader
-            scores, matched = self._eval_boolean(
-                seg.scope, clauses, cache, df_map, n_docs, avgdl,
-                global_ttf=ttf_map,
+        if "warc_ts" in used:
+            env["warc_ts"] = scope.warc_ts[cand].astype(np.float64)
+        # IEEE semantics without warning spam: /0 and invalid ops
+        # produce inf/NaN silently here, then NaN is rejected below
+        with np.errstate(invalid="ignore", divide="ignore"):
+            final = np.asarray(expr_fn(env), dtype=np.float64)
+        if final.shape != (cand.size,):
+            # a constant expression broadcasts to the match set
+            final = np.broadcast_to(final, (cand.size,)).astype(np.float64)
+        if np.isnan(final).any():
+            raise ValueError(
+                f"expression {expression!r} produced NaN for "
+                f"{int(np.isnan(final).sum())} scored doc(s) — NaN "
+                "breaks the (score desc, url asc) total order"
             )
-            cand = np.flatnonzero(matched)
-            if cand.size == 0:
-                continue
-            # bind only the per-doc sources the compiled expression READS
-            # — an expression like '_score * 2' skips both O(matches)
-            # gathers (compile_expression reports the used-name set)
-            env: dict = {"_score": scores[cand], **bindings}
-            if "doc_len" in used:
-                env["doc_len"] = r.doc_len[self.cfg.text_column][
-                    cand
-                ].astype(np.float64)
-            if "warc_ts" in used:
-                env["warc_ts"] = r.warc_ts[cand].astype(np.float64)
-            # IEEE semantics without warning spam: /0 and invalid ops
-            # produce inf/NaN silently here, then NaN is rejected below
-            with np.errstate(invalid="ignore", divide="ignore"):
-                final = np.asarray(expr_fn(env), dtype=np.float64)
-            if final.shape != (cand.size,):
-                # a constant expression broadcasts to the match set
-                final = np.broadcast_to(final, (cand.size,)).astype(
-                    np.float64
-                )
-            if np.isnan(final).any():
-                raise ValueError(
-                    f"expression {expression!r} produced NaN for "
-                    f"{int(np.isnan(final).sum())} scored doc(s) — NaN "
-                    "breaks the (score desc, url asc) total order"
-                )
-            if _range is not None:
-                # FunctionRangeQuery: row predicate BEFORE truncation —
-                # composes with the total order, so the merge stays exact
-                lo_r, hi_r = _range
-                keep_r = np.ones(final.size, dtype=bool)
-                if lo_r is not None:
-                    keep_r &= final >= lo_r
-                if hi_r is not None:
-                    keep_r &= final <= hi_r
-                if not keep_r.any():
-                    continue
-                cand, final = cand[keep_r], final[keep_r]
-            if cand.size > limit:
-                kth = np.partition(final, cand.size - limit)[cand.size - limit]
-                keep = final >= kth
-                cand, final = cand[keep], final[keep]
-            # segment-local tiebreak: docid asc == url asc within a
-            # segment (docids are url-ranks), so the numeric lexsort
-            # replaces the object-array url sort
-            order = np.lexsort((cand, -final))[:limit]
-            cand, final = cand[order], final[order]
-            parts.append(
-                pa.table(
-                    {
-                        "url": pa.array(r.urls[cand], type=pa.string()),
-                        "score": pa.array(final, type=pa.float64()),
-                        "docid": pa.array(
-                            r.doc_base + cand, type=pa.int64()
-                        ),
-                    }
-                )
-            )
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        order = np.lexsort(
-            (
-                merged["url"].to_numpy(zero_copy_only=False),
-                -merged["score"].to_numpy(),
-            )
-        )[:limit]
-        return merged.take(pa.array(order))
+        if _range is not None:
+            # FunctionRangeQuery: a row predicate BEFORE the cut, so it
+            # composes with the total order
+            lo_r, hi_r = _range
+            keep = np.ones(final.size, dtype=bool)
+            if lo_r is not None:
+                keep &= final >= lo_r
+            if hi_r is not None:
+                keep &= final <= hi_r
+            cand, final = cand[keep], final[keep]
+        return _top_hits(scope, cand, final, limit)
 
     def search_expression_range(
         self,
@@ -1996,7 +1859,7 @@ class SearchEngine:
         [``lo``, ``hi``] (either bound open when None, both inclusive —
         ValueSourceRange's default), ranked by the expression value
         (final desc, url asc) exactly like :meth:`search_expression`.
-        The range filter composes with per-segment truncation because it
+        The range filter composes with per-shard truncation because it
         is a row predicate applied BEFORE the top-``limit`` cut under the
         same total order.  Everything else — whitelist grammar, bindings,
         NaN loudness, sharded injection — is search_expression's
@@ -2028,13 +1891,12 @@ class SearchEngine:
         contributing idf/tf (Lucene's non-scoring FILTER occur; the 5.2.1
         line the reference ships still spells it QueryWrapperFilter).
 
-        Per segment: the score-free :meth:`_match_segment` evaluates the
-        filter (posting decode, zero scoring work), the TAAT kernel scores
-        the query's FULL match set, and a sorted-membership gather keeps
-        only filtered docs BEFORE the top-``limit`` truncation under the
-        (score desc, url asc) total order — so truncation commutes with
-        the driver merge exactly as in :meth:`search`.  Segments whose
-        filter match is empty skip query scoring entirely.
+        The score-free :meth:`_match_segment` evaluates the filter
+        (posting decode, zero scoring work), the TAAT kernel scores the
+        query's FULL match set, and a sorted-membership gather keeps only
+        filtered docs BEFORE the top-``limit`` cut under the (score desc,
+        url asc) total order — so per-shard partials merge exactly as in
+        :meth:`search`.  An empty filter match skips query scoring.
 
         ``global_stats``/``global_df`` follow the sharded injection
         contract (df over the QUERY's scored terms only — the filter never
@@ -2049,80 +1911,15 @@ class SearchEngine:
         )
         if not fclauses:
             raise ValueError("filter_query must contain at least one clause")
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
-        if not clauses or not segs:
-            return empty
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: s / n_docs for f, s in st["sum_dl"].items()}
-                if n_docs
-                else {}
-            )
-        else:
-            n_docs, avgdl = self._stats(coll)
-        if n_docs == 0:
-            return empty
-        cache, df, ttf_map = self._phase1_df(
-            clauses, [s.scope for s in segs], global_df, global_ttf
-        )
-        parts = []
-        for si, seg in enumerate(segs):
-            fmatch = self._match_segment(seg.scope, fclauses, {})
-            if fmatch.size == 0:
-                continue
-            # all-numeric: score arrays → filter intersection → top-limit,
-            # urls materialized only for the per-segment winners (round 5
-            # — the full-match-set table + url-object sort made this op
-            # ~8× a plain search at 200k docs); docid asc == url asc
-            # within a segment (docids are url-ranks)
-            r = seg.reader
-            scores, matched = self._eval_boolean(
-                seg.scope, clauses, cache, df, n_docs, avgdl,
-                global_ttf=ttf_map,
-            )
-            cand = np.flatnonzero(matched)
-            if cand.size == 0:
-                continue
-            pos = np.searchsorted(fmatch, cand)
-            pos_cl = np.minimum(pos, fmatch.size - 1)
-            cand = cand[fmatch[pos_cl] == cand]
-            if cand.size == 0:
-                continue
-            sc = scores[cand]
-            if cand.size > limit:
-                kth = np.partition(sc, cand.size - limit)[cand.size - limit]
-                keep = sc >= kth
-                cand, sc = cand[keep], sc[keep]
-            order = np.lexsort((cand, -sc))[:limit]
-            cand, sc = cand[order], sc[order]
-            parts.append(
-                pa.table(
-                    {
-                        "url": pa.array(r.urls[cand], type=pa.string()),
-                        "score": pa.array(sc, type=pa.float64()),
-                        "docid": pa.array(
-                            r.doc_base + cand, type=pa.int64()
-                        ),
-                    }
-                )
-            )
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        order = np.lexsort(
-            (
-                merged["url"].to_numpy(zero_copy_only=False),
-                -merged["score"].to_numpy(),
-            )
-        )[:limit]
-        return merged.take(pa.array(order))
+        fgot = self._match(coll, fclauses) if clauses else None
+        if fgot is None or fgot[1].size == 0:
+            return RESULT_SCHEMA.empty_table()
+        got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
+        if got is None:
+            return RESULT_SCHEMA.empty_table()
+        scope, scores, cand = got
+        cand = cand[_in_sorted(cand, fgot[1])]
+        return _top_hits(scope, cand, scores[cand], limit)
 
     # ---- span-query family (Lucene queries.spans module) -------------
     def _span_clause(
@@ -2237,18 +2034,17 @@ class SearchEngine:
         single-pass search this refines).  Pass 1 takes the top
         ``window_size`` hits of ``query`` under the engine's
         (score desc, url asc) total order; pass 2 evaluates
-        ``rescore_query`` ONLY against that window and combines
+        ``rescore_query`` and combines, for the window docs only,
         ``final = first + weight · second`` (second = 0.0 when the window
         doc is outside the rescore query's match set — Lucene's
         combine(first, secondMatches, second) default).  Returns the top
         ``limit`` (default: the window) window rows under
-        (final desc, url asc); docs outside the window never appear, so
-        an expensive rescore query (phrase, dismax, function…) is paid on
-        ≤ window_size candidates, not the corpus.
+        (final desc, url asc); docs outside the window never appear.
 
-        Pass 2 cost: only segments holding ≥ 1 window doc are scored, each
-        with one vectorized full-match TAAT pass (per-doc gather after —
-        the window docids are not known to the scorer's top-k).
+        Pass 2 is one vectorized full-match TAAT pass over the collection
+        scope, read at the window docs' scope ids (found by url: docid
+        ranges of different generations overlap, while each live url has
+        exactly one live copy).
 
         ``global_stats``/``global_df`` follow the :meth:`search_partial`
         injection contract for the sharded path; ``global_df`` must cover
@@ -2272,86 +2068,32 @@ class SearchEngine:
         clauses2 = parse_query(
             rescore_query, default_field=self.cfg.text_column
         )
-        segs = self._segments.get(coll, [])
-        cols: dict = {
-            "url": pa.array([], pa.string()),
-            "score": pa.array([], pa.float64()),
-            "docid": pa.array([], pa.int64()),
-        }
-        if include_first:
-            cols["first_score"] = pa.array([], pa.float64())
-        empty = pa.table(cols)
-        if not clauses1 or not segs:
-            return empty
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: s / n_docs for f, s in st["sum_dl"].items()}
-                if n_docs
-                else {}
-            )
-        else:
-            n_docs, avgdl = self._stats(coll)
-        if n_docs == 0:
-            return empty
-
-        # ---- pass 1: plain top-window search (exact, full precision)
+        schema = (
+            RESULT_SCHEMA.append(pa.field("first_score", pa.float64()))
+            if include_first else RESULT_SCHEMA
+        )
         first = self._execute(
             clauses1, coll, window_size, "taat",
-            stats_override=(n_docs, avgdl), df_override=global_df,
-            ttf_override=global_ttf,
+            stats_override=self._stats(coll, global_stats),
+            df_override=global_df, ttf_override=global_ttf,
         )
         if not first.num_rows:
-            return empty
+            return schema.empty_table()
         w_urls = first["url"].to_numpy(zero_copy_only=False)
         w_scores = first["score"].to_numpy()
-        w_docids = first["docid"].to_numpy()
-
-        # ---- pass 2: rescore-query scores gathered for window docs only.
-        # The join key is URL, not docid: docid ranges of different
-        # GENERATIONS overlap (doc_base = p · DOCID_STRIDE per partition,
-        # stages/segment_write.py:215), while each live url is emitted by
-        # exactly one segment's alive set — so url-equality gather across
-        # segments assigns at most one second score per window row.
-        second = np.zeros(len(w_docids), dtype=np.float64)
-        if clauses2:
-            cache2, df2, ttf2 = self._phase1_df(
-                clauses2, [s.scope for s in segs], global_df, global_ttf
-            )
-            w_order = np.argsort(w_urls, kind="stable")
-            sorted_w = w_urls[w_order]
-            for si, seg in enumerate(segs):
-                r = seg.reader
-                # cheap membership probe: skip segments holding no window url
-                i = np.searchsorted(r.urls, sorted_w)
-                i_cl = np.minimum(i, r.n_docs - 1)
-                present = (i < r.n_docs) & (r.urls[i_cl] == sorted_w)
-                if not present.any():
-                    continue
-                # direct gather off the dense score array: _eval_boolean
-                # already indexes scores by LOCAL docid, so the window
-                # rows' local ids (i[present], from the url probe above)
-                # read their second score with no sort/searchsorted and no
-                # full-match-set table (round 5; url semantics preserved
-                # exactly — a url alive in this segment resolves to one
-                # local id, a shadowed probe hit is unmatched either way)
-                scores2, matched2 = self._eval_boolean(
-                    seg.scope, clauses2, cache2, df2, n_docs, avgdl,
-                    global_ttf=ttf2,
-                )
-                win_loc = i[present]
-                hit = matched2[win_loc]
-                second[w_order[np.flatnonzero(present)[hit]]] = scores2[
-                    win_loc[hit]
-                ]
-
+        second = np.zeros(w_urls.size, dtype=np.float64)
+        got = self._scored(clauses2, coll, global_stats, global_df, global_ttf)
+        if got is not None:
+            scope, scores2, cand2 = got
+            ids = scope.live_ids(w_urls)
+            hit = _in_sorted(ids, cand2)
+            second[hit] = scores2[ids[hit]]
         final = w_scores + weight * second
         order = np.lexsort((w_urls, -final))[:limit]
         out = {
             "url": pa.array(w_urls[order], type=pa.string()),
             "score": pa.array(final[order], type=pa.float64()),
-            "docid": pa.array(w_docids[order], type=pa.int64()),
+            "docid": pa.array(first["docid"].to_numpy()[order], type=pa.int64()),
         }
         if include_first:
             out["first_score"] = pa.array(w_scores[order], type=pa.float64())
@@ -2369,19 +2111,19 @@ class SearchEngine:
         """Facet counts over ALL matching documents — field faceting in the
         style of Lucene's SortedSetDocValues facets, driven straight off the
         term dictionary (no taxonomy sidecar): for every value of
-        ``facet_field`` in each segment's vocabulary, count how many of the
-        query's matching docs carry it.
+        ``facet_field``, count how many of the query's matching docs carry
+        it.
 
         Matching uses the search path's boolean semantics (all MUSTs, else
-        any SHOULD) via :meth:`_match_segment`; counting is one sorted-
-        membership pass per (segment, facet value), so total work is bounded
-        by |facet vocab| × segment decode — facet fields are low-cardinality
-        metadata (lang, source), never corpus text.  Returns
-        (value, count), ordered (count desc, value asc).  On the sharded
-        path each shard returns its partial and the driver sums — counts
-        are per-doc-disjoint across partitions.  ``syntax='surround'``
-        drives the match set through the surround language (proximity-
-        conditioned facet counts — 'top sources where A is near B')."""
+        any SHOULD) via :meth:`_match_segment`; counting is one bincount of
+        the field's postings (:class:`_FieldColumn`) restricted to the
+        match set — facet fields are low-cardinality metadata (lang,
+        source), never corpus text.  Returns (value, count), ordered
+        (count desc, value asc).  On the sharded path each shard returns
+        its partial and the driver sums — counts are per-doc-disjoint
+        across partitions.  ``syntax='surround'`` drives the match set
+        through the surround language (proximity-conditioned facet counts
+        — 'top sources where A is near B')."""
         coll = sanitize_collection(collection)
         if syntax == "surround":
             from lucene_plugin_ray.functions.surround import parse_surround
@@ -2393,34 +2135,29 @@ class SearchEngine:
             raise ValueError(
                 f"syntax must be 'classic' or 'surround', got {syntax!r}"
             )
-        segs = self._segments.get(coll, [])
-        counts: dict[str, int] = {}
-        for si, seg in enumerate(segs):
-            matched = self._match_segment(seg.scope, clauses, {})
-            if matched.size == 0:
-                continue
-            r = seg.reader
-            start, vocab = r.field_vocab(facet_field)
-            for j in range(len(vocab)):
-                term = str(vocab[j])
-                local, _ = self._decoded(
-                    seg.scope, facet_field, term, int(start + j)
-                )
-                c = int(_in_sorted(matched, local).sum())
-                if c:
-                    counts[term] = counts.get(term, 0) + c
-        if not counts:
-            return pa.table(
-                {"value": pa.array([], pa.string()),
-                 "count": pa.array([], pa.int64())}
-            )
-        items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return pa.table(
-            {
-                "value": pa.array([k for k, _ in items], pa.string()),
-                "count": pa.array([v for _, v in items], pa.int64()),
-            }
+        got = self._match(coll, clauses)
+        if got is None:
+            return facet_count_table({})
+        scope, matched = got
+        return facet_count_table(self._value_counts(scope, facet_field, matched))
+
+    def _column(self, scope: _Scope, field: str) -> _FieldColumn:
+        """``scope.field(field)``, except that a column of the text field
+        is built for the call and not kept: its postings are the corpus's."""
+        if field == self.cfg.text_column:
+            return _FieldColumn(scope, field)
+        return scope.field(field)
+
+    def _value_counts(
+        self, scope: _Scope, field: str, ids: np.ndarray
+    ) -> dict[str, int]:
+        """{value: number of the docs ``ids`` carrying it} for one metadata
+        field — one bincount over its scope postings."""
+        col = self._column(scope, field)
+        n = np.bincount(
+            col.within(_id_mask(scope.n, ids))[0], minlength=col.vocab.size
         )
+        return {str(col.vocab[j]): int(n[j]) for j in np.flatnonzero(n)}
 
     def facets_taxonomy_counts(
         self,
@@ -2441,43 +2178,35 @@ class SearchEngine:
         tokens in a level's field count once per distinct path (Lucene's
         once-per-node semantics for multi-valued dims).
 
-        Per segment: one boolean match, then one dictionary walk per level
-        with sorted-membership intersections down the tree of NONEMPTY
-        paths only — work bounded by Σ_level |level vocab| decodes plus
-        |nonempty paths| intersections, never the corpus (taxonomy dims
-        are low-cardinality metadata, the facets() assumption)."""
+        One boolean match, then per level one walk over the field's term
+        runs (:class:`_FieldColumn`) with sorted-membership intersections
+        down the tree of NONEMPTY paths only — work bounded by Σ_level
+        |level vocab| plus |nonempty paths| intersections, never the
+        corpus (taxonomy dims are low-cardinality metadata, the facets()
+        assumption)."""
         fields = validate_taxonomy_fields(dim_fields, self.cfg.field_columns)
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
+        got = self._match(coll, clauses)
         counts: dict[tuple[str, ...], int] = {}
-        for si, seg in enumerate(segs):
-            matched = self._match_segment(seg.scope, clauses, {})
-            if matched.size == 0:
-                continue
-            r = seg.reader
-            frontier: list[tuple[tuple[str, ...], np.ndarray]] = [
-                ((), matched)
-            ]
-            for f in fields:
-                start, vocab = r.field_vocab(f)
-                nxt: list[tuple[tuple[str, ...], np.ndarray]] = []
-                for j in range(len(vocab)):
-                    term = str(vocab[j])
-                    local, _ = self._decoded(
-                        seg.scope, f, term, int(start + j)
-                    )
-                    if local.size == 0:
-                        continue
-                    for path, mem in frontier:
-                        sub = mem[_in_sorted(mem, local)]
-                        if sub.size:
-                            key = (*path, term)
-                            counts[key] = counts.get(key, 0) + sub.size
-                            nxt.append((key, sub))
-                frontier = nxt
-                if not frontier:
-                    break
+        if got is None:
+            return counts
+        scope, matched = got
+        frontier: list[tuple[tuple[str, ...], np.ndarray]] = [((), matched)]
+        for f in fields:
+            col = scope.field(f)
+            nxt: list[tuple[tuple[str, ...], np.ndarray]] = []
+            for j in range(col.vocab.size):
+                members = col.ids[col.bounds[j] : col.bounds[j + 1]]
+                for path, mem in frontier:
+                    sub = mem[_in_sorted(mem, members)]
+                    if sub.size:
+                        key = (*path, str(col.vocab[j]))
+                        counts[key] = int(sub.size)
+                        nxt.append((key, sub))
+            frontier = nxt
+            if not frontier:
+                break
         return counts
 
     def facets_taxonomy(
@@ -2619,18 +2348,15 @@ class SearchEngine:
     ) -> int:
         """Total number of live documents matching the query — Lucene
         IndexSearcher.count(Query): boolean matching only, no scores, no
-        top-k heap.  Uses the score-free :meth:`_match_segment` per segment
-        and sums (segments are doc-disjoint), so the cost is posting decode
-        with zero per-doc scoring work.  ``fields`` applies the dismax
-        multi-field rewrite (tie is score-only, irrelevant to matching).
+        top-k heap.  One score-free :meth:`_match_segment` over the
+        collection scope, so the cost is posting decode with zero per-doc
+        scoring work.  ``fields`` applies the dismax multi-field rewrite
+        (tie is score-only, irrelevant to matching).
         ``syntax='surround'`` parses through the surround language instead
         (W/N proximity + AND/OR/NOT — score-free span counting;
         synonyms/fields/min_should_match are classic-only)."""
         coll = sanitize_collection(collection)
-        if fields is not None:
-            self._check_fields(fields, 0.0)
-        if min_should_match < 0:
-            raise ValueError("min_should_match must be >= 0")
+        self._check_query_opts(fields, 0.0, min_should_match)
         if syntax == "surround":
             if synonyms or fields or min_should_match:
                 raise ValueError(
@@ -2639,31 +2365,15 @@ class SearchEngine:
                 )
             from lucene_plugin_ray.functions.surround import parse_surround
 
-            sclauses = parse_surround(query, self.cfg.text_column)
-            return sum(
-                int(self._match_segment(seg.scope, sclauses, {}).size)
-                for seg in self._segments.get(coll, [])
-            )
-        if syntax != "classic":
+            clauses = parse_surround(query, self.cfg.text_column)
+        elif syntax == "classic":
+            clauses = self._rewrite(query, synonyms, fields)
+        else:
             raise ValueError(
                 f"syntax must be 'classic' or 'surround', got {syntax!r}"
             )
-        clauses = parse_query(query, default_field=self.cfg.text_column)
-        if synonyms:
-            clauses = list(apply_synonyms(tuple(clauses), synonyms))
-        if fields:
-            clauses = list(
-                apply_fields(tuple(clauses), fields, 0.0, self.cfg.text_column)
-            )
-        segs = self._segments.get(coll, [])
-        return sum(
-            int(
-                self._match_segment(
-                    seg.scope, clauses, {}, min_should=min_should_match
-                ).size
-            )
-            for seg in segs
-        )
+        got = self._match(coll, clauses, min_should_match)
+        return int(got[1].size) if got is not None else 0
 
     def search_sorted(
         self,
@@ -2679,19 +2389,17 @@ class SearchEngine:
         Sort(SortField("warc_ts", LONG, reverse))): matching is boolean
         (Lucene reports NaN scores under field sort; we omit the column),
         results ordered by the stored per-doc value with url-asc tiebreak
-        (total order ⇒ per-segment truncation at ``limit`` merges exactly,
-        same argument as the BM25 path).  ``warc_ts`` is the engine's one
-        stored sortable doc value (the recency sort a web index actually
-        serves); other fields raise loudly.  Returns (url, warc_ts, docid),
-        warc_ts as int64 epoch-µs.
+        (a total order, so per-shard truncation at ``limit`` merges
+        exactly, same argument as the BM25 path).  ``warc_ts`` is the
+        engine's one stored sortable doc value (the recency sort a web
+        index actually serves); other fields raise loudly.  Returns
+        (url, warc_ts, docid), warc_ts as int64 epoch-µs.
 
         ``after_ts``/``after_url`` add sorted deep pagination — the
         searchAfter(FieldDoc) analogue: only hits STRICTLY after the
         anchor under the (warc_ts desc|asc, url asc) total order are
         returned, so pages concatenate to ``search_sorted(limit=Σ)``
-        exactly (integer sort keys — no float-precision caveat).  The
-        anchor predicate composes with the same total order the truncation
-        uses, so per-segment post-anchor truncation stays lossless."""
+        exactly (integer sort keys — no float-precision caveat)."""
         if sort_field != "warc_ts":
             raise ValueError(
                 f"unsupported sort field {sort_field!r}: 'warc_ts' is the "
@@ -2704,51 +2412,28 @@ class SearchEngine:
                 raise ValueError("after_url must be a string")
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "warc_ts": pa.array([], pa.int64()),
-             "docid": pa.array([], pa.int64())}
+        got = self._match(coll, clauses)
+        if got is None:
+            return pa.schema(
+                [("url", pa.string()), ("warc_ts", pa.int64()),
+                 ("docid", pa.int64())]
+            ).empty_table()
+        scope, matched = got
+        ts = scope.warc_ts[matched]
+        if after_ts is not None:
+            keep = ts < after_ts if descending else ts > after_ts
+            tied = np.flatnonzero(ts == after_ts)
+            keep[tied] = scope.urls[matched[tied]] > after_url
+            matched, ts = matched[keep], ts[keep]
+        order = _url_order(scope, matched, (-ts if descending else ts,))[:limit]
+        sel = matched[order]
+        return pa.table(
+            {
+                "url": pa.array(scope.urls[sel], type=pa.string()),
+                "warc_ts": pa.array(ts[order], type=pa.int64()),
+                "docid": pa.array(scope.docids(sel), type=pa.int64()),
+            }
         )
-        parts = []
-        for si, seg in enumerate(segs):
-            matched = self._match_segment(seg.scope, clauses, {})
-            if matched.size == 0:
-                continue
-            r = seg.reader
-            ts = r.warc_ts[matched].astype(np.int64, copy=False)
-            urls = r.urls[matched]
-            if after_ts is not None:
-                strict = ts < after_ts if descending else ts > after_ts
-                keep = strict | ((ts == after_ts) & (urls > after_url))
-                matched, ts, urls = matched[keep], ts[keep], urls[keep]
-                if matched.size == 0:
-                    continue
-            # docid tiebreak == url tiebreak within a segment (numeric)
-            order = np.lexsort((matched, -ts if descending else ts))
-            order = order[: min(limit, order.size)]
-            parts.append(
-                pa.table(
-                    {
-                        "url": pa.array(urls[order], type=pa.string()),
-                        "warc_ts": pa.array(ts[order], type=pa.int64()),
-                        "docid": pa.array(
-                            r.doc_base + matched[order], type=pa.int64()
-                        ),
-                    }
-                )
-            )
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        ts = merged["warc_ts"].to_numpy()
-        order = np.lexsort(
-            (
-                merged["url"].to_numpy(zero_copy_only=False),
-                -ts if descending else ts,
-            )
-        )[:limit]
-        return merged.take(pa.array(order))
 
     def search_sorted_by(
         self,
@@ -2768,26 +2453,27 @@ class SearchEngine:
         Sortable fields: the numeric doc values 'warc_ts' (epoch-µs) and
         'doc_len' (analyzed |D| of the text field), plus any indexed
         METADATA field — SortField.Type.STRING over the doc's minimum
-        analyzed term (:meth:`_doc_field_values`: SortedDocValues
+        analyzed term (:class:`_FieldColumn` ``min_code``: SortedDocValues
         ordinals reconstructed from the inverted index; multi-valued docs
         take SortedSetSortField's 'min' selector).  Docs missing a string
         field sort LAST regardless of direction (STRING_LAST
         missingValue); the tokenized text column is rejected exactly like
         Lucene rejects sorting a tokenized field without doc values.
 
-        The composite key + url is a total order, so per-segment
-        truncation at ``limit`` merges exactly (the BM25-path argument) —
-        string keys compare as the actual terms on both passes, so
-        segment-local rank reduction cannot reorder the merge.  Returns
-        (url, <one int64/string column per sort field>, docid).
+        String keys sort by their code in the scope's sorted union
+        vocabulary, which orders like the terms, so the sort is all-int;
+        strings materialize for the ≤ ``limit`` returned rows.  The
+        composite key + url is a total order, so per-shard truncation
+        merges exactly.  Returns (url, <one int64/string column per sort
+        field>, docid).
 
         ``after_keys`` + ``after_url`` are the searchAfter(FieldDoc)
         anchor for THIS sort: one value per sort field (ints for the
         numerics, str-or-None for string keys — None anchors inside the
         missing-last block) plus the previous page's last url; only rows
         STRICTLY after the anchor under the composite total order return,
-        applied per segment BEFORE truncation so pages concatenate to the
-        unanchored result exactly (the search_after argument)."""
+        applied BEFORE truncation so pages concatenate to the unanchored
+        result exactly (the search_after argument)."""
         coll = sanitize_collection(collection)
         fields = self._validate_sort_spec(sort, coll)
         if after_keys is not None and len(after_keys) != len(fields):
@@ -2799,147 +2485,77 @@ class SearchEngine:
         if limit <= 0:
             raise ValueError("limit must be positive")
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
-        str_fields = {f for f, _ in fields if f not in _NUMERIC_SORT_FIELDS}
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             **{f: pa.array(
-                    [], pa.string() if f in str_fields else pa.int64()
-                ) for f, _ in fields},
-             "docid": pa.array([], pa.int64())}
+        numeric = [f in _NUMERIC_SORT_FIELDS for f, _ in fields]
+        got = self._match(coll, clauses)
+        if got is None:
+            return pa.schema(
+                [("url", pa.string()),
+                 *((f, pa.int64() if num else pa.string())
+                   for (f, _), num in zip(fields, numeric)),
+                 ("docid", pa.int64())]
+            ).empty_table()
+        scope, matched = got
+        keys = []  # numeric values, or string codes (-1 = missing)
+        for f, _ in fields:
+            if f == "warc_ts":
+                keys.append(scope.warc_ts[matched])
+            elif f == "doc_len":
+                dl = scope.doc_len[self.cfg.text_column]
+                keys.append(dl[matched].astype(np.int64))
+            else:
+                keys.append(scope.field(f).min_code[matched])
+
+        def values(i: int, k: np.ndarray) -> np.ndarray:
+            return k if numeric[i] else scope.field(fields[i][0]).terms(k)
+
+        if after_keys is not None:
+            keep = sorted_after_mask(
+                [values(i, k) for i, k in enumerate(keys)],
+                scope.urls[matched], fields, after_keys, after_url,
+            )
+            matched, keys = matched[keep], [k[keep] for k in keys]
+        sort_cols = [
+            (-k if d == "desc" else k) if num
+            else np.where(k >= 0, -k if d == "desc" else k, np.iinfo(np.int64).max)
+            for (_, d), k, num in zip(fields, keys, numeric)
+        ]
+        order = _url_order(scope, matched, tuple(reversed(sort_cols)))[:limit]
+        sel = matched[order]
+        return pa.table(
+            {
+                "url": pa.array(scope.urls[sel], pa.string()),
+                **{
+                    f: pa.array(
+                        values(i, keys[i][order]),
+                        pa.int64() if numeric[i] else pa.string(),
+                    )
+                    for i, (f, _) in enumerate(fields)
+                },
+                "docid": pa.array(scope.docids(sel), pa.int64()),
+            }
         )
 
-        def _keys(si, seg, matched):
-            r = seg.reader
-            out = []
-            for f, _ in fields:
-                if f == "warc_ts":
-                    out.append(r.warc_ts[matched].astype(np.int64, copy=False))
-                elif f == "doc_len":
-                    out.append(
-                        r.doc_len[self.cfg.text_column][matched].astype(
-                            np.int64, copy=False
-                        )
-                    )
-                else:
-                    out.append(self._doc_field_values(si, seg, f)[matched])
-            return out
-
-        parts = []
-        for si, seg in enumerate(segs):
-            matched = self._match_segment(seg.scope, clauses, {})
-            if matched.size == 0:
-                continue
-            r = seg.reader
-            if after_keys is not None:
-                # anchored paging compares against caller VALUES — the
-                # string path (pages are limit-sized; the unanchored path
-                # below is the hot one)
-                keys = _keys(si, seg, matched)
-                keep = sorted_after_mask(
-                    keys, r.urls[matched], fields, after_keys, after_url
-                )
-                if not keep.any():
-                    continue
-                matched = matched[keep]
-                keys = [k[keep] for k in keys]
-                order = sort_order_mixed(matched, keys, fields)[:limit]
-                sel_keys = [k[order] for k in keys]
-            else:
-                # all-int per-segment sort (round 5): string fields sort
-                # by their dictionary-row CODE — the segment dictionary is
-                # term-sorted, so codes are rank-isomorphic to the terms
-                # (the _doc_field_values min-term construction reads the
-                # same rows) — missing (-1) maps to +max (STRING_LAST);
-                # docid asc is the url-asc tiebreak within a segment.
-                # Strings materialize only for the ≤ limit winners.
-                field_cols: list[tuple] = []
-                for f, _ in fields:
-                    if f == "warc_ts":
-                        field_cols.append(
-                            ("num", r.warc_ts[matched].astype(
-                                np.int64, copy=False))
-                        )
-                    elif f == "doc_len":
-                        field_cols.append(
-                            ("num", r.doc_len[self.cfg.text_column][
-                                matched].astype(np.int64, copy=False))
-                        )
-                    else:
-                        codes, terms = self._doc_field_codes(si, seg, f)
-                        field_cols.append(("str", codes[matched], terms))
-                cols: list[np.ndarray] = [matched]
-                for (f, d), fc in zip(
-                    reversed(list(fields)), reversed(field_cols)
-                ):
-                    if fc[0] == "num":
-                        cols.append(-fc[1] if d == "desc" else fc[1])
-                    else:
-                        kc = fc[1]
-                        cols.append(
-                            np.where(
-                                kc >= 0,
-                                -kc if d == "desc" else kc,
-                                np.iinfo(np.int64).max,
-                            )
-                        )
-                order = np.lexsort(tuple(cols))[:limit]
-                sel_keys = []
-                for fc in field_cols:
-                    if fc[0] == "num":
-                        sel_keys.append(fc[1][order])
-                    else:
-                        kc = fc[1][order]
-                        vals = np.full(kc.size, None, dtype=object)
-                        got = kc >= 0
-                        vals[got] = fc[2][kc[got]]
-                        sel_keys.append(vals)
-            sel = matched[order]
-            parts.append(
-                pa.table(
-                    {
-                        "url": pa.array(r.urls[sel], pa.string()),
-                        **{
-                            f: pa.array(
-                                k,
-                                pa.string() if f in str_fields else pa.int64(),
-                            )
-                            for (f, _), k in zip(fields, sel_keys)
-                        },
-                        "docid": pa.array(
-                            r.doc_base + sel, pa.int64()
-                        ),
-                    }
-                )
-            )
-        if not parts:
-            return empty
-        merged = pa.concat_tables(parts)
-        keys = [
-            merged[f].to_numpy(zero_copy_only=False) for f, _ in fields
-        ]
-        order = sort_order_mixed(
-            merged["url"].to_numpy(zero_copy_only=False), keys, fields
-        )[:limit]
-        return merged.take(pa.array(order))
+    def _known_fields(self, coll: str) -> set[str]:
+        """The configured fields plus every field the collection's
+        segments index — an empty collection (typo'd name, no docs yet)
+        still rejects an unknown field LOUDLY rather than degrading into
+        an empty-result scan."""
+        known = {self.cfg.text_column, *self.cfg.field_columns}
+        if self._segments.get(coll):
+            known.update(self._scope(coll).doc_len)
+        return known
 
     def _validate_sort_spec(
         self, sort: "list[tuple[str, str]]", coll: str
     ) -> "list[tuple[str, str]]":
         """Shared sort-spec validation for :meth:`search_sorted_by`:
         numeric doc values ('warc_ts', 'doc_len') or any indexed metadata
-        field (STRING sort — see :meth:`_doc_field_values`); the text
-        column is rejected exactly like Lucene rejects sorting on a
-        tokenized field without doc values."""
+        field (STRING sort — see :class:`_FieldColumn`); the text column
+        is rejected exactly like Lucene rejects sorting on a tokenized
+        field without doc values."""
         if not sort:
             raise ValueError("sort must name at least one (field, dir) pair")
-        # validate against the union of the configured field list and the
-        # segments' actual fields — an empty collection (typo'd name, no
-        # docs yet) must still reject an unknown field LOUDLY rather than
-        # degrade into an empty-result scan
-        known: set[str] = {self.cfg.text_column, *self.cfg.field_columns}
-        for seg in self._segments.get(coll, []):
-            known.update(seg.reader.doc_len.keys())
+        known = self._known_fields(coll)
         fields: list[tuple[str, str]] = []
         for pair in sort:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
@@ -2964,98 +2580,6 @@ class SearchEngine:
                 raise ValueError(f"duplicate sort field {f!r}")
             fields.append((f, d))
         return fields
-
-    def _doc_field_values(
-        self, si: int, seg: _LiveSegment, field: str
-    ) -> np.ndarray:
-        """Per-doc MINIMUM analyzed term of ``field`` — the SortedDocValues
-        ordinal analogue reconstructed lazily from the inverted index
-        (SortedSetSortField's 'min' selector for multi-valued docs; a
-        single-valued metadata field is plain SortField.Type.STRING).
-        Returns an object array of str with None for docs that carry no
-        term in the field (field evolution / empty values) — missing docs
-        sort LAST regardless of direction (Lucene STRING_LAST
-        missingValue, pinned in tests).  One bulk field decode + one
-        stable first-occurrence pass, cached per (segment, field) in the
-        postings LRU — cost bounded by the segment's field postings,
-        never the corpus."""
-        r = seg.reader
-        ck = (r.path, "sortvals", field)
-        sentinel = object()
-        hit = self._postings_cache.get(ck, sentinel)
-        if hit is not sentinel:
-            self._postings_cache.move_to_end(ck)
-            return hit
-        return self._doc_field_values_build(si, seg, field, ck)
-
-    def _field_postings_cached(
-        self, seg: _LiveSegment, field: str
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """``SegmentReader.field_postings`` through the engine's postings
-        LRU — the bulk varint decode of a METADATA field's postings is
-        identical every call on a generation-pinned engine (round 5: the
-        per-call decode dominated grouped/join latency at 200k docs)."""
-        r = seg.reader
-        ck = (r.path, "fieldpostings", field)
-        sentinel = object()
-        hit = self._postings_cache.get(ck, sentinel)
-        if hit is not sentinel:
-            self._postings_cache.move_to_end(ck)
-            return hit
-        val = r.field_postings(field)
-        self._postings_cache[ck] = val
-        if len(self._postings_cache) > self._postings_cache_size:
-            self._postings_cache.popitem(last=False)
-        return val
-
-    def _doc_field_values_build(self, si, seg, field, ck):
-        r = seg.reader
-        vals = np.full(r.n_docs, None, dtype=object)
-        if field in r.doc_len:
-            start, df, docids, _tfs = self._field_postings_cached(seg, field)
-            if docids.size:
-                local = r.local_ids(docids)
-                rep = np.repeat(np.arange(df.size, dtype=np.int64), df)
-                # postings are grouped by dictionary row (term asc), docid
-                # asc inside each row → the FIRST occurrence of a doc in
-                # row-major order is its minimum term (stable np.unique)
-                uniq, first_idx = np.unique(local, return_index=True)
-                vals[uniq] = r._terms[start + rep[first_idx]]
-        self._postings_cache[ck] = vals
-        if len(self._postings_cache) > self._postings_cache_size:
-            self._postings_cache.popitem(last=False)
-        return vals
-
-    def _doc_field_codes(
-        self, si: int, seg: _LiveSegment, field: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(codes, terms) — per-doc key codes for ``field``: the dictionary
-        ROW of the doc's minimum analyzed term (a per-segment dense int
-        code, -1 for docs missing the field) plus the segment's term
-        array to materialize strings for selected rows only.  The int
-        twin of :meth:`_doc_field_values` for consumers that need key
-        IDENTITY, not strings (diversified top-k caps) — saves the
-        object-array gather + arrow conversion over full match sets.
-        Cached in the postings LRU like the string variant."""
-        r = seg.reader
-        ck = (r.path, "sortcodes", field)
-        sentinel = object()
-        hit = self._postings_cache.get(ck, sentinel)
-        if hit is not sentinel:
-            self._postings_cache.move_to_end(ck)
-            return hit, r._terms
-        codes = np.full(r.n_docs, -1, dtype=np.int64)
-        if field in r.doc_len:
-            start, df, docids, _tfs = self._field_postings_cached(seg, field)
-            if docids.size:
-                local = r.local_ids(docids)
-                rep = np.repeat(np.arange(df.size, dtype=np.int64), df)
-                uniq, first_idx = np.unique(local, return_index=True)
-                codes[uniq] = start + rep[first_idx]
-        self._postings_cache[ck] = codes
-        if len(self._postings_cache) > self._postings_cache_size:
-            self._postings_cache.popitem(last=False)
-        return codes, r._terms
 
     def more_like_this(
         self,
@@ -3086,11 +2610,7 @@ class SearchEngine:
             )
         limit = limit if limit is not None else self.cfg.result_limit
         coll = sanitize_collection(collection)
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
+        empty = RESULT_SCHEMA.empty_table()
         toks = analyze(text)
         if not toks:
             return empty
@@ -3140,11 +2660,7 @@ class SearchEngine:
             url, collection=collection, with_positions=False
         )
         coll = sanitize_collection(collection)
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
+        empty = RESULT_SCHEMA.empty_table()
         limit = limit if limit is not None else self.cfg.result_limit
         n_docs, _avgdl = self._stats(coll)
         if n_docs == 0 or tv.num_rows == 0:
@@ -3199,7 +2715,7 @@ class SearchEngine:
                 if seg.all_alive:
                     df = r.df(row)
                 else:
-                    df = len(self._decoded(seg.scope, field, t, row)[0])
+                    df = len(self._decoded(_Scope([seg]), field, t, row)[0])
                 if df:
                     dfs[t] = dfs.get(t, 0) + df
         items = sorted(
@@ -3229,51 +2745,44 @@ class SearchEngine:
         ``value_source``: 'doc_len' (analyzed token count of the text
         field — the engine's exact |D|) or 'warc_ts' (stored epoch-µs).
         Matching and membership are exactly the facets path (boolean
-        `_match_segment` + per-(segment, facet value) sorted membership,
-        work bounded by |facet vocab|); per-bucket fold is integer-exact,
-        so sharded partials merge without float drift.  Returns
+        `_match_segment` + the field's postings restricted to the match
+        set); each value's run folds with integer reduceats, so sharded
+        partials merge without float drift.  Returns
         (value, count, vmin, vmax, vsum), ordered value asc."""
-        if value_source not in ("doc_len", "warc_ts"):
-            raise ValueError(
-                "value_source must be 'doc_len' or 'warc_ts', got "
-                f"{value_source!r}"
-            )
+        src = self._value_source(value_source)
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
+        got = self._match(coll, clauses)
         acc: dict[str, list[int]] = {}  # value -> [count, min, max, sum]
-        for si, seg in enumerate(segs):
-            matched = self._match_segment(seg.scope, clauses, {})
-            if matched.size == 0:
-                continue
-            r = seg.reader
-            src = (
-                r.warc_ts.astype(np.int64, copy=False)
-                if value_source == "warc_ts"
-                else r.doc_len[self.cfg.text_column].astype(np.int64, copy=False)
-            )
-            start, vocab = r.field_vocab(facet_field)
-            for j in range(len(vocab)):
-                term = str(vocab[j])
-                local, _ = self._decoded(
-                    seg.scope, facet_field, term, int(start + j)
-                )
-                members = matched[_in_sorted(matched, local)]
-                if members.size == 0:
-                    continue
-                vals = src[members]
-                a = acc.get(term)
-                if a is None:
-                    acc[term] = [
-                        int(members.size), int(vals.min()),
-                        int(vals.max()), int(vals.sum()),
-                    ]
-                else:
-                    a[0] += int(members.size)
-                    a[1] = min(a[1], int(vals.min()))
-                    a[2] = max(a[2], int(vals.max()))
-                    a[3] += int(vals.sum())
+        if got is not None:
+            scope, matched = got
+            col = self._column(scope, facet_field)
+            codes, ids = col.within(_id_mask(scope.n, matched))
+            if codes.size:
+                starts = _run_starts(codes)
+                vals = src(scope)[ids]
+                for j, c, lo, hi, sm in zip(
+                    codes[starts], np.diff(np.append(starts, codes.size)),
+                    np.minimum.reduceat(vals, starts),
+                    np.maximum.reduceat(vals, starts),
+                    np.add.reduceat(vals, starts),
+                ):
+                    acc[str(col.vocab[j])] = [int(c), int(lo), int(hi), int(sm)]
         return facet_stats_table(acc)
+
+    def _value_source(self, value_source: str):
+        """scope → int64 per-doc values of a facet value source ('doc_len'
+        or 'warc_ts'); raises on any other name."""
+        if value_source == "warc_ts":
+            return lambda scope: scope.warc_ts
+        if value_source == "doc_len":
+            return lambda scope: scope.doc_len[self.cfg.text_column].astype(
+                np.int64, copy=False
+            )
+        raise ValueError(
+            "value_source must be 'doc_len' or 'warc_ts', got "
+            f"{value_source!r}"
+        )
 
     def facet_ranges(
         self,
@@ -3293,34 +2802,21 @@ class SearchEngine:
         the facets_stats contract ('doc_len' | 'warc_ts').  Returns
         (label, count).  Sharded partials are per-range integer counts
         over doc-disjoint partitions, so the driver merge is a plain sum."""
-        if value_source not in ("doc_len", "warc_ts"):
-            raise ValueError(
-                "value_source must be 'doc_len' or 'warc_ts', got "
-                f"{value_source!r}"
-            )
+        src = self._value_source(value_source)
         norm = _normalize_ranges(ranges)
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
+        got = self._match(coll, clauses)
         counts = np.zeros(len(norm), dtype=np.int64)
-        for si, seg in enumerate(segs):
-            matched = self._match_segment(seg.scope, clauses, {})
-            if matched.size == 0:
-                continue
-            r = seg.reader
-            src = (
-                r.warc_ts.astype(np.int64, copy=False)
-                if value_source == "warc_ts"
-                else r.doc_len[self.cfg.text_column].astype(np.int64, copy=False)
-            )
-            vals = src[matched]
+        if got is not None:
+            vals = src(got[0])[got[1]]
             for i, (_label, lo, hi, lo_inc, hi_inc) in enumerate(norm):
                 m = np.ones(vals.size, dtype=bool)
                 if lo is not None:
                     m &= (vals >= lo) if lo_inc else (vals > lo)
                 if hi is not None:
                     m &= (vals <= hi) if hi_inc else (vals < hi)
-                counts[i] += int(m.sum())
+                counts[i] = int(m.sum())
         return pa.table(
             {
                 "label": pa.array([r_[0] for r_ in norm], pa.string()),
@@ -3346,13 +2842,13 @@ class SearchEngine:
         (score desc, url asc — the group head), each carrying its own top
         ``docs_per_group`` documents under the same total order.
 
-        Scoring is the TAAT path's exact BM25 (one `_eval_boolean` per
-        segment); group membership comes from the group field's posting
-        lists (a sorted-membership pass per (segment, group value), the
-        facets shape — work bounded by |group vocab|, which is
-        low-cardinality metadata by contract).  Returns
-        (group, group_rank, url, score, docid), ordered
-        (group_rank asc, score desc, url asc)."""
+        Scoring is the TAAT path's exact BM25 (one `_eval_boolean` over the
+        collection scope); group membership comes from the group field's
+        postings restricted to the match set (multi-valued docs join every
+        group they carry a term for), sorted once by (group, score desc,
+        url asc) and cut to ``docs_per_group`` per group before any Python
+        tuple is built.  Returns (group, group_rank, url, score, docid),
+        ordered (group_rank asc, score desc, url asc)."""
         if group_limit <= 0 or docs_per_group <= 0:
             raise ValueError("group_limit and docs_per_group must be positive")
         if group_field not in self.cfg.field_columns:
@@ -3361,90 +2857,26 @@ class SearchEngine:
                 f"field (have: {sorted(self.cfg.field_columns)})"
             )
         coll = sanitize_collection(collection)
-        clauses = parse_query(query, default_field=self.cfg.text_column)
-        if synonyms:
-            clauses = list(apply_synonyms(tuple(clauses), synonyms))
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"group": pa.array([], pa.string()),
-             "group_rank": pa.array([], pa.int64()),
-             "url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
-        if not clauses or not segs:
-            return empty
-        if global_stats is not None:
-            # sharded path: corpus-global stats injected (search_partial's
-            # contract) — this engine holds only a partition subset
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: v / n_docs for f, v in st["sum_dl"].items()}
-                if n_docs else {}
-            )
-        else:
-            n_docs, avgdl = self._stats(coll)
-        if n_docs == 0:
-            return empty
-        cache, df_map, ttf_map = self._phase1_df(
-            clauses, [s.scope for s in segs], global_df, global_ttf
-        )
-        # per group value: (urls, scores, docids) accumulated across segments
+        clauses = self._rewrite(query, synonyms)
+        got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
         groups: dict[str, list[tuple[str, float, int]]] = {}
-        for si, seg in enumerate(segs):
-            scores, matched = self._eval_boolean(
-                seg.scope, clauses, cache, df_map, n_docs, avgdl,
-                global_ttf=ttf_map,
-            )
-            if not matched.any():
-                continue
-            r = seg.reader
-            start, vocab = r.field_vocab(group_field)
-            if len(vocab) == 0:
-                continue
-            # ONE pass over the field's postings instead of a per-value
-            # decode + searchsorted-over-the-match-set loop (round 5:
-            # |vocab| × O(M log M) → O(P) bool gather; multi-valued docs
-            # still join every group they carry a term for).  Tombstoned
-            # docs can't be matched, so the raw postings need no alive
-            # mask here.
-            _s, df_arr, pdocids, _tfs = self._field_postings_cached(
-                seg, group_field
-            )
-            if pdocids.size == 0:
-                continue
-            plocal = r.local_ids(pdocids)
-            prep = np.repeat(np.arange(df_arr.size, dtype=np.int64), df_arr)
-            pkeep = matched[plocal]
-            loc_k, rep_k = plocal[pkeep], prep[pkeep]
-            if loc_k.size == 0:
-                continue
-            uniq_rows, row_starts = np.unique(rep_k, return_index=True)
-            bounds = np.append(row_starts, rep_k.size)
-            for ji in range(uniq_rows.size):
-                term = str(vocab[uniq_rows[ji]])
-                members = loc_k[bounds[ji]:bounds[ji + 1]]
-                # per-(segment, group) truncation BEFORE leaving numpy:
-                # the global per-group top-n is a subset of the union of
-                # per-segment per-group top-ns under the (score desc,
-                # url asc) total order — the cross-segment merge below
-                # stays exact while Python tuples stay O(vocab · n), not
-                # O(match set)
-                if members.size > docs_per_group:
-                    # docid asc == url asc within a segment — int lexsort,
-                    # no object-url gather over the group's full match set
-                    order = np.lexsort(
-                        (members, -scores[members])
-                    )[:docs_per_group]
-                    members = members[order]
-                groups.setdefault(term, []).extend(
-                    zip(
-                        r.urls[members],
-                        scores[members],
-                        (r.doc_base + members).tolist(),
-                    )
+        if got is not None:
+            scope, scores, cand = got
+            col = scope.field(group_field)
+            codes, ids = col.within(_id_mask(scope.n, cand))
+            order = _url_order(scope, ids, (-scores[ids], codes))
+            codes, ids = codes[order], ids[order]
+            if codes.size:
+                starts = _run_starts(codes)
+                rank = np.arange(codes.size) - np.repeat(
+                    starts, np.diff(np.append(starts, codes.size))
                 )
+                keep = rank < docs_per_group
+                codes, ids = codes[keep], ids[keep]
+            for j, u, sc, d in zip(
+                codes, scope.urls[ids], scores[ids], scope.docids(ids).tolist()
+            ):
+                groups.setdefault(str(col.vocab[j]), []).append((u, sc, d))
         return rank_grouped_table(groups, group_limit, docs_per_group)
 
     # ---- query-time join (Lucene join module, JoinUtil.createJoinQuery) --
@@ -3466,14 +2898,15 @@ class SearchEngine:
         intersects the match set with its score-free boolean matches
         BEFORE aggregation — the non-scoring FILTER restriction the
         block-join parent pass needs (scores stay ``from_query``'s alone,
-        search_filtered semantics).  One TAAT full-match pass per
-        segment plus the facets-shaped per-(segment, value) sorted-
-        membership pass — work bounded by |from_field vocab|, which is
-        low-cardinality metadata by the same contract as facets/grouping.
-        These integer/float partials fold exactly across shards (count
-        adds, sum adds, max/min fold), so the sharded driver merge is
-        loss-free for count/max/min and order-sensitive only in the float
-        sums (documented on :meth:`search_join`).
+        search_filtered semantics).  One TAAT full-match pass over the
+        collection scope, then the field's postings restricted to the
+        match set and one reduceat per value run — work bounded by the
+        field's postings (low-cardinality metadata by the same contract
+        as facets/grouping).  These integer/float partials fold exactly
+        across shards (count adds, sum adds, max/min fold), so the sharded
+        driver merge is loss-free for count/max/min and order-sensitive
+        only in the float sums (documented on :meth:`search_join`; the sum
+        adds a value's scores sequentially in scope id order).
 
         ``need_scores=False`` (ScoreMode.None) skips BM25 entirely — the
         score-free boolean matcher replaces the TAAT pass and only counts
@@ -3485,9 +2918,7 @@ class SearchEngine:
                 f"field (have: {sorted(self.cfg.field_columns)})"
             )
         coll = sanitize_collection(collection)
-        clauses = parse_query(from_query, default_field=self.cfg.text_column)
-        if synonyms:
-            clauses = list(apply_synonyms(tuple(clauses), synonyms))
+        clauses = self._rewrite(from_query, synonyms)
         rclauses = None
         if restrict_query is not None:
             rclauses = parse_query(
@@ -3497,103 +2928,37 @@ class SearchEngine:
                 raise ValueError(
                     "restrict_query must contain at least one clause"
                 )
-        segs = self._segments.get(coll, [])
-        if not clauses or not segs:
-            return {}
-        if not need_scores:
-            # ScoreMode.None: boolean matching only — no stats, no df
-            n_docs, avgdl = 1, {}
-            cache, df_map = {}, {}
-        else:
-            if global_stats is not None:
-                st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-                n_docs = int(st["n_docs"])
-                avgdl = (
-                    {f: v / n_docs for f, v in st["sum_dl"].items()}
-                    if n_docs else {}
-                )
-            else:
-                n_docs, avgdl = self._stats(coll)
-            if n_docs == 0:
+        if need_scores:
+            got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
+            if got is None:
                 return {}
-            cache, df_map, ttf_map = self._phase1_df(
-                clauses, [s.scope for s in segs], global_df, global_ttf
+            scope, scores, cand = got
+        else:
+            # ScoreMode.None: boolean matching only — no stats, no df
+            got = self._match(coll, clauses)
+            if got is None:
+                return {}
+            (scope, cand), scores = got, None
+        if rclauses is not None:
+            cand = cand[_in_sorted(cand, self._match_segment(scope, rclauses, {}))]
+        col = scope.field(from_field)
+        codes, ids = col.within(_id_mask(scope.n, cand))
+        if codes.size == 0:
+            return {}
+        starts = _run_starts(codes)
+        terms = [str(t) for t in col.vocab[codes[starts]]]
+        counts = np.diff(np.append(starts, codes.size)).tolist()
+        if scores is None:
+            return {t: [c, 0.0, 0.0, 0.0] for t, c in zip(terms, counts)}
+        vals = scores[ids]
+        return {
+            t: [c, float(sm), float(mx), float(mn)]
+            for t, c, sm, mx, mn in zip(
+                terms, counts, np.add.reduceat(vals, starts),
+                np.maximum.reduceat(vals, starts),
+                np.minimum.reduceat(vals, starts),
             )
-        agg: dict[str, list] = {}  # value -> [count, sum, max, min]
-        for si, seg in enumerate(segs):
-            if need_scores:
-                scores, matched = self._eval_boolean(
-                    seg.scope, clauses, cache, df_map, n_docs, avgdl,
-                    global_ttf=ttf_map,
-                )
-                cand = np.flatnonzero(matched)
-            else:
-                scores = None
-                cand = self._match_segment(seg.scope, clauses, {})
-            if cand.size == 0:
-                continue
-            if rclauses is not None:
-                rmatch = self._match_segment(seg.scope, rclauses, {})
-                cand = cand[_in_sorted(cand, rmatch)]
-                if cand.size == 0:
-                    continue
-            r = seg.reader
-            start, vocab = r.field_vocab(from_field)
-            if len(vocab) == 0:
-                continue
-            # ONE pass over the field's postings + reduceat per value run
-            # (round 5: |vocab| × O(M log M) searchsorted loop → O(P) bool
-            # gather).  Per-term element order is docid asc, same as the
-            # old members order; np.add.reduceat folds sequentially where
-            # ndarray.sum folded pairwise, so float SUMS may differ in the
-            # last ulp for large groups (count/max/min exact; the 9-decimal
-            # oracle compare and the rank-identity tests pin the result —
-            # float-sum association was already documented as the sharded
-            # merge's one tolerance).  Tombstoned docs can't be in cand,
-            # so the raw postings need no alive mask.
-            _sv, df_arr, pdocids, _tfs = self._field_postings_cached(
-                seg, from_field
-            )
-            if pdocids.size == 0:
-                continue
-            plocal = r.local_ids(pdocids)
-            prep = np.repeat(np.arange(df_arr.size, dtype=np.int64), df_arr)
-            cmask = np.zeros(r.n_docs, dtype=bool)
-            cmask[cand] = True
-            pkeep = cmask[plocal]
-            loc_k, rep_k = plocal[pkeep], prep[pkeep]
-            if loc_k.size == 0:
-                continue
-            uniq_rows, row_starts = np.unique(rep_k, return_index=True)
-            bounds = np.append(row_starts, rep_k.size)
-            counts = np.diff(bounds)
-            if scores is None:  # ScoreMode.None: counts only
-                for ji in range(uniq_rows.size):
-                    term = str(vocab[uniq_rows[ji]])
-                    a = agg.get(term)
-                    if a is None:
-                        agg[term] = [int(counts[ji]), 0.0, 0.0, 0.0]
-                    else:
-                        a[0] += int(counts[ji])
-                continue
-            vals = scores[loc_k]
-            sums = np.add.reduceat(vals, bounds[:-1])
-            maxs = np.maximum.reduceat(vals, bounds[:-1])
-            mins = np.minimum.reduceat(vals, bounds[:-1])
-            for ji in range(uniq_rows.size):
-                term = str(vocab[uniq_rows[ji]])
-                a = agg.get(term)
-                if a is None:
-                    agg[term] = [
-                        int(counts[ji]), float(sums[ji]),
-                        float(maxs[ji]), float(mins[ji]),
-                    ]
-                else:
-                    a[0] += int(counts[ji])
-                    a[1] += float(sums[ji])
-                    a[2] = max(a[2], float(maxs[ji]))
-                    a[3] = min(a[3], float(mins[ji]))
-        return agg
+        }
 
     @staticmethod
     def join_value_scores(
@@ -3633,11 +2998,11 @@ class SearchEngine:
         restrictions, join scores untouched. (max/none → max, min → min, total →
         sum, avg → mean of matched value scores; for single-token
         metadata fields every doc carries exactly one value, so the fold
-        is degenerate and all modes coincide doc-side).  Returns
-        (url, score, docid) truncated to ``limit`` under the engine's
-        (score desc, url asc) total order — per-segment emission is
-        untruncated here because the caller may be a shard whose merge
-        needs the full partition hit set; truncation is the final step."""
+        is degenerate and all modes coincide doc-side).  One pass over the
+        to-field's scope postings with a per-value score map; postings run
+        in value (term) order, so each doc's float fold adds its values in
+        term order.  Returns (url, score, docid) truncated to ``limit``
+        under the engine's (score desc, url asc) total order."""
         if to_field not in self.cfg.field_columns:
             raise ValueError(
                 f"to_field {to_field!r} is not an indexed metadata "
@@ -3651,114 +3016,46 @@ class SearchEngine:
         if limit <= 0:
             raise ValueError("limit must be positive")
         coll = sanitize_collection(collection)
-        rclauses = xclauses = None
-        if restrict_query is not None:
-            rclauses = parse_query(
-                restrict_query, default_field=self.cfg.text_column
-            )
-            if not rclauses:
-                raise ValueError(
-                    "restrict_query must contain at least one clause"
-                )
-        if exclude_query is not None:
-            xclauses = parse_query(
-                exclude_query, default_field=self.cfg.text_column
-            )
-            if not xclauses:
-                raise ValueError(
-                    "exclude_query must contain at least one clause"
-                )
-        segs = self._segments.get(coll, [])
-        empty = pa.table(
-            {"url": pa.array([], pa.string()),
-             "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
-        if not value_scores or not segs:
-            return empty
-        url_parts, score_parts, docid_parts = [], [], []
-        for si, seg in enumerate(segs):
-            r = seg.reader
-            rmatch = xmatch = None
-            if rclauses is not None:
-                rmatch = self._match_segment(seg.scope, rclauses, {})
-                if rmatch.size == 0:
-                    continue
-            if xclauses is not None:
-                xmatch = self._match_segment(seg.scope, xclauses, {})
-            # ONE pass over the to-field's postings with a per-row score
-            # map (round 5: replaces a per-value decode + searchsorted
-            # loop).  Posting rows are term-sorted exactly like the old
-            # sorted(value_scores) iteration, so per-doc float folds
-            # accumulate in the SAME value order — results bit-identical.
-            _s0, df_arr, pdocids, _tfs = self._field_postings_cached(
-                seg, to_field
-            )
-            if pdocids.size == 0:
-                continue
-            plocal = r.local_ids(pdocids)
-            prep = np.repeat(np.arange(df_arr.size, dtype=np.int64), df_arr)
-            rowscore = np.full(df_arr.size, np.nan)
-            any_row = False
-            for v, sval in value_scores.items():
-                row = r.lookup(to_field, v)
-                if row >= 0:
-                    rowscore[row - _s0] = sval
-                    any_row = True
-            if not any_row:
-                continue
-            sc = rowscore[prep]
-            keep = ~np.isnan(sc)
-            if not seg.all_alive:
-                keep &= seg.alive[plocal]
-            if rmatch is not None:
-                rm = np.zeros(r.n_docs, dtype=bool)
-                rm[rmatch] = True
-                keep &= rm[plocal]
-            if xmatch is not None and xmatch.size:
-                xm = np.zeros(r.n_docs, dtype=bool)
-                xm[xmatch] = True
-                keep &= ~xm[plocal]
-            docs = plocal[keep]
-            sc = sc[keep]
-            if docs.size == 0:
-                continue
-            uniq, inv = np.unique(docs, return_inverse=True)
-            if score_mode in ("max", "none"):
-                fold = np.full(uniq.size, -np.inf)
-                np.maximum.at(fold, inv, sc)
-            elif score_mode == "min":
-                fold = np.full(uniq.size, np.inf)
-                np.minimum.at(fold, inv, sc)
-            else:  # total / avg: sum (and mean) over the matched values
-                fold = np.zeros(uniq.size)
-                np.add.at(fold, inv, sc)
-                if score_mode == "avg":
-                    cnt = np.zeros(uniq.size)
-                    np.add.at(cnt, inv, 1.0)
-                    fold = fold / cnt
-            # exact per-segment truncation under the global (score desc,
-            # url asc) order: within a segment docid asc == url asc, and a
-            # row outside the segment's own top-``limit`` is dominated by
-            # >= limit same-segment rows globally — the numeric sort
-            # replaces an object-url sort over the full fold
-            sel = np.lexsort((uniq, -fold))[:limit]
-            url_parts.append(r.urls[uniq[sel]])
-            score_parts.append(fold[sel])
-            docid_parts.append(r.doc_base + uniq[sel].astype(np.int64))
-        if not url_parts:
-            return empty
-        urls = np.concatenate(url_parts)
-        scores = np.concatenate(score_parts)
-        docids = np.concatenate(docid_parts)
-        order = np.lexsort((urls, -scores))[:limit]
-        return pa.table(
-            {
-                "url": pa.array(urls[order], pa.string()),
-                "score": pa.array(scores[order], pa.float64()),
-                "docid": pa.array(docids[order], pa.int64()),
-            }
-        )
+        filters = []  # (clauses, keep its matches?)
+        for q, what, keep_hits in (
+            (restrict_query, "restrict_query", True),
+            (exclude_query, "exclude_query", False),
+        ):
+            if q is not None:
+                cl = parse_query(q, default_field=self.cfg.text_column)
+                if not cl:
+                    raise ValueError(f"{what} must contain at least one clause")
+                filters.append((cl, keep_hits))
+        if not value_scores or not self._segments.get(coll):
+            return RESULT_SCHEMA.empty_table()
+        scope = self._scope(coll)
+        keep = scope.alive.copy()
+        for cl, keep_hits in filters:
+            hits = _id_mask(scope.n, self._match_segment(scope, cl, {}))
+            keep &= hits if keep_hits else ~hits
+        col = scope.field(to_field)
+        code_score = np.full(col.vocab.size, np.nan)
+        for v, sval in value_scores.items():
+            j = int(np.searchsorted(col.vocab, v))
+            if j < col.vocab.size and col.vocab[j] == v:
+                code_score[j] = sval
+        codes, ids = col.within(keep)
+        sc = code_score[codes]
+        got = ~np.isnan(sc)
+        ids, sc = ids[got], sc[got]
+        uniq, inv = np.unique(ids, return_inverse=True)
+        if score_mode in ("max", "none"):
+            fold = np.full(uniq.size, -np.inf)
+            np.maximum.at(fold, inv, sc)
+        elif score_mode == "min":
+            fold = np.full(uniq.size, np.inf)
+            np.minimum.at(fold, inv, sc)
+        else:  # total / avg: sum (and mean) over the matched values
+            fold = np.zeros(uniq.size)
+            np.add.at(fold, inv, sc)
+            if score_mode == "avg":
+                fold = fold / np.bincount(inv, minlength=uniq.size)
+        return _top_hits(scope, uniq, fold, limit)
 
     def search_join(
         self,
@@ -3818,7 +3115,7 @@ class SearchEngine:
         self, query_a: str, query_b: str, collection: str = "default"
     ) -> int:
         """Number of alive docs matched by BOTH queries (score-free boolean
-        matches per segment, sorted-set intersection) — the
+        matches over the collection scope, sorted-set intersection) — the
         ToParentBlockJoinQuery contract probe: a child query must never
         match a parent doc."""
         coll = sanitize_collection(collection)
@@ -3826,16 +3123,12 @@ class SearchEngine:
         cb = parse_query(query_b, default_field=self.cfg.text_column)
         if not ca or not cb:
             return 0
-        n = 0
-        for si, seg in enumerate(self._segments.get(coll, [])):
-            ma = self._match_segment(seg.scope, ca, {})
-            if ma.size == 0:
-                continue
-            mb = self._match_segment(seg.scope, cb, {})
-            if mb.size == 0:
-                continue
-            n += int(np.count_nonzero(_in_sorted(ma, mb)))
-        return n
+        got = self._match(coll, ca)
+        if got is None or got[1].size == 0:
+            return 0
+        scope, ma = got
+        mb = self._match_segment(scope, cb, {})
+        return int(np.count_nonzero(_in_sorted(ma, mb)))
 
     def block_join_parents(
         self,
@@ -4017,34 +3310,22 @@ class SearchEngine:
         dim_clauses = self._dim_clauses(dims)
         coll = sanitize_collection(collection)
         base_clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
         counts: dict[str, dict[str, int]] = {f: {} for f in dim_clauses}
-        for si, seg in enumerate(segs):
-            base = self._match_segment(seg.scope, base_clauses, {})
-            if base.size == 0:
-                continue
-            fsets = {
-                f: self._match_segment(seg.scope, cl, {})
-                for f, cl in dim_clauses.items()
-            }
-            r = seg.reader
-            for f in dim_clauses:
-                side = base
-                for other, fs in fsets.items():
-                    if other != f:
-                        side = np.intersect1d(side, fs, assume_unique=True)
-                    if side.size == 0:
-                        break
-                if side.size == 0:
-                    continue
-                start, vocab = r.field_vocab(f)
-                acc = counts[f]
-                for j in range(len(vocab)):
-                    term = str(vocab[j])
-                    local, _ = self._decoded(seg.scope, f, term, int(start + j))
-                    c = int(_in_sorted(side, local).sum())
-                    if c:
-                        acc[term] = acc.get(term, 0) + c
+        got = self._match(coll, base_clauses)
+        if got is None or got[1].size == 0:
+            return counts
+        scope, base = got
+        fsets = {
+            f: self._match_segment(scope, cl, {})
+            for f, cl in dim_clauses.items()
+        }
+        for f in dim_clauses:
+            side = base
+            for other, fs in fsets.items():
+                if other != f:
+                    side = np.intersect1d(side, fs, assume_unique=True)
+            if side.size:
+                counts[f] = self._value_counts(scope, f, side)
         return counts
 
     # ---- naive-Bayes text classification (Lucene classification module) -
@@ -4076,9 +3357,10 @@ class SearchEngine:
         """This engine's integer classification statistics for the analyzed
         ``text``: ({class: alive doc count}, {(token, class): number of
         alive docs containing BOTH the text token and the class value}) —
-        the sharded partial (doc-disjoint shards sum exactly).  Work per
-        segment: |class vocab| alive-postings decodes + one text-postings
-        decode per distinct token + sorted intersections."""
+        the sharded partial (doc-disjoint shards sum exactly).  Work: the
+        class field's scope postings, one bincount for the class counts
+        and one per distinct token over its cached text postings
+        (multi-valued class docs count toward every class they carry)."""
         if class_field not in self.cfg.field_columns:
             raise ValueError(
                 f"class_field {class_field!r} is not an indexed metadata "
@@ -4088,52 +3370,19 @@ class SearchEngine:
 
         toks = sorted(set(analyze(text)))
         coll = sanitize_collection(collection)
-        segs = self._segments.get(coll, [])
         n_c: dict[str, int] = {}
         df: dict[tuple[str, str], int] = {}
-        for si, seg in enumerate(segs):
-            # ONE cached bulk decode of the class field + a bincount per
-            # token (round 5: replaces |class vocab| × |tokens| sorted
-            # intersections per segment); multi-valued class docs still
-            # count toward every class they carry, exactly as before
-            r = seg.reader
-            start, vocab = r.field_vocab(class_field)
-            if len(vocab) == 0:
-                continue
-            _s0, df_arr, pdocids, _tfs = self._field_postings_cached(
-                seg, class_field
-            )
-            if pdocids.size == 0:
-                continue
-            plocal = r.local_ids(pdocids)
-            prep = np.repeat(np.arange(df_arr.size, dtype=np.int64), df_arr)
-            if not seg.all_alive:
-                ok = seg.alive[plocal]
-                plocal, prep = plocal[ok], prep[ok]
-            if plocal.size == 0:
-                continue
-            row_counts = np.bincount(prep, minlength=df_arr.size)
-            names: dict[int, str] = {}
-            for j in np.flatnonzero(row_counts):
-                cval = str(vocab[j])
-                names[int(j)] = cval
-                n_c[cval] = n_c.get(cval, 0) + int(row_counts[j])
-            wmask = np.zeros(r.n_docs, dtype=bool)
-            for w in toks:
-                row = r.lookup(self.cfg.text_column, w)
-                if row < 0:
-                    continue
-                local, _ = self._decoded(
-                    seg.scope, self.cfg.text_column, w, int(row)
-                )
-                if local.size == 0:
-                    continue
-                wmask[:] = False
-                wmask[local] = True
-                hits = np.bincount(prep[wmask[plocal]], minlength=df_arr.size)
-                for j in np.flatnonzero(hits):
-                    key = (w, names[int(j)])
-                    df[key] = df.get(key, 0) + int(hits[j])
+        if not self._segments.get(coll):
+            return n_c, df
+        scope = self._scope(coll)
+        n_c = self._value_counts(scope, class_field, np.flatnonzero(scope.alive))
+        if not n_c:
+            return n_c, df
+        for w in toks:
+            got = self._decoded(scope, self.cfg.text_column, w)
+            if got is not None:
+                for c, n in self._value_counts(scope, class_field, got[0]).items():
+                    df[(w, c)] = n
         return n_c, df
 
     def classify(
@@ -4186,11 +3435,12 @@ class SearchEngine:
         """Fold integer ``votes`` (aligned with sorted-unique hit ``urls``)
         into per-class (vote sum, hit count) using this engine's segments:
         each alive hit doc contributes its vote to every class value it
-        carries.  Membership is a searchsorted probe on each segment's url
-        index + the facets-shaped per-(segment, class value) pass — work
-        bounded by |hits| · segments + |class vocab|.  Shadowed/deleted
-        copies of a url never vote (alive mask), so across doc-disjoint
-        shards the integer fold is exact — the sharded partial."""
+        carries.  The urls resolve to scope ids by a searchsorted probe of
+        each member's url index, then one pass over the class field's
+        scope postings — work bounded by |hits| · segments + the field's
+        postings.  Shadowed/deleted copies of a url never vote (alive
+        mask), so across doc-disjoint shards the integer fold is exact —
+        the sharded partial."""
         if class_field not in self.cfg.field_columns:
             raise ValueError(
                 f"class_field {class_field!r} is not an indexed metadata "
@@ -4198,29 +3448,20 @@ class SearchEngine:
             )
         coll = sanitize_collection(collection)
         acc: dict[str, list[int]] = {}
-        for si, seg in enumerate(self._segments.get(coll, [])):
-            r = seg.reader
-            sel = np.searchsorted(r.urls, urls)
-            ok = sel < r.urls.size
-            ok[ok] &= r.urls[sel[ok]] == urls[ok]
-            if not seg.all_alive:
-                ok[ok] &= seg.alive[sel[ok]]
-            if not ok.any():
-                continue
-            local = sel[ok]          # ascending (urls sorted, r.urls sorted)
-            v = votes[ok]
-            start, vocab = r.field_vocab(class_field)
-            for j in range(len(vocab)):
-                cval = str(vocab[j])
-                clocal, _ = self._decoded(
-                    seg.scope, class_field, cval, int(start + j)
-                )
-                m = _in_sorted(local, clocal)
-                if not m.any():
-                    continue
-                a = acc.setdefault(cval, [0, 0])
-                a[0] += int(v[m].sum())
-                a[1] += int(m.sum())
+        if not self._segments.get(coll):
+            return acc
+        scope = self._scope(coll)
+        ids = scope.live_ids(urls)
+        ok = ids >= 0
+        vote = np.zeros(scope.n, dtype=np.int64)
+        vote[ids[ok]] = votes[ok]
+        col = scope.field(class_field)
+        codes, pids = col.within(_id_mask(scope.n, ids[ok]))
+        sums = np.zeros(col.vocab.size, dtype=np.int64)
+        np.add.at(sums, codes, vote[pids])
+        hits = np.bincount(codes, minlength=col.vocab.size)
+        for j in np.flatnonzero(hits):
+            acc[str(col.vocab[j])] = [int(sums[j]), int(hits[j])]
         return acc
 
     def classify_knn(
@@ -4373,7 +3614,7 @@ class SearchEngine:
                 if seg.all_alive:
                     df = r.df(int(row))
                 else:
-                    df = len(self._decoded(seg.scope, field, t, int(row))[0])
+                    df = len(self._decoded(_Scope([seg]), field, t, int(row))[0])
                 if df:
                     dfs[t] = dfs.get(t, 0) + df
         return rank_completions_table(dfs, k)
@@ -4424,7 +3665,7 @@ class SearchEngine:
                 if seg.all_alive:
                     df = r.df(row)
                 else:
-                    df = len(self._decoded(seg.scope, field, t, row)[0])
+                    df = len(self._decoded(_Scope([seg]), field, t, row)[0])
                 if df:
                     dfs[t] = dfs.get(t, 0) + df
         return rank_completions_table(dfs, k)
@@ -4523,7 +3764,7 @@ class SearchEngine:
             for si, seg, rows_map in lazy_rows:
                 row = rows_map.get(term)
                 if row is not None:
-                    df += len(self._decoded(seg.scope, field, term, row)[0])
+                    df += len(self._decoded(_Scope([seg]), field, term, row)[0])
             if df > 0:
                 exact_of[term] = df
                 if len(heap) < k:
@@ -4540,30 +3781,23 @@ class SearchEngine:
     ) -> pa.Table:
         """Time-bucketed hit counts over ALL matching docs (the
         date_histogram aggregation of search UIs): bucket =
-        floor(warc_ts / interval) · interval, counts summed across
-        doc-disjoint segments.  Matching reuses the score-free
-        :meth:`_match_segment`; bucketing is one integer divide + bincount
-        per segment.  Returns (bucket_start_us, count) sorted by bucket."""
+        floor(warc_ts / interval) · interval, counted over the collection
+        scope.  Matching reuses the score-free :meth:`_match_segment`;
+        bucketing is one integer divide + unique count.  Returns
+        (bucket_start_us, count) sorted by bucket."""
         if interval_us <= 0:
             raise ValueError("interval_us must be positive")
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
-        counts: dict[int, int] = {}
-        for si, seg in enumerate(segs):
-            matched = self._match_segment(seg.scope, clauses, {})
-            if matched.size == 0:
-                continue
-            ts = seg.reader.warc_ts[matched].astype(np.int64, copy=False)
-            buckets = ts // interval_us * interval_us
-            u, c = np.unique(buckets, return_counts=True)
-            for b, n in zip(u.tolist(), c.tolist()):
-                counts[int(b)] = counts.get(int(b), 0) + int(n)
-        items = sorted(counts.items())
+        got = self._match(coll, clauses)
+        ts = got[0].warc_ts[got[1]] if got is not None else np.empty(0, np.int64)
+        buckets, counts = np.unique(
+            ts // interval_us * interval_us, return_counts=True
+        )
         return pa.table(
             {
-                "bucket_start_us": pa.array([b for b, _ in items], pa.int64()),
-                "count": pa.array([n for _, n in items], pa.int64()),
+                "bucket_start_us": pa.array(buckets, pa.int64()),
+                "count": pa.array(counts, pa.int64()),
             }
         )
 
@@ -4674,15 +3908,8 @@ class SearchEngine:
             raise KeyError(f"url {url!r} not live in collection {collection!r}")
         si, seg, local_doc = hit
         r = seg.reader
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n_docs = int(st["n_docs"])
-            avgdl = (
-                {f: v / n_docs for f, v in st["sum_dl"].items()}
-                if n_docs else {}
-            )
-        else:
-            n_docs, avgdl = self._stats(coll)
+        one = _Scope([seg])
+        n_docs, avgdl = self._stats(coll, global_stats)
 
         if global_df is None:
             # global df: the alive-masked cross-segment walk local_term_dfs
@@ -4741,7 +3968,7 @@ class SearchEngine:
             elif isinstance(c, TermClause):
                 df = global_df[(c.field, c.term)]
                 got = (
-                    self._term_postings(seg.scope, c.field, c.term, {})
+                    self._term_postings(one, c.field, c.term, {})
                     if df and r.doc_len.get(c.field) is not None
                     else None
                 )
@@ -4781,7 +4008,7 @@ class SearchEngine:
                 matched = pf > 0
             elif isinstance(c, GroupClause):
                 g_scores, g_match = self._eval_boolean(
-                    seg.scope, list(c.clauses), {}, global_df,
+                    one, list(c.clauses), {}, global_df,
                     n_docs, avgdl, global_ttf=gttf,
                 )
                 matched = bool(g_match[local_doc])
@@ -5013,15 +4240,10 @@ class SearchEngine:
             if isinstance(query, tuple)
             else parse_query(query, default_field=self.cfg.text_column)
         )
-        stats_override = None
-        if global_stats is not None:
-            st = global_stats.get(coll, {"n_docs": 0, "sum_dl": {}})
-            n = int(st["n_docs"])
-            avgdl = {f: s / n for f, s in st["sum_dl"].items()} if n else {}
-            stats_override = (n, avgdl)
         return self._execute(
             clauses, coll, limit, method,
-            stats_override=stats_override, df_override=global_df,
+            stats_override=self._stats(coll, global_stats),
+            df_override=global_df,
             min_should=min_should_match, ttf_override=global_ttf,
         )
 
@@ -5124,10 +4346,12 @@ class SearchEngine:
         asc) sort and one table, however many partitions × generations the
         collection holds.  Every doc's float sum adds its clauses in query
         order, exactly as a per-segment pass would, so scores are
-        bit-identical to scoring each segment and merging.  The block-max
-        executors (``bmax``/``bmw``) still score segment by segment and
-        merge on (score desc, url asc): they prune with each segment's
-        stored per-block bounds and block layout.
+        bit-identical to scoring each segment and merging.  The aux read
+        ops run the same scope through the same kernels (:meth:`_scored`,
+        :meth:`_match`).  Only the block-max executors (``bmax``/``bmw``)
+        still score segment by segment and merge on (score desc, url asc):
+        they prune with each segment's stored per-block bounds and block
+        layout, which do not concatenate.
 
         ``stats_override``/``df_override``/``ttf_override``: inject
         GLOBAL (n_docs, avgdl), per-(field, term) df — and, for ttf-hungry
@@ -5230,8 +4454,10 @@ class SearchEngine:
         (sorted scope ids, tfs), or None when no member holds the term —
         via the cross-query LRU, ONE entry per (scope, term): a collection
         scope's entry holds the members' decodes concatenated, never
-        alongside per-segment copies.  ``row``: the dictionary row, when
-        the caller of a one-member scope already looked it up."""
+        alongside per-segment copies (only the vocabulary ops and
+        ``explain`` decode through one-member scopes).  ``row``: the
+        dictionary row, when the caller of a one-member scope already
+        looked it up."""
         ck = (scope.key, field, term)
         hit = self._postings_cache.get(ck)
         if hit is not None:
@@ -5613,10 +4839,10 @@ class SearchEngine:
         recursive heart of the TAAT path; :class:`GroupClause` nests by
         calling back in (a matching group contributes its inner sum ×
         boost, a non-matching group contributes nothing).  ``scope`` is a
-        collection scope on the search path (every clause's per-segment
-        matches mapped into scope ids by member offset) or one segment's
-        scope for the aux ops; per doc the clauses add in query order, so
-        both give bit-identical scores.  ``min_should`` is
+        collection scope (every clause's per-segment matches mapped into
+        scope ids by member offset) or, for ``explain``, one segment's
+        scope; per doc the clauses add in query order, so both give
+        bit-identical scores.  ``min_should`` is
         BooleanQuery.setMinimumNumberShouldMatch: a doc must additionally
         match at least that many SHOULD clauses (fewer SHOULD clauses than
         ``min_should`` ⇒ the level matches nothing, Lucene parity).
@@ -5910,10 +5136,7 @@ class SearchEngine:
         r = seg.reader
         cfg = self.cfg
         k1, b = cfg.k1, cfg.b
-        empty = pa.table(
-            {"url": pa.array([], pa.string()), "score": pa.array([], pa.float64()),
-             "docid": pa.array([], pa.int64())}
-        )
+        empty = RESULT_SCHEMA.empty_table()
         terms = []
         for c in clauses:
             row = r.lookup(c.field, c.term)
@@ -6093,11 +5316,7 @@ class SearchEngine:
             self._bmw_load_block(r, cur, 0)
             cursors.append(cur)
         if not cursors:
-            return pa.table(
-                {"url": pa.array([], pa.string()),
-                 "score": pa.array([], pa.float64()),
-                 "docid": pa.array([], pa.int64())}
-            )
+            return RESULT_SCHEMA.empty_table()
 
         heap: list[tuple[float, int]] = []  # (score, -local) min-heap on score
         theta = 0.0

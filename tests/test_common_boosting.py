@@ -392,19 +392,24 @@ def test_common_terms_nan_cutoff_is_loud(built):
 
 
 def test_doc_field_codes_equals_values(div_built):
-    """The int key-code cache (_doc_field_codes, round 4) must materialize
-    EXACTLY the string keys _doc_field_values holds, per segment, missing
-    docs included — the diversified cap's correctness rests on this
-    isomorphism."""
+    """The scope's int key codes (_FieldColumn.min_code) must name EXACTLY
+    each doc's minimum analyzed term in its own segment, missing docs
+    included — the diversified cap and the string sort rest on codes that
+    compare across segments like the terms."""
     import numpy as np
 
     _root, _cfg, eng = div_built
-    for si, seg in enumerate(eng._segments["default"]):
-        vals = eng._doc_field_values(si, seg, "foo")
-        codes, terms = eng._doc_field_codes(si, seg, "foo")
-        assert codes.size == vals.size
-        for i in range(vals.size):
-            if vals[i] is None:
-                assert codes[i] == -1, i
-            else:
-                assert codes[i] >= 0 and terms[codes[i]] == vals[i], i
+    scope = eng._scope("default")
+    col = scope.field("foo")
+    assert list(col.vocab) == sorted(set(col.vocab))
+    for seg, off in zip(scope.segs, scope.offsets):
+        r = seg.reader
+        start, df, docids, _tfs = r.field_postings("foo")
+        want = [None] * r.n_docs
+        rows = np.repeat(np.arange(df.size), df)
+        for d, row in zip(r.local_ids(docids), rows):
+            t = str(r._terms[start + row])
+            if want[d] is None or t < want[d]:
+                want[d] = t
+        got = col.terms(col.min_code[off : off + r.n_docs])
+        assert list(got) == want

@@ -246,6 +246,26 @@ def test_fold_buckets_env_rejects_non_positive_or_non_integer(monkeypatch, bad):
     assert fold_mod.auto_buckets(10**9) == 1
 
 
+@pytest.mark.parametrize("bad", ["0", "-5", "abc"])
+def test_fold_target_rows_env_rejects_non_positive_or_non_integer(
+    monkeypatch, bad
+):
+    """LPR_FOLD_TARGET_ROWS is read at call time and validated like
+    LPR_FOLD_BUCKETS: 0 used to divide by zero in auto_buckets, a negative
+    value was silently clamped to the floor, and a non-integer failed at
+    import without naming the variable."""
+    from lucene_plugin_ray.functions import fold as fold_mod
+
+    monkeypatch.delenv("LPR_FOLD_BUCKETS", raising=False)
+    monkeypatch.setenv("LPR_FOLD_TARGET_ROWS", bad)
+    with pytest.raises(ValueError, match="LPR_FOLD_TARGET_ROWS"):
+        fold_mod.auto_buckets(10**9)
+    monkeypatch.setenv("LPR_FOLD_TARGET_ROWS", "1000")
+    assert fold_mod.auto_buckets(10**9) == 1_000_000
+    monkeypatch.delenv("LPR_FOLD_TARGET_ROWS")
+    assert fold_mod.auto_buckets(10**9) == 1000
+
+
 def test_estimate_rows_logs_when_plan_walk_raises(caplog):
     """_estimate_rows reads Ray-private plan internals; when that walk
     raises it returns None and logs ONE warning naming the exception type,
