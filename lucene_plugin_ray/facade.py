@@ -41,6 +41,9 @@ field names participate in the query grammar (``field:term``).
 
 from __future__ import annotations
 
+import asyncio
+import functools
+import inspect
 from dataclasses import dataclass
 
 import pyarrow as pa
@@ -1136,442 +1139,37 @@ class LuceneFacade:
         return True
 
 
+def _awaitable_twins(sync_cls):
+    """Class decorator: give the class one coroutine per public method of
+    ``sync_cls``, which runs ``self._sync.<method>`` in a worker thread.
+    ``functools.wraps`` keeps each method's name, docstring and
+    ``inspect.signature``."""
+
+    def twin(name: str, fn):
+        @functools.wraps(fn)
+        async def method(self, *args, **kwargs):
+            return await asyncio.to_thread(
+                getattr(self._sync, name), *args, **kwargs
+            )
+
+        return method
+
+    def decorate(cls):
+        for name, fn in vars(sync_cls).items():
+            if inspect.isfunction(fn) and not name.startswith("_"):
+                setattr(cls, name, twin(name, fn))
+        return cls
+
+    return decorate
+
+
+@_awaitable_twins(LuceneFacade)
 class AsyncLuceneFacade:
     """Async variant (≙ the reference's callback-based ``LuceneFacade``
     API, LuceneFacade.java:8-82 — every method takes a ``Result<T>``).
-    Methods mirror ``LuceneFacade`` and return awaitables; the blocking
-    engine call runs in a worker thread."""
+    Every public ``LuceneFacade`` method has an awaitable twin of the same
+    name and signature; the blocking engine call runs in a worker
+    thread."""
 
     def __init__(self, cfg: IndexConfig, **kw):
         self._sync = LuceneFacade(cfg, **kw)
-
-    async def index_text(self, collection: str, ext_id: str, text: str) -> bool:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.index_text, collection, ext_id, text)
-
-    async def index_map(self, collection: str, ext_id: str, mapping: dict) -> bool:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.index_map, collection, ext_id, mapping)
-
-    async def index_file(self, collection: str, path: str) -> bool:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.index_file, collection, path)
-
-    async def commit(self) -> int:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.commit)
-
-    async def search(
-        self, collection: str, query: str, limit: int | None = None
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.search, collection, query, limit)
-
-    async def search_after(
-        self,
-        collection: str,
-        query: str,
-        after_score: float,
-        after_url: str,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_after,
-            collection, query, after_score, after_url, limit,
-        )
-
-    async def rescore(
-        self,
-        collection: str,
-        query: str,
-        rescore_query: str,
-        window_size: int | None = None,
-        weight: float = 1.0,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.rescore,
-            collection, query, rescore_query, window_size, weight, limit,
-        )
-
-    async def search_filtered(
-        self,
-        collection: str,
-        query: str,
-        filter_query: str,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_filtered, collection, query, filter_query, limit
-        )
-
-    async def search_surround(
-        self,
-        collection: str,
-        query: str,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_surround, collection, query, limit
-        )
-
-    async def search_diversified(
-        self,
-        collection: str,
-        query: str,
-        key_field: str,
-        max_per_key: int = 1,
-        limit: int | None = None,
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_diversified, collection, query, key_field,
-            max_per_key, limit,
-        )
-
-    async def search_expression_range(
-        self,
-        collection: str,
-        query: str,
-        expression: str,
-        lo: float | None = None,
-        hi: float | None = None,
-        bindings: dict | None = None,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_expression_range, collection, query,
-            expression, lo, hi, bindings, limit,
-        )
-
-    async def search_common(
-        self,
-        collection: str,
-        query: str,
-        max_term_frequency: float = 0.01,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_common, collection, query,
-            max_term_frequency, limit,
-        )
-
-    async def search_boosting(
-        self,
-        collection: str,
-        positive_query: str,
-        negative_query: str,
-        demote: float = 0.2,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_boosting, collection, positive_query,
-            negative_query, demote, limit,
-        )
-
-    async def search_expression(
-        self,
-        collection: str,
-        query: str,
-        expression: str,
-        bindings: dict | None = None,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_expression, collection, query, expression,
-            bindings, limit,
-        )
-
-    async def span_near(
-        self,
-        collection: str,
-        terms,
-        slop: int = 0,
-        in_order: bool = True,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.span_near, collection, terms, slop, in_order, limit
-        )
-
-    async def span_first(
-        self,
-        collection: str,
-        term: str,
-        end: int,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.span_first, collection, term, end, limit
-        )
-
-    async def span_not(
-        self,
-        collection: str,
-        term: str,
-        exclude,
-        pre: int = 0,
-        post: int = 0,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.span_not, collection, term, exclude, pre, post, limit
-        )
-
-    async def search_join(
-        self,
-        collection: str,
-        from_query: str,
-        from_field: str,
-        to_field: str,
-        score_mode: str = "max",
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_join,
-            collection, from_query, from_field, to_field, score_mode, limit,
-        )
-
-    async def block_join_parents(
-        self,
-        collection: str,
-        child_query: str,
-        parent_filter: str,
-        block_field: str,
-        score_mode: str = "max",
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.block_join_parents,
-            collection, child_query, parent_filter, block_field,
-            score_mode, limit,
-        )
-
-    async def block_join_children(
-        self,
-        collection: str,
-        parent_query: str,
-        parent_filter: str,
-        block_field: str,
-        score: bool = True,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.block_join_children,
-            collection, parent_query, parent_filter, block_field,
-            score, limit,
-        )
-
-    async def drill_sideways(
-        self,
-        collection: str,
-        query: str,
-        dims: dict,
-        limit: int | None = None,
-    ) -> tuple[list[LuceneEntry], dict[str, list[tuple[str, int]]]]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.drill_sideways, collection, query, dims, limit
-        )
-
-    async def search_sorted_by(
-        self,
-        collection: str,
-        query: str,
-        sort: list,
-        limit: int | None = None,
-        after_keys: "list | None" = None,
-        after_url: str = "",
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_sorted_by, collection, query, sort, limit,
-            after_keys, after_url,
-        )
-
-    async def classify(
-        self, collection: str, text: str, class_field: str
-    ) -> list[tuple[str, float]]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.classify, collection, text, class_field
-        )
-
-    async def classify_knn(
-        self, collection: str, text: str, class_field: str, k: int = 10
-    ) -> list[tuple[str, int, int]]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.classify_knn, collection, text, class_field, k
-        )
-
-    async def count(self, collection: str, query: str) -> int:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.count, collection, query)
-
-    async def facets(
-        self, collection: str, query: str, facet_field: str
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.facets, collection, query, facet_field
-        )
-
-    async def facets_taxonomy(
-        self,
-        collection: str,
-        query: str,
-        dim_fields: list,
-        top_n: int | None = None,
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.facets_taxonomy, collection, query, dim_fields, top_n
-        )
-
-    async def term_vector(
-        self,
-        collection: str,
-        ext_id: str,
-        field: str | None = None,
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.term_vector, collection, ext_id, field
-        )
-
-    async def more_like_this_id(
-        self,
-        collection: str,
-        ext_id: str,
-        max_query_terms: int = 25,
-        limit: int | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.more_like_this_id, collection, ext_id,
-            max_query_terms, limit,
-        )
-
-    async def more_like_this(
-        self,
-        collection: str,
-        text: str,
-        max_query_terms: int = 25,
-        limit: int | None = None,
-        exclude_id: str | None = None,
-    ) -> list[LuceneEntry]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.more_like_this,
-            collection, text, max_query_terms, limit, exclude_id,
-        )
-
-    async def search_sorted(
-        self,
-        collection: str,
-        query: str,
-        limit: int | None = None,
-        descending: bool = True,
-        after_ts: int | None = None,
-        after_url: str = "",
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.search_sorted, collection, query, limit, descending,
-            after_ts, after_url,
-        )
-
-    async def snippets(
-        self,
-        collection: str,
-        query: str,
-        texts: dict[str, str],
-        k: int = 10,
-        window: int = 8,
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.snippets, collection, query, texts, k, window
-        )
-
-    async def suggest(
-        self, collection: str, term: str, k: int = 5, max_edits: int = 2
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.suggest, collection, term, k, max_edits
-        )
-
-    async def complete(
-        self, collection: str, prefix: str, k: int = 5
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.complete, collection, prefix, k)
-
-    async def complete_infix(
-        self, collection: str, fragment: str, k: int = 5
-    ) -> list[dict]:
-        import asyncio
-
-        return await asyncio.to_thread(
-            self._sync.complete_infix, collection, fragment, k
-        )
-
-    async def delete(self, collection: str, ext_id: str) -> bool:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.delete, collection, ext_id)
-
-    async def clear(self, collection: str) -> bool:
-        import asyncio
-
-        return await asyncio.to_thread(self._sync.clear, collection)

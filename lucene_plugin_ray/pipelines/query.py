@@ -282,6 +282,24 @@ _EMPTY_GROUPED = {
 }
 
 
+def rank_suggestions_table(
+    dfs: dict[str, int], dists: dict[str, int], k: int
+) -> pa.Table:
+    """(distance asc, df desc, term asc) top-k spell suggestions — shared
+    by the single engine and the sharded merge."""
+    items = sorted(
+        ((t, dists[t], df) for t, df in dfs.items()),
+        key=lambda x: (x[1], -x[2], x[0]),
+    )[:k]
+    return pa.table(
+        {
+            "term": pa.array([t for t, _, _ in items], pa.string()),
+            "distance": pa.array([d for _, d, _ in items], pa.int64()),
+            "df": pa.array([f for _, _, f in items], pa.int64()),
+        }
+    )
+
+
 def rank_grouped_table(
     groups: dict[str, list[tuple[str, float, int]]],
     group_limit: int,
@@ -1343,6 +1361,14 @@ class SearchEngine:
             sc = self._scopes[coll] = _Scope(self._segments[coll])
         return sc
 
+    def _limit(self, limit: int | None) -> int:
+        """``limit``, or the configured result limit when it is None; a
+        limit below 1 is rejected before any work."""
+        limit = limit if limit is not None else self.cfg.result_limit
+        if limit < 1:
+            raise ValueError("limit must be positive")
+        return limit
+
     def _check_query_opts(
         self, fields: dict[str, float] | None, tie_breaker: float,
         min_should_match: int,
@@ -1443,7 +1469,7 @@ class SearchEngine:
         BooleanQuery.setMinimumNumberShouldMatch: docs must match at least
         that many SHOULD clauses on top of every MUST (more required
         matches than SHOULD clauses ⇒ zero hits, Lucene parity)."""
-        limit = limit if limit is not None else self.cfg.result_limit
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         self._check_query_opts(fields, tie_breaker, min_should_match)
         syn_key = (
@@ -1509,9 +1535,7 @@ class SearchEngine:
         after_score = float(after_score)
         if not math.isfinite(after_score):
             raise ValueError("after_score must be finite")
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         self._check_query_opts(fields, tie_breaker, min_should_match)
         clauses = self._rewrite(query, synonyms, fields, tie_breaker)
@@ -1565,9 +1589,7 @@ class SearchEngine:
         scale_us = int(scale_us)
         if scale_us <= 0:
             raise ValueError("scale_us must be positive")
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
         got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
@@ -1594,9 +1616,7 @@ class SearchEngine:
         flooding the match set while still letting them rank.  All-high
         (or all-low) queries degenerate to the plain OR.  Scores are the
         ordinary similarity sums, so the SQL oracle is exact."""
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         term_clauses = common_terms_parse(
             query, max_term_frequency, self.cfg.text_column
@@ -1642,9 +1662,7 @@ class SearchEngine:
         contract."""
         if not (0.0 < demote < 1.0):
             raise ValueError("demote must be in (0, 1)")
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         clauses = parse_query(
             positive_query, default_field=self.cfg.text_column
@@ -1680,9 +1698,7 @@ class SearchEngine:
         docid) under the (score desc, url asc) total order."""
         from lucene_plugin_ray.functions.surround import parse_surround
 
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         clauses = parse_surround(query, self.cfg.text_column)
         return self._execute(
             clauses, sanitize_collection(collection), limit, "taat"
@@ -1716,9 +1732,7 @@ class SearchEngine:
         ``key`` is null for missing-field docs."""
         if max_per_key <= 0:
             raise ValueError("max_per_key must be positive")
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         if key_field == self.cfg.text_column:
             raise ValueError(
@@ -1798,9 +1812,7 @@ class SearchEngine:
         expr_fn, used = compile_expression(
             expression, set(_RESERVED_VARIABLES) | set(bindings)
         )
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
         got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
@@ -1901,9 +1913,7 @@ class SearchEngine:
         ``global_stats``/``global_df`` follow the sharded injection
         contract (df over the QUERY's scored terms only — the filter never
         touches statistics)."""
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
         fclauses = parse_query(
@@ -1958,9 +1968,7 @@ class SearchEngine:
         clause = self._span_clause(
             "near", terms, field, slop=slop, in_order=in_order
         )
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         return self._execute(
             [clause], sanitize_collection(collection), limit, "taat"
         )
@@ -1979,9 +1987,7 @@ class SearchEngine:
         scored as a pseudo-term (at ``end`` ≥ the longest document this is
         bit-identical to a plain term search — pinned in tests)."""
         clause = self._span_clause("first", (term,), field, end=end)
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         return self._execute(
             [clause], sanitize_collection(collection), limit, "taat"
         )
@@ -2008,9 +2014,7 @@ class SearchEngine:
         clause = self._span_clause(
             "not", (term,), field, exclude=tuple(exclude), pre=pre, post=post
         )
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         return self._execute(
             [clause], sanitize_collection(collection), limit, "taat"
         )
@@ -2405,7 +2409,7 @@ class SearchEngine:
                 f"unsupported sort field {sort_field!r}: 'warc_ts' is the "
                 "only stored sortable doc value"
             )
-        limit = limit if limit is not None else self.cfg.result_limit
+        limit = self._limit(limit)
         if after_ts is not None:
             after_ts = int(after_ts)
             if not isinstance(after_url, str):
@@ -2481,9 +2485,7 @@ class SearchEngine:
                 f"after_keys must carry one value per sort field "
                 f"({len(fields)}), got {len(after_keys)}"
             )
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         clauses = parse_query(query, default_field=self.cfg.text_column)
         numeric = [f in _NUMERIC_SORT_FIELDS for f, _ in fields]
         got = self._match(coll, clauses)
@@ -2608,7 +2610,7 @@ class SearchEngine:
             raise ValueError(
                 f"max_query_terms must be >= 1, got {max_query_terms}"
             )
-        limit = limit if limit is not None else self.cfg.result_limit
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         empty = RESULT_SCHEMA.empty_table()
         toks = analyze(text)
@@ -2656,12 +2658,12 @@ class SearchEngine:
             raise ValueError(
                 f"max_query_terms must be >= 1, got {max_query_terms}"
             )
+        limit = self._limit(limit)
         tv = self.term_vector(
             url, collection=collection, with_positions=False
         )
         coll = sanitize_collection(collection)
         empty = RESULT_SCHEMA.empty_table()
-        limit = limit if limit is not None else self.cfg.result_limit
         n_docs, _avgdl = self._stats(coll)
         if n_docs == 0 or tv.num_rows == 0:
             return empty
@@ -2718,17 +2720,7 @@ class SearchEngine:
                     df = len(self._decoded(_Scope([seg]), field, t, row)[0])
                 if df:
                     dfs[t] = dfs.get(t, 0) + df
-        items = sorted(
-            ((t, dists[t], df) for t, df in dfs.items()),
-            key=lambda x: (x[1], -x[2], x[0]),
-        )[:k]
-        return pa.table(
-            {
-                "term": pa.array([t for t, _, _ in items], pa.string()),
-                "distance": pa.array([d for _, d, _ in items], pa.int64()),
-                "df": pa.array([f for _, _, f in items], pa.int64()),
-            }
-        )
+        return rank_suggestions_table(dfs, dists, k)
 
     def facets_stats(
         self,
@@ -3012,9 +3004,7 @@ class SearchEngine:
             raise ValueError(
                 f"score_mode must be one of {_JOIN_MODES}, got {score_mode!r}"
             )
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         filters = []  # (clauses, keep its matches?)
         for q, what, keep_hits in (
@@ -3183,9 +3173,7 @@ class SearchEngine:
             )
         if not parse_query(parent_filter, default_field=self.cfg.text_column):
             raise ValueError("parent_filter must contain at least one clause")
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         if check_contract:
             n = self.boolean_overlap_count(
                 child_query, parent_filter, collection=collection
@@ -3237,9 +3225,7 @@ class SearchEngine:
             )
         if not parse_query(parent_filter, default_field=self.cfg.text_column):
             raise ValueError("parent_filter must contain at least one clause")
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+        limit = self._limit(limit)
         agg = self.join_from_aggregates(
             parent_query, block_field, collection=collection,
             synonyms=synonyms, global_stats=global_stats,
@@ -4233,7 +4219,7 @@ class SearchEngine:
         ALREADY analyzed index terms: re-parsing their whitespace join
         would be correct only while analyze() is idempotent on its own
         output, so the clauses travel structured instead."""
-        limit = limit if limit is not None else self.cfg.result_limit
+        limit = self._limit(limit)
         coll = sanitize_collection(collection)
         clauses = (
             query

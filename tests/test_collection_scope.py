@@ -912,7 +912,7 @@ PARITY = [
     ("suggest", ("w0001",), {"k": -1}),
     ("suggest", ("w0001",), {"max_edits": 3}),
     ("facets_stats", (SH_Q, "foo"), {"value_source": "age"}),
-    ("facets_stats", (SH_Q, "nope"), {}),
+    ("facets_stats", ("w00001 AND", "foo"), {}),
     ("search_grouped", (SH_Q, "foo"), {"group_limit": 0}),
     ("search_grouped", (SH_Q, "text"), {}),
     ("top_terms", (), {"k": 0}),
@@ -983,17 +983,9 @@ def _call(obj, op, args, kw):
     return getattr(obj, op)(*args, **kw)
 
 
-# Cases the per-op actor methods get wrong: the shard's exception arrives as
-# a RayTaskError, a driver copy of a check drifted from the engine's, or the
-# engine itself does not check ``limit``.
-_PARITY_FAILS = {1, 4, 6, 7, 8, 9, 11, 27, 47, 49, 61, 64, 65}
-
-
-@pytest.mark.parametrize("op,args,kw", [
-    pytest.param(*c, id=f"{c[0]}-{i}",
-                 marks=[pytest.mark.xfail(strict=True)] if i in _PARITY_FAILS else [])
-    for i, c in enumerate(PARITY)
-])
+@pytest.mark.parametrize(
+    "op,args,kw", PARITY, ids=[f"{op}-{i}" for i, (op, _, _) in enumerate(PARITY)]
+)
 def test_sharded_error_parity(engines, fleets, op, args, kw):
     with pytest.raises(Exception) as want:
         _call(engines["bm25"], op, args, kw)

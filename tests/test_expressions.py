@@ -208,7 +208,7 @@ def test_expression_sharded_identity(built):
                 )
                 assert a["url"].to_pylist() == b["url"].to_pylist()
                 assert a["score"].to_pylist() == b["score"].to_pylist()
-            # driver-side validation: zero remote work on bad input
+            # bad input raises the engine's own exception, from the shards
             with pytest.raises(ExpressionError):
                 svc.search_expression("w00001", "_score + nope")
             with pytest.raises(ValueError, match="shadows"):

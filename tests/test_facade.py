@@ -149,6 +149,23 @@ def test_async_facade(ray_session, tmp_path):
     asyncio.run(scenario())
 
 
+def test_async_facade_twins_every_public_method():
+    """Every public LuceneFacade method has an awaitable twin on
+    AsyncLuceneFacade with the same name, signature and docstring."""
+    import inspect
+
+    public = {
+        n: f for n, f in vars(LuceneFacade).items()
+        if inspect.isfunction(f) and not n.startswith("_")
+    }
+    assert "explain" in public
+    for name, fn in public.items():
+        twin = getattr(AsyncLuceneFacade, name)
+        assert inspect.iscoroutinefunction(twin), name
+        assert inspect.signature(twin) == inspect.signature(fn), name
+        assert twin.__doc__ == fn.__doc__, name
+
+
 def test_incremental_growth(ray_session, tmp_path):
     """≙ TestIndexFile.java:32-59: after indexing i docs one at a time,
     the query returns exactly i hits with the expected ids."""
