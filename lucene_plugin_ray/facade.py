@@ -54,8 +54,9 @@ from lucene_plugin_ray.config import IndexConfig
 SOFT_COMMIT_MAX_DOCS = 16
 
 
-class LuceneException(Exception):
-    """≙ client LuceneException.java:33-36 — invalid input / engine error."""
+class LuceneException(ValueError):
+    """≙ client LuceneException.java:33-36 — invalid input / engine error.
+    A ``ValueError``, as the engine's own input errors are."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,41 @@ def _require(cond: bool, msg: str) -> None:
 
 def _valid_str(v) -> bool:
     return isinstance(v, str) and len(v) > 0
+
+
+def _entries(t: pa.Table) -> list[LuceneEntry]:
+    """(docid, score, url) rows → entries in rank order."""
+    return [
+        LuceneEntry(id=int(d), score=float(s), external_id=u)
+        for d, s, u in zip(
+            t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
+        )
+    ]
+
+
+def _rows(**names):
+    """Converter: one dict per row, ``{key: row[column]}`` for each
+    ``key=column`` pair."""
+
+    def convert(t: pa.Table) -> list[dict]:
+        cols = [t[c].to_pylist() for c in names.values()]
+        return [dict(zip(names, r)) for r in zip(*cols)]
+
+    return convert
+
+
+def _tuples(*columns):
+    """Converter: one tuple of ``columns`` per row."""
+    return lambda t: list(zip(*(t[c].to_pylist() for c in columns)))
+
+
+def _no_index(ext_id: str):
+    """The answer of a per-document read before the first commit."""
+
+    def missing():
+        raise LuceneException(f"no index yet: nothing matches {ext_id!r}")
+
+    return missing
 
 
 class LuceneFacade:
@@ -276,6 +312,29 @@ class LuceneFacade:
         return self._engine
 
     # ---- read path -----------------------------------------------------
+    def _read(self, call, convert=None, *checks, empty=list, **strings):
+        """The steps every read op shares.  Each keyword in ``strings`` must
+        be a non-empty string (it names the argument in the message), then
+        each ``(condition, message)`` in ``checks`` must hold.  Before the
+        first commit ``empty()`` answers; otherwise ``call(engine)`` runs on
+        the leased engine, its ``ValueError``/``KeyError`` becomes a
+        ``LuceneException`` with the same message, and ``convert`` turns
+        its result into the facade's shape."""
+        for name, v in strings.items():
+            _require(_valid_str(v), f"{name} must be a non-empty string")
+        for cond, msg in checks:
+            _require(cond, msg)
+        eng = self._lease_engine()
+        if eng is None:
+            return empty()
+        try:
+            out = call(eng)
+        except KeyError as e:
+            raise LuceneException(e.args[0] if e.args else str(e)) from e
+        except ValueError as e:
+            raise LuceneException(str(e)) from e
+        return out if convert is None else convert(out)
+
     def search(
         self, collection: str, query: str, limit: int | None = None
     ) -> list[LuceneEntry]:
@@ -283,18 +342,10 @@ class LuceneFacade:
         reader ignores the caller's limit and caps at 255
         (LuceneReaderImpl.java:100-104); we honor ``limit`` but default to
         the same 255 cap (IndexConfig.result_limit)."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search(query, collection=collection, limit=limit)
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
+        return self._read(
+            lambda e: e.search(query, collection=collection, limit=limit),
+            _entries, collection=collection, query=query,
+        )
 
     def search_after(
         self,
@@ -309,21 +360,14 @@ class LuceneFacade:
         (score desc, external_id asc) total order.  Pass the previous
         page's last entry's (score, external_id) verbatim; concatenated
         pages reproduce :meth:`search` with the summed limit exactly."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(isinstance(after_url, str), "after_url must be a string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_after(
-            query, after_score, after_url, collection=collection, limit=limit
+        return self._read(
+            lambda e: e.search_after(
+                query, after_score, after_url, collection=collection, limit=limit
+            ),
+            _entries,
+            (isinstance(after_url, str), "after_url must be a string"),
+            collection=collection, query=query,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def rescore(
         self,
@@ -338,23 +382,14 @@ class LuceneFacade:
         ``window_size`` hits of ``query`` re-ranked by
         ``first + weight · second`` where second is ``rescore_query``'s
         score over the window only (0 outside its match set)."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(_valid_str(rescore_query),
-                 "rescore_query must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.rescore(
-            query, rescore_query, collection=collection,
-            window_size=window_size, weight=weight, limit=limit,
+        return self._read(
+            lambda e: e.rescore(
+                query, rescore_query, collection=collection,
+                window_size=window_size, weight=weight, limit=limit,
+            ),
+            _entries, collection=collection, query=query,
+            rescore_query=rescore_query,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def search_filtered(
         self,
@@ -365,22 +400,13 @@ class LuceneFacade:
     ) -> list[LuceneEntry]:
         """Filtered search — search(Query, Filter, n) / FILTER occur: the
         match set is query ∩ filter, scores from the query alone."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(_valid_str(filter_query),
-                 "filter_query must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_filtered(
-            query, filter_query, collection=collection, limit=limit
+        return self._read(
+            lambda e: e.search_filtered(
+                query, filter_query, collection=collection, limit=limit
+            ),
+            _entries, collection=collection, query=query,
+            filter_query=filter_query,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def search_surround(
         self,
@@ -390,18 +416,10 @@ class LuceneFacade:
     ) -> list[LuceneEntry]:
         """Surround-language search (queryparser-surround module):
         W/N proximity + AND/OR/NOT; see SearchEngine.search_surround."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_surround(query, collection=collection, limit=limit)
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
+        return self._read(
+            lambda e: e.search_surround(query, collection=collection, limit=limit),
+            _entries, collection=collection, query=query,
+        )
 
     def search_diversified(
         self,
@@ -414,23 +432,14 @@ class LuceneFacade:
         """Diversified top-k (DiversifiedTopDocsCollector): at most
         ``max_per_key`` hits per key-field value → [{externalId, score,
         key}] in rank order."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(_valid_str(key_field), "key_field must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_diversified(
-            query, key_field, max_per_key=max_per_key,
-            collection=collection, limit=limit,
+        return self._read(
+            lambda e: e.search_diversified(
+                query, key_field, max_per_key=max_per_key,
+                collection=collection, limit=limit,
+            ),
+            _rows(externalId="url", score="score", key="key"),
+            collection=collection, query=query, key_field=key_field,
         )
-        return [
-            {"externalId": u, "score": float(s), "key": k}
-            for u, s, k in zip(
-                t["url"].to_pylist(), t["score"].to_pylist(),
-                t["key"].to_pylist(),
-            )
-        ]
 
     def search_expression_range(
         self,
@@ -444,23 +453,13 @@ class LuceneFacade:
     ) -> list[LuceneEntry]:
         """FunctionRangeQuery: expression-scored hits restricted to
         [lo, hi] (inclusive; open ends allowed)."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(_valid_str(expression),
-                 "expression must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_expression_range(
-            query, expression, lo=lo, hi=hi, bindings=bindings,
-            collection=collection, limit=limit,
+        return self._read(
+            lambda e: e.search_expression_range(
+                query, expression, lo=lo, hi=hi, bindings=bindings,
+                collection=collection, limit=limit,
+            ),
+            _entries, collection=collection, query=query, expression=expression,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def search_common(
         self,
@@ -471,21 +470,13 @@ class LuceneFacade:
     ) -> list[LuceneEntry]:
         """CommonTermsQuery: low-df terms required, high-df (stop-word
         grade) terms score-only — the dynamic-stop-word query."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_common(
-            query, max_term_frequency=max_term_frequency,
-            collection=collection, limit=limit,
+        return self._read(
+            lambda e: e.search_common(
+                query, max_term_frequency=max_term_frequency,
+                collection=collection, limit=limit,
+            ),
+            _entries, collection=collection, query=query,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def search_boosting(
         self,
@@ -497,24 +488,14 @@ class LuceneFacade:
     ) -> list[LuceneEntry]:
         """BoostingQuery: positive hits, scores demoted by ``demote``
         where the negative query also matches."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(positive_query),
-                 "positive_query must be a non-empty string")
-        _require(_valid_str(negative_query),
-                 "negative_query must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_boosting(
-            positive_query, negative_query, demote=demote,
-            collection=collection, limit=limit,
+        return self._read(
+            lambda e: e.search_boosting(
+                positive_query, negative_query, demote=demote,
+                collection=collection, limit=limit,
+            ),
+            _entries, collection=collection, positive_query=positive_query,
+            negative_query=negative_query,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def search_expression(
         self,
@@ -527,28 +508,18 @@ class LuceneFacade:
         """Expression-scored search (expressions module /
         FunctionScoreQuery): final score = the compiled arithmetic
         ``expression`` over _score / doc_len / warc_ts / ``bindings``."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(_valid_str(expression),
-                 "expression must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_expression(
-            query, expression, bindings=bindings, collection=collection,
-            limit=limit,
+        return self._read(
+            lambda e: e.search_expression(
+                query, expression, bindings=bindings, collection=collection,
+                limit=limit,
+            ),
+            _entries, collection=collection, query=query, expression=expression,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def span_near(
         self,
         collection: str,
-        terms,
+        terms: list,
         slop: int = 0,
         in_order: bool = True,
         limit: int | None = None,
@@ -556,22 +527,16 @@ class LuceneFacade:
         """SpanNearQuery (queries.spans module): ``terms`` within ``slop``
         positions, ordered or not — SearchEngine.span_near over the leased
         generation."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(bool(terms) and all(_valid_str(t) for t in terms),
-                 "terms must be a non-empty list of non-empty strings")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.span_near(
-            list(terms), slop=slop, in_order=in_order, collection=collection,
-            limit=limit,
+        return self._read(
+            lambda e: e.span_near(
+                list(terms), slop=slop, in_order=in_order,
+                collection=collection, limit=limit,
+            ),
+            _entries,
+            (bool(terms) and all(_valid_str(t) for t in terms),
+             "terms must be a non-empty list of non-empty strings"),
+            collection=collection,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def span_first(
         self,
@@ -581,49 +546,34 @@ class LuceneFacade:
         limit: int | None = None,
     ) -> list[LuceneEntry]:
         """SpanFirstQuery: ``term`` within the first ``end`` positions."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(term), "term must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.span_first(term, end, collection=collection, limit=limit)
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
+        return self._read(
+            lambda e: e.span_first(term, end, collection=collection, limit=limit),
+            _entries, collection=collection, term=term,
+        )
 
     def span_not(
         self,
         collection: str,
         term: str,
-        exclude,
+        exclude: list,
         pre: int = 0,
         post: int = 0,
         limit: int | None = None,
     ) -> list[LuceneEntry]:
         """SpanNotQuery: ``term`` with no ``exclude`` occurrence within
         [p − pre, p + post]."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(term), "term must be a non-empty string")
         if isinstance(exclude, str):
             exclude = (exclude,)
-        _require(bool(exclude) and all(_valid_str(t) for t in exclude),
-                 "exclude must be a non-empty list of non-empty strings")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.span_not(
-            term, tuple(exclude), pre=pre, post=post, collection=collection,
-            limit=limit,
+        return self._read(
+            lambda e: e.span_not(
+                term, tuple(exclude), pre=pre, post=post,
+                collection=collection, limit=limit,
+            ),
+            _entries,
+            (bool(exclude) and all(_valid_str(t) for t in exclude),
+             "exclude must be a non-empty list of non-empty strings"),
+            collection=collection, term=term,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def search_join(
         self,
@@ -638,23 +588,14 @@ class LuceneFacade:
         carrying a ``to_field`` value joined from ``from_query``'s matches
         through ``from_field``, scored per ScoreMode
         (none/max/min/total/avg)."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(from_query), "from_query must be a non-empty string")
-        _require(_valid_str(from_field), "from_field must be a non-empty string")
-        _require(_valid_str(to_field), "to_field must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_join(
-            from_query, from_field, to_field, score_mode=score_mode,
-            collection=collection, limit=limit,
+        return self._read(
+            lambda e: e.search_join(
+                from_query, from_field, to_field, score_mode=score_mode,
+                collection=collection, limit=limit,
+            ),
+            _entries, collection=collection, from_query=from_query,
+            from_field=from_field, to_field=to_field,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def block_join_parents(
         self,
@@ -669,23 +610,14 @@ class LuceneFacade:
         parent docs (``parent_filter`` matches) of blocks (shared
         ``block_field`` value) with ≥1 child matching ``child_query``,
         scored by the block's child-score aggregate under ScoreMode."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(child_query), "child_query must be a non-empty string")
-        _require(_valid_str(parent_filter), "parent_filter must be a non-empty string")
-        _require(_valid_str(block_field), "block_field must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.block_join_parents(
-            child_query, parent_filter, block_field, score_mode=score_mode,
-            collection=collection, limit=limit,
+        return self._read(
+            lambda e: e.block_join_parents(
+                child_query, parent_filter, block_field, score_mode=score_mode,
+                collection=collection, limit=limit,
+            ),
+            _entries, collection=collection, child_query=child_query,
+            parent_filter=parent_filter, block_field=block_field,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def block_join_children(
         self,
@@ -699,23 +631,14 @@ class LuceneFacade:
         """Block join, parent→child — ToChildBlockJoinQuery analogue:
         child docs inheriting their parent's ``parent_query`` score
         (``score=False`` ≙ doScores=false → constant 1.0)."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(parent_query), "parent_query must be a non-empty string")
-        _require(_valid_str(parent_filter), "parent_filter must be a non-empty string")
-        _require(_valid_str(block_field), "block_field must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.block_join_children(
-            parent_query, parent_filter, block_field, score=score,
-            collection=collection, limit=limit,
+        return self._read(
+            lambda e: e.block_join_children(
+                parent_query, parent_filter, block_field, score=score,
+                collection=collection, limit=limit,
+            ),
+            _entries, collection=collection, parent_query=parent_query,
+            parent_filter=parent_filter, block_field=block_field,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def drill_sideways(
         self,
@@ -728,28 +651,17 @@ class LuceneFacade:
         plus per-dim sideways facet counts (that dim's own filter
         removed).  ``dims`` maps indexed metadata fields to one value or
         a list of values."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(isinstance(dims, dict) and dims,
-                 "dims must be a non-empty {field: value | [values]} dict")
-        eng = self._lease_engine()
-        if eng is None:
-            return [], {f: [] for f in dims}
-        hits, counts = eng.drill_sideways(
-            query, dims, collection=collection, limit=limit
+        counts = _tuples("value", "count")
+        return self._read(
+            lambda e: e.drill_sideways(
+                query, dims, collection=collection, limit=limit
+            ),
+            lambda r: (_entries(r[0]), {f: counts(t) for f, t in r[1].items()}),
+            (isinstance(dims, dict) and dims,
+             "dims must be a non-empty {field: value | [values]} dict"),
+            empty=lambda: ([], {f: [] for f in dims}),
+            collection=collection, query=query,
         )
-        entries = [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                hits["docid"].to_pylist(), hits["score"].to_pylist(),
-                hits["url"].to_pylist(),
-            )
-        ]
-        flat = {
-            f: list(zip(t["value"].to_pylist(), t["count"].to_pylist()))
-            for f, t in counts.items()
-        }
-        return entries, flat
 
     def search_sorted_by(
         self,
@@ -757,90 +669,79 @@ class LuceneFacade:
         query: str,
         sort: list,
         limit: int | None = None,
-        after_keys: "list | None" = None,
+        after_keys: list | None = None,
         after_url: str = "",
     ) -> list[dict]:
         """Multi-key field sort (Sort(SortField, …) analogue) → one dict
         per hit: {externalId, <sort field values>}, ranked by the
         composite key."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(isinstance(sort, list) and sort,
-                 "sort must be a non-empty [(field, 'asc'|'desc')] list")
-        for p in sort:
-            _require(
-                isinstance(p, (list, tuple)) and len(p) == 2
-                and all(isinstance(x, str) for x in p),
-                f"sort entries must be (field, 'asc'|'desc') string pairs, "
-                f"got {p!r}",
-            )
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_sorted_by(
-            query, [tuple(p) for p in sort], collection=collection,
-            limit=limit, after_keys=after_keys, after_url=after_url,
-        )
-        names = [n for n in t.column_names if n not in ("url", "docid")]
-        return [
-            {"externalId": r["url"], **{n: r[n] for n in names}}
-            for r in t.to_pylist()
+        bad = [
+            p for p in (sort if isinstance(sort, list) else ())
+            if not (isinstance(p, (list, tuple)) and len(p) == 2
+                    and all(isinstance(x, str) for x in p))
         ]
+
+        def rows(t):
+            names = [n for n in t.column_names if n not in ("url", "docid")]
+            return [
+                {"externalId": r["url"], **{n: r[n] for n in names}}
+                for r in t.to_pylist()
+            ]
+
+        return self._read(
+            lambda e: e.search_sorted_by(
+                query, [tuple(p) for p in sort], collection=collection,
+                limit=limit, after_keys=after_keys, after_url=after_url,
+            ),
+            rows,
+            (isinstance(sort, list) and sort,
+             "sort must be a non-empty [(field, 'asc'|'desc')] list"),
+            (not bad, "sort entries must be (field, 'asc'|'desc') string "
+                      f"pairs, got {bad[0] if bad else None!r}"),
+            collection=collection, query=query,
+        )
 
     def classify(
         self, collection: str, text: str, class_field: str
     ) -> list[tuple[str, float]]:
         """Naive-Bayes classification (SimpleNaiveBayesClassifier analogue)
         → [(class, log-score)] ranked best-first."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(text), "text must be a non-empty string")
-        _require(_valid_str(class_field), "class_field must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.classify(text, class_field, collection=collection)
-        return list(zip(t["class"].to_pylist(), t["score"].to_pylist()))
+        return self._read(
+            lambda e: e.classify(text, class_field, collection=collection),
+            _tuples("class", "score"),
+            collection=collection, text=text, class_field=class_field,
+        )
 
     def classify_knn(
         self, collection: str, text: str, class_field: str, k: int = 10
     ) -> list[tuple[str, int, int]]:
         """KNN classification (KNearestNeighborClassifier analogue) →
         [(class, vote_units, hits)] ranked best-first."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(text), "text must be a non-empty string")
-        _require(_valid_str(class_field), "class_field must be a non-empty string")
-        _require(isinstance(k, int) and k > 0, "k must be a positive integer")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.classify_knn(text, class_field, collection=collection, k=k)
-        return list(zip(t["class"].to_pylist(), t["vote_units"].to_pylist(),
-                        t["hits"].to_pylist()))
+        return self._read(
+            lambda e: e.classify_knn(text, class_field, collection=collection, k=k),
+            _tuples("class", "vote_units", "hits"),
+            (isinstance(k, int) and k > 0, "k must be a positive integer"),
+            collection=collection, text=text, class_field=class_field,
+        )
 
     def count(self, collection: str, query: str) -> int:
         """Total matching live docs (IndexSearcher.count analogue) — the
         boolean-match twin of :meth:`search` with no scoring work."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        eng = self._lease_engine()
-        return 0 if eng is None else eng.count(query, collection=collection)
+        return self._read(
+            lambda e: e.count(query, collection=collection),
+            empty=lambda: 0, collection=collection, query=query,
+        )
 
     def facets(
         self, collection: str, query: str, facet_field: str
     ) -> list[dict]:
         """Facet counts over ALL matching docs → [{value, count}], ordered
         (count desc, value asc).  See SearchEngine.facets."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(_valid_str(facet_field), "facet_field must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.facets(query, facet_field, collection=collection)
-        return [
-            {"value": v, "count": int(c)}
-            for v, c in zip(t["value"].to_pylist(), t["count"].to_pylist())
-        ]
+        return self._read(
+            lambda e: e.facets(query, facet_field, collection=collection),
+            _rows(value="value", count="count"),
+            collection=collection, query=query, facet_field=facet_field,
+        )
 
     def facets_taxonomy(
         self,
@@ -852,20 +753,15 @@ class LuceneFacade:
         """Hierarchical facet counts (taxonomy rollup over an ordered
         field list, root level first) → [{path, count}], path ascending.
         See SearchEngine.facets_taxonomy."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(isinstance(dim_fields, (list, tuple)) and dim_fields,
-                 "dim_fields must be a non-empty list of field names")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.facets_taxonomy(
-            query, list(dim_fields), collection=collection, top_n=top_n
+        return self._read(
+            lambda e: e.facets_taxonomy(
+                query, list(dim_fields), collection=collection, top_n=top_n
+            ),
+            _rows(path="path", count="count"),
+            (isinstance(dim_fields, (list, tuple)) and dim_fields,
+             "dim_fields must be a non-empty list of field names"),
+            collection=collection, query=query,
         )
-        return [
-            {"path": p, "count": int(c)}
-            for p, c in zip(t["path"].to_pylist(), t["count"].to_pylist())
-        ]
 
     def term_vector(
         self,
@@ -878,16 +774,11 @@ class LuceneFacade:
         index).  A not-live id raises LuceneException (the explain()
         convention — client error, HTTP 400).  See
         SearchEngine.term_vector."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(ext_id), "id must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            raise LuceneException(f"no index yet: nothing matches {ext_id!r}")
-        try:
-            t = eng.term_vector(ext_id, field=field, collection=collection)
-        except KeyError as e:
-            raise LuceneException(str(e)) from e
-        return t.to_pylist()
+        return self._read(
+            lambda e: e.term_vector(ext_id, field=field, collection=collection),
+            pa.Table.to_pylist, empty=_no_index(ext_id),
+            collection=collection, id=ext_id,
+        )
 
     def more_like_this_id(
         self,
@@ -899,25 +790,15 @@ class LuceneFacade:
         """MoreLikeThis like(docId): similar documents to an INDEXED doc
         by its externalId (term frequencies from the index, source doc
         excluded); a non-live id is a client error."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(ext_id), "id must be a non-empty string")
-        _require(int(max_query_terms) >= 1, "max_query_terms must be >= 1")
-        eng = self._lease_engine()
-        if eng is None:
-            raise LuceneException(f"no index yet: nothing matches {ext_id!r}")
-        try:
-            t = eng.more_like_this_url(
+        return self._read(
+            lambda e: e.more_like_this_url(
                 ext_id, collection=collection,
                 max_query_terms=max_query_terms, limit=limit,
-            )
-        except KeyError as e:
-            raise LuceneException(str(e)) from e
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
+            ),
+            _entries,
+            (int(max_query_terms) >= 1, "max_query_terms must be >= 1"),
+            empty=_no_index(ext_id), collection=collection, id=ext_id,
+        )
 
     def more_like_this(
         self,
@@ -930,25 +811,16 @@ class LuceneFacade:
         """Documents similar to ``text`` (Lucene MoreLikeThis like-text
         form); ``exclude_id`` drops the source document.  Result shape
         matches :meth:`search`."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(isinstance(text, str), "text must be a string")
-        _require(int(max_query_terms) >= 1, "max_query_terms must be >= 1")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.more_like_this(
-            text,
+        return self._read(
+            lambda e: e.more_like_this(
+                text, collection=collection, max_query_terms=max_query_terms,
+                limit=limit, exclude_url=exclude_id,
+            ),
+            _entries,
+            (isinstance(text, str), "text must be a string"),
+            (int(max_query_terms) >= 1, "max_query_terms must be >= 1"),
             collection=collection,
-            max_query_terms=max_query_terms,
-            limit=limit,
-            exclude_url=exclude_id,
         )
-        return [
-            LuceneEntry(id=int(d), score=float(s), external_id=u)
-            for d, s, u in zip(
-                t["docid"].to_pylist(), t["score"].to_pylist(), t["url"].to_pylist()
-            )
-        ]
 
     def suggest(
         self, collection: str, term: str, k: int = 5, max_edits: int = 2
@@ -958,62 +830,41 @@ class LuceneFacade:
         see SearchEngine.suggest.  An empty probe term is a client error
         (it would 'match' every short vocabulary term at distance
         len(term))."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(term), "term must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        try:
-            t = eng.suggest(term, collection=collection, max_edits=max_edits, k=k)
-        except ValueError as e:
-            raise LuceneException(str(e)) from e
-        return t.to_pylist()
+        return self._read(
+            lambda e: e.suggest(
+                term, collection=collection, max_edits=max_edits, k=k
+            ),
+            pa.Table.to_pylist, collection=collection, term=term,
+        )
 
     def complete(self, collection: str, prefix: str, k: int = 5) -> list[dict]:
         """Prefix autocompletion (Lucene suggest-module analogue) →
         [{term, df}], ranked (df desc, term asc); see
         SearchEngine.complete.  An empty prefix is a client error (it would
         rank the entire vocabulary)."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(prefix), "prefix must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        try:
-            t = eng.complete(prefix, collection=collection, k=k)
-        except ValueError as e:
-            raise LuceneException(str(e)) from e
-        return t.to_pylist()
+        return self._read(
+            lambda e: e.complete(prefix, collection=collection, k=k),
+            pa.Table.to_pylist, collection=collection, prefix=prefix,
+        )
 
     def complete_infix(
         self, collection: str, fragment: str, k: int = 5
     ) -> list[dict]:
         """Infix autocompletion (AnalyzingInfixSuggester analogue) →
         [{term, df}]; see SearchEngine.complete_infix."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(fragment), "fragment must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        try:
-            t = eng.complete_infix(fragment, collection=collection, k=k)
-        except ValueError as e:
-            raise LuceneException(str(e)) from e
-        return t.to_pylist()
+        return self._read(
+            lambda e: e.complete_infix(fragment, collection=collection, k=k),
+            pa.Table.to_pylist, collection=collection, fragment=fragment,
+        )
 
     def explain(self, collection: str, query: str, ext_id: str) -> dict:
         """Per-clause score breakdown for one (query, doc) —
         IndexSearcher.explain analogue; see SearchEngine.explain."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(_valid_str(ext_id), "id must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            raise LuceneException(f"no index yet: nothing matches {ext_id!r}")
-        try:
-            return eng.explain(query, ext_id, collection=collection)
-        except KeyError as e:
-            raise LuceneException(str(e)) from e
+        return self._read(
+            lambda e: e.explain(query, ext_id, collection=collection),
+            empty=_no_index(ext_id), collection=collection, query=query,
+            id=ext_id,
+        )
 
     def snippets(
         self,
@@ -1029,45 +880,28 @@ class LuceneFacade:
         parity: the text field is indexed, not stored), so ``texts`` maps
         external_id → raw text for at least the hit documents — the usual
         flow is search() first, fetch those k bodies, then snippets()."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        _require(isinstance(texts, dict), "texts must map external_id -> text")
-        _require(int(k) >= 1, "k must be >= 1")
-        _require(int(window) >= 1, "window must be >= 1")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        tt = pa.table(
-            {
+
+        def call(eng):
+            bodies = pa.table({
                 "url": pa.array([str(u) for u in texts], pa.string()),
                 self.cfg.text_column: pa.array(
                     ["" if v is None else str(v) for v in texts.values()],
                     pa.string(),
                 ),
-            }
+            })
+            return eng.snippets(
+                query, bodies, k=int(k), window=int(window), collection=collection
+            )
+
+        return self._read(
+            call,
+            _rows(external_id="url", score="score", start="start",
+                  n_terms="n_terms", snippet="snippet"),
+            (isinstance(texts, dict), "texts must map external_id -> text"),
+            (int(k) >= 1, "k must be >= 1"),
+            (int(window) >= 1, "window must be >= 1"),
+            collection=collection, query=query,
         )
-        try:
-            t = eng.snippets(
-                query, tt, k=int(k), window=int(window), collection=collection
-            )
-        except ValueError as e:  # missing hit text → client error
-            raise LuceneException(str(e)) from e
-        return [
-            {
-                "external_id": u,
-                "score": float(s),
-                "start": int(st),
-                "n_terms": int(nt),
-                "snippet": sn,
-            }
-            for u, s, st, nt, sn in zip(
-                t["url"].to_pylist(),
-                t["score"].to_pylist(),
-                t["start"].to_pylist(),
-                t["n_terms"].to_pylist(),
-                t["snippet"].to_pylist(),
-            )
-        ]
 
     def search_sorted(
         self,
@@ -1082,23 +916,14 @@ class LuceneFacade:
         external_id, ts_us}]; see SearchEngine.search_sorted.  The optional
         (after_ts, after_url) anchor pages strictly past the previous
         page's last row — searchAfter(FieldDoc)."""
-        _require(_valid_str(collection), "collection must be a non-empty string")
-        _require(_valid_str(query), "query must be a non-empty string")
-        eng = self._lease_engine()
-        if eng is None:
-            return []
-        t = eng.search_sorted(
-            query, collection=collection, limit=limit, descending=descending,
-            after_ts=after_ts, after_url=after_url,
+        return self._read(
+            lambda e: e.search_sorted(
+                query, collection=collection, limit=limit,
+                descending=descending, after_ts=after_ts, after_url=after_url,
+            ),
+            _rows(id="docid", external_id="url", ts_us="warc_ts"),
+            collection=collection, query=query,
         )
-        return [
-            {"id": int(d), "external_id": u, "ts_us": int(ts)}
-            for d, u, ts in zip(
-                t["docid"].to_pylist(),
-                t["url"].to_pylist(),
-                t["warc_ts"].to_pylist(),
-            )
-        ]
 
     # ---- mutations ------------------------------------------------------
     def delete(self, collection: str, ext_id: str) -> bool:

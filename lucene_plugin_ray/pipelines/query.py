@@ -2127,8 +2127,10 @@ class SearchEngine:
         its partial and the driver sums — counts are per-doc-disjoint
         across partitions.  ``syntax='surround'`` drives the match set
         through the surround language (proximity-conditioned facet counts
-        — 'top sources where A is near B')."""
+        — 'top sources where A is near B').  An unknown ``facet_field``
+        raises ``ValueError``; the text field is a valid facet field."""
         coll = sanitize_collection(collection)
+        self._check_facet_field(facet_field, coll)
         if syntax == "surround":
             from lucene_plugin_ray.functions.surround import parse_surround
 
@@ -2144,6 +2146,14 @@ class SearchEngine:
             return facet_count_table({})
         scope, matched = got
         return facet_count_table(self._value_counts(scope, facet_field, matched))
+
+    def _check_facet_field(self, facet_field: str, coll: str) -> None:
+        known = self._known_fields(coll)
+        if facet_field not in known:
+            raise ValueError(
+                f"facet_field {facet_field!r} is not an indexed field "
+                f"(have: {sorted(known)})"
+            )
 
     def _column(self, scope: _Scope, field: str) -> _FieldColumn:
         """``scope.field(field)``, except that a column of the text field
@@ -2740,9 +2750,11 @@ class SearchEngine:
         `_match_segment` + the field's postings restricted to the match
         set); each value's run folds with integer reduceats, so sharded
         partials merge without float drift.  Returns
-        (value, count, vmin, vmax, vsum), ordered value asc."""
+        (value, count, vmin, vmax, vsum), ordered value asc.  An unknown
+        ``facet_field`` raises ``ValueError``."""
         src = self._value_source(value_source)
         coll = sanitize_collection(collection)
+        self._check_facet_field(facet_field, coll)
         clauses = parse_query(query, default_field=self.cfg.text_column)
         got = self._match(coll, clauses)
         acc: dict[str, list[int]] = {}  # value -> [count, min, max, sum]

@@ -2,29 +2,44 @@
 last reference artifact: ``LuceneFacadeImpl.java:29-151`` ``@Path("/lucene")``
 + ``web/src/main/resources/public/lucene-client.js:24-125``).
 
-Wire protocol (identical shapes to the reference):
+As in the reference, the facade is the one declaration of the surface:
+every public ``LuceneFacade`` method except ``commit`` is a route, and the
+route table (``_ROUTES``) and the client's methods are derived from the
+facade's signatures.
 
-* ``POST <base>/index-text`` — form body ``collection``, ``id``, ``text``
-  → ``true``                                  (LuceneFacadeImpl.java:56-67)
-* ``POST <base>/index-map``  — form body ``collection``, ``id`` + one pair
-  per field → ``true``                        (LuceneFacadeImpl.java:70-81)
-* ``POST <base>/index-file`` — form body ``collection``, ``path`` → ``true``
-                                              (LuceneFacadeImpl.java:43-53)
-* ``GET  <base>/search?collection=&query=&limit=`` → JSON array of
-  ``{"_id", "_score", "_externalId"}`` — the Java field names
-  ``lucene-client.js:104-106`` reads        (LuceneFacadeImpl.java:84-95)
-* ``POST <base>/delete`` — form body ``collection``, ``id`` → ``true``
-                                              (LuceneFacadeImpl.java:133-140)
-* ``POST <base>/clear``  — form body ``collection`` → ``null``
-                                              (LuceneFacadeImpl.java:143-151)
-
-Validation failures (``LuceneException``) map to HTTP 400 with
-``{"error": message}`` — the reference surfaces them as request errors too.
+* **Naming.** The route is the method name with ``-`` for ``_``:
+  ``search_sorted_by`` is ``GET <base>/search-sorted-by``.  The writes
+  (``index-text``, ``index-map``, ``index-file``, ``delete``, ``clear``)
+  and ``snippets`` (the hit bodies travel in the request) are POSTs with a
+  form body; every other route is a GET with a query string.
+* **Types.** Each parameter is decoded from its facade annotation: ``str``
+  as sent; ``int`` and ``float`` parsed; ``bool`` from exactly ``true`` or
+  ``false``; ``list`` and ``dict`` as JSON of that type.
+* **Wire names.** Five parameters keep their wire names (``_WIRE``):
+  ``id`` for ``ext_id``, ``window`` for ``window_size``, ``field`` for
+  ``facet_field``, ``fields`` for ``dim_fields``, and ``order=asc|desc``
+  for ``descending``.
+* **Empty means the default.** An empty or absent optional parameter takes
+  the facade default (``limit``: ``IndexConfig.result_limit``).  An absent
+  required string reaches the facade as ``None`` and fails its check.
+* **Answers.** JSON of the facade's return value, with hits as
+  ``{"_id", "_score", "_externalId"}`` (the Java field names
+  ``lucene-client.js:104-106`` reads).  ``count`` answers ``{"count": n}``,
+  ``clear`` answers ``null`` (LuceneFacadeImpl.java:143-151),
+  ``classify``/``classify-knn`` one object per class and
+  ``drill-sideways`` ``{"hits", "counts"}``.
+* **Per-route inputs.** ``index-map`` indexes every form key except
+  ``collection`` and ``id`` as a field (LuceneFacadeImpl.java:70-81);
+  ``index-file`` paths must resolve inside ``file_root`` when one is set;
+  ``search-after`` needs a finite ``after_score`` and an ``after_url``.
+* **Errors.** A ``LuceneException`` (bad input, query grammar, any engine
+  ``ValueError``) or a value that does not decode answers HTTP 400 with
+  ``{"error": message}``; an unknown op or the wrong verb answers 404.
 
 This is a SERVING adapter, not a data-plane component: one process, stdlib
 ``ThreadingHTTPServer``, a lock serializing facade access (the facade owns
 a single writer buffer — the reference's writer inbox is equally serial per
-index).  Searches flush pending writes first (read-your-writes), matching
+index).  Reads flush pending writes first (read-your-writes), matching
 the reference E2E tests' visible-after-index expectation.  A cluster-scale
 deployment would run one such server per index root in front of the
 persistent ``ShardedSearcherService`` fleet; the data plane stays Ray.
@@ -32,15 +47,20 @@ persistent ``ShardedSearcherService`` fleet; the data plane stays Ray.
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 import os
 import threading
+import types
+import typing
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl, urlencode, urlsplit
+from urllib.request import Request, urlopen
 
 from lucene_plugin_ray.config import IndexConfig
-from lucene_plugin_ray.facade import LuceneException, LuceneFacade
-from lucene_plugin_ray.functions.queryparse import QueryParseError
+from lucene_plugin_ray.facade import LuceneEntry, LuceneException, LuceneFacade
 
 # ---- demo UI (round 5; ≙ web/src/main/resources/public/index.html +
 # lucene-client.js — same two forms / five calls, written from scratch
@@ -196,6 +216,116 @@ function mapSearch() {
 """
 
 
+# ---- the route table, derived from LuceneFacade ---------------------------
+
+# facade parameter -> wire name, where they differ
+_WIRE = {
+    "ext_id": "id",
+    "window_size": "window",
+    "facet_field": "field",
+    "dim_fields": "fields",
+    "descending": "order",
+}
+# wire values spelled as words: ``order`` and every bool parameter
+_WORDS = {"order": {"asc": False, "desc": True}}
+_BOOL = {"true": True, "false": False}
+_WRITES = ("index_text", "index_map", "index_file", "delete", "clear")
+
+
+@dataclass(frozen=True)
+class _Param:
+    name: str  # facade parameter
+    wire: str
+    kind: type  # str, int, float, bool, list or dict
+    default: object  # inspect.Parameter.empty when required
+
+    @property
+    def words(self) -> dict | None:
+        return _WORDS.get(self.wire, _BOOL if self.kind is bool else None)
+
+
+@dataclass(frozen=True)
+class _Route:
+    name: str  # facade method
+    verb: str
+    params: dict[str, _Param]  # in signature order
+
+
+def _kind(hint) -> type:
+    """The wire type of an annotation: ``int | None`` → int,
+    ``dict[str, str]`` → dict."""
+    if isinstance(hint, types.UnionType):
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    return typing.get_origin(hint) or hint
+
+
+def _routes() -> dict[str, _Route]:
+    """{route: _Route} for every public facade method except ``commit``."""
+    out = {}
+    for name, fn in vars(LuceneFacade).items():
+        if not inspect.isfunction(fn) or name.startswith("_") or name == "commit":
+            continue
+        hints = typing.get_type_hints(fn)
+        params = [
+            _Param(p.name, _WIRE.get(p.name, p.name), _kind(hints[p.name]), p.default)
+            for p in list(inspect.signature(fn).parameters.values())[1:]
+        ]
+        verb = "POST" if name in _WRITES or name == "snippets" else "GET"
+        out[name.replace("_", "-")] = _Route(name, verb, {p.name: p for p in params})
+    return out
+
+
+_ROUTES = _routes()
+
+
+def _decode(p: _Param, raw: str):
+    """One wire value → the facade argument of ``p``."""
+    if p.words is not None:
+        if raw not in p.words:
+            choices = " or ".join(map(repr, p.words))
+            raise LuceneException(f"{p.wire} must be {choices}: {raw!r}")
+        return p.words[raw]
+    if p.kind in (list, dict):
+        what = "a JSON list" if p.kind is list else "a JSON object"
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise LuceneException(f"{p.wire} must be {what}: {e}") from None
+        if not isinstance(value, p.kind):
+            raise LuceneException(f"{p.wire} must be {what}")
+        return value
+    if p.kind is str:
+        return raw
+    try:
+        return p.kind(raw)
+    except ValueError:
+        what = "an integer" if p.kind is int else "a number"
+        raise LuceneException(f"{p.wire} must be {what}: {raw!r}") from None
+
+
+def _json_body(out):
+    """A facade answer as JSON: hit entries under the Java field names."""
+    if isinstance(out, list):
+        return [
+            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
+            if isinstance(e, LuceneEntry) else e
+            for e in out
+        ]
+    return out
+
+
+# answers whose JSON differs from the facade's return value
+_ANSWERS = {
+    "clear": lambda _: None,  # reference clear() completes with null
+    "count": lambda n: {"count": n},
+    "classify": lambda rows: [{"class": c, "score": s} for c, s in rows],
+    "classify_knn": lambda rows: [
+        {"class": c, "vote_units": v, "hits": h} for c, v, h in rows
+    ],
+    "drill_sideways": lambda r: {"hits": _json_body(r[0]), "counts": r[1]},
+}
+
+
 class LuceneHttpService:
     """Serve a :class:`LuceneFacade` over HTTP on ``host:port``
     (``port=0`` → ephemeral).  ``start()`` runs the server on a daemon
@@ -227,55 +357,46 @@ class LuceneHttpService:
             def log_message(self, fmt, *args):  # noqa: N802
                 pass
 
-            def _respond(self, code: int, payload) -> None:
-                body = json.dumps(payload).encode()
+            def _send(self, code: int, body: bytes, ctype: str) -> None:
                 self.send_response(code)
-                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Type", ctype)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
 
-            def _form(self) -> dict[str, str]:
-                n = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(n).decode() if n else ""
-                return dict(parse_qsl(raw, keep_blank_values=True))
-
-            def _static(self, body: str, ctype: str) -> None:
-                data = body.encode()
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+            def _respond(self, code: int, payload) -> None:
+                self._send(code, json.dumps(payload).encode(), "application/json")
 
             def _route(self, verb: str) -> None:
                 url = urlsplit(self.path)
                 if verb == "GET" and url.path in ("/", "/index.html"):
                     # demo UI (≙ the reference's public/index.html)
-                    self._static(
-                        _INDEX_HTML.replace("%BASE%", service.base_path),
-                        "text/html; charset=utf-8",
-                    )
+                    page = _INDEX_HTML.replace("%BASE%", service.base_path)
+                    self._send(200, page.encode(), "text/html; charset=utf-8")
                     return
                 if verb == "GET" and url.path == "/lucene-client.js":
-                    self._static(
-                        _CLIENT_JS, "application/javascript; charset=utf-8"
-                    )
+                    self._send(200, _CLIENT_JS.encode(),
+                               "application/javascript; charset=utf-8")
                     return
                 if not url.path.startswith(service.base_path + "/"):
                     self._respond(404, {"error": f"unknown path {url.path}"})
                     return
                 op = url.path[len(service.base_path) + 1 :]
+                route = _ROUTES.get(op)
+                if route is None or route.verb != verb:
+                    self._respond(404, {"error": f"unknown op {verb} {op}"})
+                    return
                 try:
-                    if verb == "GET" and op in service._GETS:
-                        q = dict(parse_qsl(url.query, keep_blank_values=True))
-                        self._respond(200, service._GETS[op](service, q))
-                    elif verb == "POST" and op in service._POSTS:
-                        self._respond(200, service._POSTS[op](service, self._form()))
+                    if verb == "POST":
+                        n = int(self.headers.get("Content-Length") or 0)
+                        query = self.rfile.read(n).decode() if n else ""
                     else:
-                        self._respond(404, {"error": f"unknown op {verb} {op}"})
-                except (LuceneException, QueryParseError) as e:
-                    # validation AND query-grammar failures are client errors
+                        query = url.query
+                    q = dict(parse_qsl(query, keep_blank_values=True))
+                    self._respond(200, service._call(route, q))
+                except LuceneException as e:
+                    # validation, query-grammar and decoding failures are
+                    # client errors
                     self._respond(400, {"error": str(e)})
                 except Exception as e:  # pragma: no cover - defensive 500
                     self._respond(500, {"error": f"{type(e).__name__}: {e}"})
@@ -297,707 +418,48 @@ class LuceneHttpService:
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: threading.Thread | None = None
 
-    # ---- endpoint bodies (called with the parsed form/query dict) -------
-    def _index_text(self, form: dict) -> bool:
-        with self._lock:
-            return self.facade.index_text(
-                form.get("collection", ""), form.get("id", ""), form.get("text")
+    def _call(self, route: _Route, q: dict[str, str]):
+        """Decode ``q`` by the facade signature, run the op under the lock
+        (a read commits pending writes first: read-your-writes) and encode
+        its answer."""
+        kwargs = self._per_route(route, q)
+        for p in route.params.values():
+            raw = q.get(p.wire)
+            if p.name in kwargs:
+                continue
+            if raw in (None, "") and p.default is not inspect.Parameter.empty:
+                continue  # empty or absent: the facade default
+            # an absent required string fails the facade's own check
+            kwargs[p.name] = (
+                None if raw is None and p.kind is str else _decode(p, raw or "")
             )
-
-    def _index_map(self, form: dict) -> bool:
-        mapping = {
-            k: v for k, v in form.items() if k not in ("collection", "id")
-        }
         with self._lock:
-            return self.facade.index_map(
-                form.get("collection", ""), form.get("id", ""), mapping
-            )
+            if route.name not in _WRITES and self.facade._pending:
+                self.facade.commit()
+            out = getattr(self.facade, route.name)(**kwargs)
+        return _ANSWERS.get(route.name, _json_body)(out)
 
-    def _index_file(self, form: dict) -> bool:
-        path = form.get("path", "")
-        if self.file_root is not None:
+    def _per_route(self, route: _Route, q: dict[str, str]) -> dict:
+        """The arguments a route decodes its own way."""
+        if route.name == "index_map":
+            return {"mapping": {k: v for k, v in q.items()
+                                if k not in ("collection", "id")}}
+        if route.name == "index_file" and self.file_root is not None:
+            path = q.get("path", "")
             real = os.path.realpath(path)
             if not (real + os.sep).startswith(self.file_root + os.sep):
                 raise LuceneException(
                     f"path outside the served file root: {path!r}"
                 )
-            path = real
-        with self._lock:
-            return self.facade.index_file(form.get("collection", ""), path)
-
-    def _delete(self, form: dict) -> bool:
-        with self._lock:
-            return self.facade.delete(form.get("collection", ""), form.get("id", ""))
-
-    def _clear(self, form: dict):
-        with self._lock:
-            self.facade.clear(form.get("collection", ""))
-        return None  # reference clear() completes with null
-
-    def _search(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        with self._lock:
-            self._read_your_writes()
-            entries = self.facade.search(
-                q.get("collection", ""), q.get("query", ""), limit=limit
-            )
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _search_after(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        import math
-
-        try:
-            after_score = float(q.get("after_score", ""))
-        except ValueError:
-            raise LuceneException(
-                f"after_score must be a float: {q.get('after_score')!r}"
-            )
-        if not math.isfinite(after_score):
-            raise LuceneException("after_score must be finite")
-        if "after_url" not in q:
-            raise LuceneException("after_url is required")
-        with self._lock:
-            self._read_your_writes()
-            entries = self.facade.search_after(
-                q.get("collection", ""), q.get("query", ""),
-                after_score, q["after_url"], limit=limit,
-            )
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _search_filtered(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        with self._lock:
-            self._read_your_writes()
-            entries = self.facade.search_filtered(
-                q.get("collection", ""), q.get("query", ""),
-                q.get("filter_query", ""), limit=limit,
-            )
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _search_surround(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.search_surround(
-                    q.get("collection", ""), q.get("query", ""), limit=limit
-                )
-            except ValueError as e:  # SurroundParseError subclasses it
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _search_diversified(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            mpk = int(q.get("max_per_key") or 1)
-        except ValueError:
-            raise LuceneException(
-                f"max_per_key must be an integer: {q['max_per_key']!r}"
-            )
-        with self._lock:
-            self._read_your_writes()
-            try:
-                return self.facade.search_diversified(
-                    q.get("collection", ""), q.get("query", ""),
-                    q.get("key_field", ""), max_per_key=mpk, limit=limit,
-                )
-            except ValueError as e:
-                raise LuceneException(str(e))
-
-    def _search_expression_range(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        bindings = {}
-        if q.get("bindings"):
-            try:
-                bindings = json.loads(q["bindings"])
-            except json.JSONDecodeError as e:
-                raise LuceneException(f"bindings must be a JSON object: {e}")
-            if not isinstance(bindings, dict):
-                raise LuceneException("bindings must be a JSON object")
-
-        def _num(name):
-            v = q.get(name)
-            if v in (None, ""):
-                return None
-            try:
-                return float(v)
-            except ValueError:
-                raise LuceneException(f"{name} must be a number: {v!r}")
-
-        lo, hi = _num("lo"), _num("hi")
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.search_expression_range(
-                    q.get("collection", ""), q.get("query", ""),
-                    q.get("expression", ""), lo=lo, hi=hi,
-                    bindings=bindings, limit=limit,
-                )
-            except ValueError as e:
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _search_common(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            mtf = float(q.get("max_term_frequency") or 0.01)
-        except ValueError:
-            raise LuceneException(
-                f"max_term_frequency must be a number: "
-                f"{q['max_term_frequency']!r}"
-            )
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.search_common(
-                    q.get("collection", ""), q.get("query", ""),
-                    max_term_frequency=mtf, limit=limit,
-                )
-            except ValueError as e:
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _search_boosting(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            demote = float(q.get("demote") or 0.2)
-        except ValueError:
-            raise LuceneException(f"demote must be a number: {q['demote']!r}")
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.search_boosting(
-                    q.get("collection", ""), q.get("positive_query", ""),
-                    q.get("negative_query", ""), demote=demote, limit=limit,
-                )
-            except ValueError as e:
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _search_expression(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        bindings = {}
-        if q.get("bindings"):
-            try:
-                bindings = json.loads(q["bindings"])
-            except json.JSONDecodeError as e:
-                raise LuceneException(f"bindings must be a JSON object: {e}")
-            if not isinstance(bindings, dict):
-                raise LuceneException("bindings must be a JSON object")
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.search_expression(
-                    q.get("collection", ""), q.get("query", ""),
-                    q.get("expression", ""), bindings=bindings, limit=limit,
-                )
-            except ValueError as e:  # ExpressionError subclasses ValueError
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _span_near(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            terms = json.loads(q.get("terms", ""))
-        except json.JSONDecodeError as e:
-            raise LuceneException(f"terms must be a JSON list: {e}")
-        if not isinstance(terms, list):
-            raise LuceneException("terms must be a JSON list of strings")
-        try:
-            slop = int(q.get("slop") or 0)
-        except ValueError:
-            raise LuceneException(f"slop must be an integer: {q['slop']!r}")
-        in_order_s = q.get("in_order", "true").lower()
-        if in_order_s not in ("true", "false"):
-            raise LuceneException(
-                f"in_order must be 'true' or 'false': {q['in_order']!r}"
-            )
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.span_near(
-                    q.get("collection", ""), terms, slop=slop,
-                    in_order=in_order_s == "true", limit=limit,
-                )
-            except ValueError as e:  # stopword/multi-token term, bad slop
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _span_first(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            end = int(q.get("end") or 0)
-        except ValueError:
-            raise LuceneException(f"end must be an integer: {q['end']!r}")
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.span_first(
-                    q.get("collection", ""), q.get("term", ""), end,
-                    limit=limit,
-                )
-            except ValueError as e:
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _span_not(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            exclude = json.loads(q.get("exclude", ""))
-        except json.JSONDecodeError as e:
-            raise LuceneException(f"exclude must be a JSON list: {e}")
-        if not isinstance(exclude, list):
-            raise LuceneException("exclude must be a JSON list of strings")
-        try:
-            pre = int(q.get("pre") or 0)
-            post = int(q.get("post") or 0)
-        except ValueError:
-            raise LuceneException("pre / post must be integers")
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.span_not(
-                    q.get("collection", ""), q.get("term", ""), exclude,
-                    pre=pre, post=post, limit=limit,
-                )
-            except ValueError as e:
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _search_join(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.search_join(
-                    q.get("collection", ""), q.get("from_query", ""),
-                    q.get("from_field", ""), q.get("to_field", ""),
-                    score_mode=q.get("score_mode", "max"), limit=limit,
-                )
-            except ValueError as e:  # bad score_mode / non-metadata field
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _block_join_parents(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.block_join_parents(
-                    q.get("collection", ""), q.get("child_query", ""),
-                    q.get("parent_filter", ""), q.get("block_field", ""),
-                    score_mode=q.get("score_mode", "max"), limit=limit,
-                )
-            except ValueError as e:  # bad mode / field / contract violation
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _block_join_children(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        raw = q.get("score", "true").lower()
-        if raw not in ("true", "false"):
-            raise LuceneException(
-                f"score must be 'true' or 'false', got {raw!r}"
-            )
-        score = raw == "true"
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries = self.facade.block_join_children(
-                    q.get("collection", ""), q.get("parent_query", ""),
-                    q.get("parent_filter", ""), q.get("block_field", ""),
-                    score=score, limit=limit,
-                )
-            except ValueError as e:
-                raise LuceneException(str(e))
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _drill_sideways(self, q: dict) -> dict:
-        import json as _json
-
-        limit = self._limit_of(q)
-        try:
-            dims = _json.loads(q.get("dims", ""))
-        except ValueError as e:
-            raise LuceneException(f"dims must be a JSON object: {e}")
-        if not isinstance(dims, dict):
-            raise LuceneException("dims must be a JSON object")
-        with self._lock:
-            self._read_your_writes()
-            try:
-                entries, counts = self.facade.drill_sideways(
-                    q.get("collection", ""), q.get("query", ""), dims,
-                    limit=limit,
-                )
-            except ValueError as e:  # unknown field / bad dim value
-                raise LuceneException(str(e))
-        return {
-            "hits": [
-                {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-                for e in entries
-            ],
-            "counts": {
-                f: [[v, c] for v, c in items] for f, items in counts.items()
-            },
-        }
-
-    def _search_sorted_by(self, q: dict) -> list[dict]:
-        import json as _json
-
-        limit = self._limit_of(q)
-        try:
-            sort = _json.loads(q.get("sort", ""))
-        except ValueError as e:
-            raise LuceneException(f"sort must be a JSON list: {e}")
-        if not isinstance(sort, list):
-            raise LuceneException("sort must be a JSON list of [field, dir]")
-        after_keys = None
-        if q.get("after_keys"):
-            try:
-                after_keys = _json.loads(q["after_keys"])
-            except ValueError as e:
-                raise LuceneException(f"after_keys must be a JSON list: {e}")
-            if not isinstance(after_keys, list):
-                raise LuceneException("after_keys must be a JSON list")
-        with self._lock:
-            self._read_your_writes()
-            try:
-                return self.facade.search_sorted_by(
-                    q.get("collection", ""), q.get("query", ""), sort,
-                    limit=limit, after_keys=after_keys,
-                    after_url=q.get("after_url", ""),
-                )
-            except ValueError as e:  # bad field/dir/dup/anchor
-                raise LuceneException(str(e))
-
-    def _classify(self, q: dict) -> list[dict]:
-        with self._lock:
-            self._read_your_writes()
-            try:
-                rows = self.facade.classify(
-                    q.get("collection", ""), q.get("text", ""),
-                    q.get("class_field", ""),
-                )
-            except ValueError as e:  # zero tokens / unknown field
-                raise LuceneException(str(e))
-        return [{"class": c, "score": s} for c, s in rows]
-
-    def _classify_knn(self, q: dict) -> list[dict]:
-        try:
-            k = int(q.get("k", "10"))
-        except ValueError:
-            raise LuceneException(f"k must be an integer: {q.get('k')!r}")
-        with self._lock:
-            self._read_your_writes()
-            try:
-                rows = self.facade.classify_knn(
-                    q.get("collection", ""), q.get("text", ""),
-                    q.get("class_field", ""), k=k,
-                )
-            except ValueError as e:
-                raise LuceneException(str(e))
-        return [
-            {"class": c, "vote_units": v, "hits": h} for c, v, h in rows
-        ]
-
-    def _rescore(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            window = int(q["window"]) if q.get("window") else None
-        except ValueError:
-            raise LuceneException(f"window must be an integer: {q['window']!r}")
-        try:
-            weight = float(q.get("weight", "1.0"))
-        except ValueError:
-            raise LuceneException(f"weight must be a float: {q.get('weight')!r}")
-        with self._lock:
-            self._read_your_writes()
-            entries = self.facade.rescore(
-                q.get("collection", ""), q.get("query", ""),
-                q.get("rescore_query", ""), window_size=window,
-                weight=weight, limit=limit,
-            )
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _limit_of(self, q: dict) -> int | None:
-        try:
-            return int(q["limit"]) if q.get("limit") else None
-        except ValueError:
-            raise LuceneException(f"limit must be an integer: {q['limit']!r}")
-
-    def _read_your_writes(self) -> None:
-        if self.facade._pending:  # read-your-writes (see module doc)
-            self.facade.commit()
-
-    def _count(self, q: dict) -> dict:
-        with self._lock:
-            self._read_your_writes()
-            n = self.facade.count(q.get("collection", ""), q.get("query", ""))
-        return {"count": n}
-
-    def _facets(self, q: dict) -> list[dict]:
-        with self._lock:
-            self._read_your_writes()
-            return self.facade.facets(
-                q.get("collection", ""), q.get("query", ""), q.get("field", "")
-            )
-
-    def _facets_taxonomy(self, q: dict) -> list[dict]:
-        import json as _json
-
-        try:
-            fields = _json.loads(q.get("fields", ""))
-        except ValueError as e:
-            raise LuceneException(f"fields must be a JSON list: {e}")
-        if not isinstance(fields, list):
-            raise LuceneException("fields must be a JSON list of field names")
-        top_n = None
-        if q.get("top_n"):
-            try:
-                top_n = int(q["top_n"])
-            except ValueError:
-                raise LuceneException(
-                    f"top_n must be an integer: {q['top_n']!r}"
-                )
-        with self._lock:
-            self._read_your_writes()
-            try:
-                return self.facade.facets_taxonomy(
-                    q.get("collection", ""), q.get("query", ""), fields,
-                    top_n=top_n,
-                )
-            except ValueError as e:  # unknown/dup field, bad top_n
-                raise LuceneException(str(e))
-
-    def _search_sorted(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        order = q.get("order", "desc")
-        if order not in ("asc", "desc"):
-            # a typo must not silently invert the requested sort
-            raise LuceneException(f"order must be 'asc' or 'desc': {order!r}")
-        after_ts = None
-        if q.get("after_ts"):
-            try:
-                after_ts = int(q["after_ts"])
-            except ValueError:
-                raise LuceneException(
-                    f"after_ts must be an integer: {q['after_ts']!r}"
-                )
-        with self._lock:
-            self._read_your_writes()
-            return self.facade.search_sorted(
-                q.get("collection", ""),
-                q.get("query", ""),
-                limit=limit,
-                descending=order != "asc",
-                after_ts=after_ts,
-                after_url=q.get("after_url", ""),
-            )
-
-    def _more_like_this(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            m = int(q.get("max_query_terms") or 25)
-        except ValueError:
-            raise LuceneException(
-                f"max_query_terms must be an integer: {q['max_query_terms']!r}"
-            )
-        with self._lock:
-            self._read_your_writes()
-            entries = self.facade.more_like_this(
-                q.get("collection", ""),
-                q.get("text", ""),
-                max_query_terms=m,
-                limit=limit,
-                exclude_id=q.get("exclude_id") or None,
-            )
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _more_like_this_id(self, q: dict) -> list[dict]:
-        limit = self._limit_of(q)
-        try:
-            m = int(q.get("max_query_terms") or 25)
-        except ValueError:
-            raise LuceneException(
-                f"max_query_terms must be an integer: {q['max_query_terms']!r}"
-            )
-        with self._lock:
-            self._read_your_writes()
-            entries = self.facade.more_like_this_id(
-                q.get("collection", ""), q.get("id", ""),
-                max_query_terms=m, limit=limit,
-            )
-        return [
-            {"_id": e.id, "_score": e.score, "_externalId": e.external_id}
-            for e in entries
-        ]
-
-    def _snippets(self, form: dict) -> list[dict]:
-        # POST (not GET): the hit bodies travel in the request.  ``texts``
-        # is a JSON object {external_id: raw_text, ...}.
-        try:
-            texts = json.loads(form.get("texts") or "{}")
-        except json.JSONDecodeError as e:
-            raise LuceneException(f"texts must be a JSON object: {e}")
-        if not isinstance(texts, dict):
-            raise LuceneException("texts must be a JSON object")
-        try:
-            k = int(form.get("k") or 10)
-            window = int(form.get("window") or 8)
-        except ValueError:
-            raise LuceneException("k / window must be integers")
-        with self._lock:
-            self._read_your_writes()
-            return self.facade.snippets(
-                form.get("collection", ""), form.get("query", ""),
-                texts, k=k, window=window,
-            )
-
-    _POSTS = {
-        "index-text": _index_text,
-        "index-map": _index_map,
-        "index-file": _index_file,
-        "delete": _delete,
-        "clear": _clear,
-        "snippets": _snippets,
-    }
-    def _term_vector(self, q: dict) -> list[dict]:
-        with self._lock:
-            self._read_your_writes()
-            try:
-                return self.facade.term_vector(
-                    q.get("collection", ""), q.get("id", ""),
-                    field=q.get("field") or None,
-                )
-            except ValueError as e:  # non-analyzed field
-                raise LuceneException(str(e))
-
-    def _explain(self, q: dict) -> dict:
-        with self._lock:
-            self._read_your_writes()
-            return self.facade.explain(
-                q.get("collection", ""), q.get("query", ""), q.get("id", "")
-            )
-
-    def _suggest(self, q: dict) -> list[dict]:
-        try:
-            k = int(q.get("k") or 5)
-            max_edits = int(q.get("max_edits") or 2)
-        except ValueError:
-            raise LuceneException("k / max_edits must be integers")
-        with self._lock:
-            self._read_your_writes()
-            # through the facade like every other endpoint: empty
-            # collection/term are 400s, not silently-defaulted junk scans
-            return self.facade.suggest(
-                q.get("collection", ""), q.get("term", ""),
-                k=k, max_edits=max_edits,
-            )
-
-    def _complete(self, q: dict) -> list[dict]:
-        try:
-            k = int(q.get("k") or 5)
-        except ValueError:
-            raise LuceneException("k must be an integer")
-        with self._lock:
-            self._read_your_writes()
-            return self.facade.complete(
-                q.get("collection", ""), q.get("prefix", ""), k=k
-            )
-
-    def _complete_infix(self, q: dict) -> list[dict]:
-        try:
-            k = int(q.get("k") or 5)
-        except ValueError:
-            raise LuceneException("k must be an integer")
-        with self._lock:
-            self._read_your_writes()
-            return self.facade.complete_infix(
-                q.get("collection", ""), q.get("fragment", ""), k=k
-            )
-
-    _GETS = {
-        "search": _search,
-        "search-after": _search_after,
-        "rescore": _rescore,
-        "search-filtered": _search_filtered,
-        "search-expression": _search_expression,
-        "search-expression-range": _search_expression_range,
-        "search-common": _search_common,
-        "search-diversified": _search_diversified,
-        "search-surround": _search_surround,
-        "search-boosting": _search_boosting,
-        "span-near": _span_near,
-        "span-first": _span_first,
-        "span-not": _span_not,
-        "search-join": _search_join,
-        "block-join-parents": _block_join_parents,
-        "block-join-children": _block_join_children,
-        "drill-sideways": _drill_sideways,
-        "classify": _classify,
-        "classify-knn": _classify_knn,
-        "count": _count,
-        "facets": _facets,
-        "facets-taxonomy": _facets_taxonomy,
-        "term-vector": _term_vector,
-        "search-sorted": _search_sorted,
-        "search-sorted-by": _search_sorted_by,
-        "more-like-this": _more_like_this,
-        "more-like-this-id": _more_like_this_id,
-        "explain": _explain,
-        "suggest": _suggest,
-        "complete": _complete,
-        "complete-infix": _complete_infix,
-    }
+            return {"path": real}
+        if route.name == "search_after":
+            score = _decode(route.params["after_score"], q.get("after_score", ""))
+            if not math.isfinite(score):
+                raise LuceneException("after_score must be finite")
+            if "after_url" not in q:
+                raise LuceneException("after_url is required")
+            return {"after_score": score}
+        return {}
 
     # ---- lifecycle -------------------------------------------------------
     @property
@@ -1021,372 +483,93 @@ class LuceneHttpService:
             self.facade.commit()
 
 
+def _hit_ids(hits: list[dict]) -> list[str]:
+    # ≙ lucene-client.js:85-115 — the _externalId list
+    return [h["_externalId"] for h in hits]
+
+
+# client answers other than the JSON body
+_CLIENT_ANSWERS = {
+    "search": _hit_ids,
+    "more_like_this": _hit_ids,
+    "count": lambda body: body["count"],
+}
+
+
+def _client_method(op: str, route: _Route):
+    """The client method of one route: the facade's parameters under their
+    wire names (``ext_id`` keeps its name: ``id`` is a builtin), sent as
+    the route decodes them."""
+    P = inspect.Parameter
+    fn = getattr(LuceneFacade, route.name)
+    names = {p.name: p.name if p.name == "ext_id" else p.wire
+             for p in route.params.values()}
+    params = [P("self", P.POSITIONAL_OR_KEYWORD)]
+    for p in route.params.values():
+        default, annotation = p.default, fn.__annotations__[p.name]
+        if p.wire in _WORDS:  # the client sends the word itself
+            default = next(w for w, v in _WORDS[p.wire].items() if v == default)
+            annotation = "str"
+        params.append(P(names[p.name], P.POSITIONAL_OR_KEYWORD,
+                        default=default, annotation=annotation))
+    sig = inspect.Signature(params)
+
+    def method(self, *args, **kwargs):
+        bound = sig.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        data = {}
+        for p in route.params.values():
+            v = bound.arguments[names[p.name]]
+            if v is None:
+                continue
+            if p.name == "mapping":  # index-map's free-form keys
+                data.update(v)
+            elif isinstance(v, bool):
+                data[p.wire] = "true" if v else "false"
+            elif isinstance(v, (list, tuple, dict)):
+                data[p.wire] = json.dumps(v)
+            else:
+                data[p.wire] = v
+        send = self._post if route.verb == "POST" else self._get
+        return _CLIENT_ANSWERS.get(route.name, lambda body: body)(send(op, data))
+
+    method.__name__ = route.name
+    method.__qualname__ = f"LuceneHttpClient.{route.name}"
+    method.__doc__ = (
+        f"``{route.verb} <base>/{op}``: :meth:`LuceneFacade.{route.name}` "
+        "over the wire."
+    )
+    method.__signature__ = sig
+    return method
+
+
+def _route_methods(cls):
+    """Class decorator: one client method per route."""
+    for op, route in _ROUTES.items():
+        setattr(cls, route.name, _client_method(op, route))
+    return cls
+
+
+@_route_methods
 class LuceneHttpClient:
-    """Python twin of ``lucene-client.js`` (same five calls, same wire
-    shapes) so the round-trip is testable without a browser."""
+    """Python twin of ``lucene-client.js`` (same wire shapes) so the
+    round-trip is testable without a browser: one method per route, with
+    the facade method's parameters; ``search`` and ``more_like_this``
+    return the ``_externalId`` list as the JS client does."""
 
     def __init__(self, url: str):
         self.url = url.rstrip("/")
 
     def _post(self, op: str, data: dict):
-        import urllib.parse
-        import urllib.request
-
-        req = urllib.request.Request(
+        req = Request(
             f"{self.url}/{op}",
-            data=urllib.parse.urlencode(data).encode(),
+            data=urlencode(data).encode(),
             headers={"Content-Type": "application/x-www-form-urlencoded"},
             method="POST",
         )
-        with urllib.request.urlopen(req) as resp:
+        with urlopen(req) as resp:
             return json.loads(resp.read().decode())
-
-    def index_text(self, collection: str, ext_id: str, text: str):
-        # ≙ lucene-client.js:24-36
-        return self._post(
-            "index-text", {"collection": collection, "id": ext_id, "text": text}
-        )
-
-    def index_map(self, collection: str, ext_id: str, mapping: dict):
-        # ≙ lucene-client.js:54-69
-        return self._post(
-            "index-map", {"collection": collection, "id": ext_id, **mapping}
-        )
-
-    def search(self, collection: str, query: str, limit: int = 255) -> list[str]:
-        # ≙ lucene-client.js:85-115 — returns the _externalId list
-        import urllib.parse
-        import urllib.request
-
-        qs = urllib.parse.urlencode(
-            {"collection": collection, "query": query, "limit": limit}
-        )
-        with urllib.request.urlopen(f"{self.url}/search?{qs}") as resp:
-            results = json.loads(resp.read().decode())
-        return [r["_externalId"] for r in results]
 
     def _get(self, op: str, params: dict):
-        import urllib.parse
-        import urllib.request
-
-        qs = urllib.parse.urlencode(params)
-        with urllib.request.urlopen(f"{self.url}/{op}?{qs}") as resp:
+        with urlopen(f"{self.url}/{op}?{urlencode(params)}") as resp:
             return json.loads(resp.read().decode())
-
-    def search_after(
-        self, collection: str, query: str, after_score: float,
-        after_url: str, limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "search-after",
-            {"collection": collection, "query": query,
-             "after_score": after_score, "after_url": after_url,
-             "limit": limit},
-        )
-
-    def search_filtered(
-        self, collection: str, query: str, filter_query: str,
-        limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "search-filtered",
-            {"collection": collection, "query": query,
-             "filter_query": filter_query, "limit": limit},
-        )
-
-    def search_surround(
-        self, collection: str, query: str, limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "search-surround",
-            {"collection": collection, "query": query, "limit": limit},
-        )
-
-    def search_diversified(
-        self, collection: str, query: str, key_field: str,
-        max_per_key: int = 1, limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "search-diversified",
-            {"collection": collection, "query": query,
-             "key_field": key_field, "max_per_key": max_per_key,
-             "limit": limit},
-        )
-
-    def search_expression_range(
-        self, collection: str, query: str, expression: str,
-        lo: "float | None" = None, hi: "float | None" = None,
-        bindings: dict | None = None, limit: int = 255,
-    ) -> list[dict]:
-        import json as _json
-
-        params = {"collection": collection, "query": query,
-                  "expression": expression,
-                  "bindings": _json.dumps(bindings or {}), "limit": limit}
-        if lo is not None:
-            params["lo"] = lo
-        if hi is not None:
-            params["hi"] = hi
-        return self._get("search-expression-range", params)
-
-    def search_common(
-        self, collection: str, query: str,
-        max_term_frequency: float = 0.01, limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "search-common",
-            {"collection": collection, "query": query,
-             "max_term_frequency": max_term_frequency, "limit": limit},
-        )
-
-    def search_boosting(
-        self, collection: str, positive_query: str, negative_query: str,
-        demote: float = 0.2, limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "search-boosting",
-            {"collection": collection, "positive_query": positive_query,
-             "negative_query": negative_query, "demote": demote,
-             "limit": limit},
-        )
-
-    def search_expression(
-        self, collection: str, query: str, expression: str,
-        bindings: dict | None = None, limit: int = 255,
-    ) -> list[dict]:
-        import json as _json
-
-        return self._get(
-            "search-expression",
-            {"collection": collection, "query": query,
-             "expression": expression,
-             "bindings": _json.dumps(bindings or {}), "limit": limit},
-        )
-
-    def span_near(
-        self, collection: str, terms: list, slop: int = 0,
-        in_order: bool = True, limit: int = 255,
-    ) -> list[dict]:
-        import json as _json
-
-        return self._get(
-            "span-near",
-            {"collection": collection, "terms": _json.dumps(list(terms)),
-             "slop": slop, "in_order": "true" if in_order else "false",
-             "limit": limit},
-        )
-
-    def span_first(
-        self, collection: str, term: str, end: int, limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "span-first",
-            {"collection": collection, "term": term, "end": end,
-             "limit": limit},
-        )
-
-    def span_not(
-        self, collection: str, term: str, exclude: list, pre: int = 0,
-        post: int = 0, limit: int = 255,
-    ) -> list[dict]:
-        import json as _json
-
-        return self._get(
-            "span-not",
-            {"collection": collection, "term": term,
-             "exclude": _json.dumps(list(exclude)), "pre": pre,
-             "post": post, "limit": limit},
-        )
-
-    def search_join(
-        self, collection: str, from_query: str, from_field: str,
-        to_field: str, score_mode: str = "max", limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "search-join",
-            {"collection": collection, "from_query": from_query,
-             "from_field": from_field, "to_field": to_field,
-             "score_mode": score_mode, "limit": limit},
-        )
-
-    def block_join_parents(
-        self, collection: str, child_query: str, parent_filter: str,
-        block_field: str, score_mode: str = "max", limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "block-join-parents",
-            {"collection": collection, "child_query": child_query,
-             "parent_filter": parent_filter, "block_field": block_field,
-             "score_mode": score_mode, "limit": limit},
-        )
-
-    def block_join_children(
-        self, collection: str, parent_query: str, parent_filter: str,
-        block_field: str, score: bool = True, limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "block-join-children",
-            {"collection": collection, "parent_query": parent_query,
-             "parent_filter": parent_filter, "block_field": block_field,
-             "score": "true" if score else "false", "limit": limit},
-        )
-
-    def drill_sideways(
-        self, collection: str, query: str, dims: dict, limit: int = 255,
-    ) -> dict:
-        import json as _json
-
-        return self._get(
-            "drill-sideways",
-            {"collection": collection, "query": query,
-             "dims": _json.dumps(dims), "limit": limit},
-        )
-
-    def search_sorted_by(
-        self, collection: str, query: str, sort: list, limit: int = 255,
-        after_keys: "list | None" = None, after_url: str = "",
-    ) -> list[dict]:
-        import json as _json
-
-        params = {"collection": collection, "query": query,
-                  "sort": _json.dumps(sort), "limit": limit}
-        if after_keys is not None:
-            params["after_keys"] = _json.dumps(after_keys)
-            params["after_url"] = after_url
-        return self._get("search-sorted-by", params)
-
-    def classify(
-        self, collection: str, text: str, class_field: str
-    ) -> list[dict]:
-        return self._get(
-            "classify",
-            {"collection": collection, "text": text,
-             "class_field": class_field},
-        )
-
-    def classify_knn(
-        self, collection: str, text: str, class_field: str, k: int = 10
-    ) -> list[dict]:
-        return self._get(
-            "classify-knn",
-            {"collection": collection, "text": text,
-             "class_field": class_field, "k": k},
-        )
-
-    def rescore(
-        self, collection: str, query: str, rescore_query: str,
-        window: int = 255, weight: float = 1.0, limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "rescore",
-            {"collection": collection, "query": query,
-             "rescore_query": rescore_query, "window": window,
-             "weight": weight, "limit": limit},
-        )
-
-    def count(self, collection: str, query: str) -> int:
-        return self._get("count", {"collection": collection, "query": query})[
-            "count"
-        ]
-
-    def facets(self, collection: str, query: str, field: str) -> list[dict]:
-        return self._get(
-            "facets", {"collection": collection, "query": query, "field": field}
-        )
-
-    def facets_taxonomy(
-        self, collection: str, query: str, fields: list,
-        top_n: int | None = None,
-    ) -> list[dict]:
-        import json as _json
-
-        params = {"collection": collection, "query": query,
-                  "fields": _json.dumps(fields)}
-        if top_n is not None:
-            params["top_n"] = top_n
-        return self._get("facets-taxonomy", params)
-
-    def search_sorted(
-        self, collection: str, query: str, limit: int = 255,
-        order: str = "desc", after_ts: int | None = None, after_url: str = "",
-    ) -> list[dict]:
-        params = {"collection": collection, "query": query, "limit": limit,
-                  "order": order}
-        if after_ts is not None:
-            params["after_ts"] = after_ts
-            params["after_url"] = after_url
-        return self._get("search-sorted", params)
-
-    def term_vector(
-        self, collection: str, ext_id: str, field: str | None = None,
-    ) -> list[dict]:
-        params = {"collection": collection, "id": ext_id}
-        if field is not None:
-            params["field"] = field
-        return self._get("term-vector", params)
-
-    def explain(self, collection: str, query: str, ext_id: str) -> dict:
-        return self._get(
-            "explain", {"collection": collection, "query": query, "id": ext_id}
-        )
-
-    def suggest(
-        self, collection: str, term: str, k: int = 5, max_edits: int = 2
-    ) -> list[dict]:
-        return self._get(
-            "suggest",
-            {"collection": collection, "term": term, "k": k,
-             "max_edits": max_edits},
-        )
-
-    def complete(self, collection: str, prefix: str, k: int = 5) -> list[dict]:
-        return self._get(
-            "complete", {"collection": collection, "prefix": prefix, "k": k}
-        )
-
-    def complete_infix(
-        self, collection: str, fragment: str, k: int = 5
-    ) -> list[dict]:
-        return self._get(
-            "complete-infix",
-            {"collection": collection, "fragment": fragment, "k": k},
-        )
-
-    def more_like_this_id(
-        self, collection: str, ext_id: str, max_query_terms: int = 25,
-        limit: int = 255,
-    ) -> list[dict]:
-        return self._get(
-            "more-like-this-id",
-            {"collection": collection, "id": ext_id,
-             "max_query_terms": max_query_terms, "limit": limit},
-        )
-
-    def more_like_this(
-        self, collection: str, text: str, max_query_terms: int = 25,
-        limit: int = 255, exclude_id: str = "",
-    ) -> list[str]:
-        results = self._get(
-            "more-like-this",
-            {"collection": collection, "text": text,
-             "max_query_terms": max_query_terms, "limit": limit,
-             "exclude_id": exclude_id},
-        )
-        return [r["_externalId"] for r in results]
-
-    def snippets(
-        self, collection: str, query: str, texts: dict, k: int = 10,
-        window: int = 8,
-    ) -> list[dict]:
-        return self._post(
-            "snippets",
-            {"collection": collection, "query": query,
-             "texts": json.dumps(texts), "k": k, "window": window},
-        )
-
-    def delete(self, collection: str, ext_id: str):
-        return self._post("delete", {"collection": collection, "id": ext_id})
-
-    def clear(self, collection: str):
-        # ≙ lucene-client.js:122-125
-        return self._post("clear", {"collection": collection})

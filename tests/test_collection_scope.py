@@ -968,6 +968,8 @@ PARITY = [
     ("search_batch", (SH_Q,), {"k": 0}),
     ("search_batch", ("zzznope",), {"k": -3}),
     ("snippets", (SH_Q, None), {"window": 0}),
+    ("facets", (SH_Q, "nope"), {}),
+    ("facets_stats", (SH_Q, "nope"), {}),
 ]
 
 

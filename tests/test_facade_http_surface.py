@@ -446,29 +446,34 @@ def test_route_good_inputs_pinned(surface):
     assert got == ROUTE_PINS
 
 
-# (route, wire params, (status, body)) — bad inputs of every route
+# (route, wire params, (status, body)) — bad inputs of every route.  The
+# entries marked "was ..." answered otherwise before the facade mapped every
+# engine ValueError/KeyError to LuceneException (HTTP 500 with
+# "ValueError: ...", or a KeyError's repr) and before SearchEngine.facets
+# rejected an unknown field (200 []).
 BAD = [
     ("search", {"collection": C, "query": ""},
      (400, {'error': 'query must be a non-empty string'})),
     ("search", {"collection": C, "query": Q, "limit": "abc"},
      (400, {'error': "limit must be an integer: 'abc'"})),
     ("search", {"collection": C, "query": Q, "limit": "0"},
-     (400, {'error': 'limit must be positive'})),
+     (400, {'error': 'limit must be positive'})),  # was 500
     ("search-after", {"collection": C, "query": Q, "after_score": "nan", "after_url": "u"},
      (400, {'error': 'after_score must be finite'})),
     ("search-after", {"collection": C, "query": Q, "after_score": "1.0"},
      (400, {'error': 'after_url is required'})),
+  
     ("search-after", {"collection": C, "query": Q, "after_score": "1.0", "after_url": "u",
                       "limit": "-1"},
-     (400, {'error': 'limit must be positive'})),
+     (400, {'error': 'limit must be positive'})),  # was 500
     ("rescore", {"collection": C, "query": Q, "rescore_query": ""},
      (400, {'error': 'rescore_query must be a non-empty string'})),
     ("rescore", {"collection": C, "query": Q, "rescore_query": "w00003", "window": "0"},
-     (400, {'error': 'window_size must be positive'})),
+     (400, {'error': 'window_size must be positive'})),  # was 500
     ("search-filtered", {"collection": C, "query": Q, "filter_query": ""},
      (400, {'error': 'filter_query must be a non-empty string'})),
     ("search-filtered", {"collection": C, "query": Q, "filter_query": "foo:v1", "limit": "0"},
-     (400, {'error': 'limit must be positive'})),
+     (400, {'error': 'limit must be positive'})),  # was 500
     ("search-surround", {"collection": C, "query": "w00001 3W"},
      (400, {'error': 'trailing tokens in surround query at position 1'})),
     ("search-surround", {"collection": C, "query": "w00001", "limit": "-1"},
@@ -561,7 +566,8 @@ BAD = [
     ("count", {"collection": C, "query": "a^b"},
      (400, {'error': "malformed boost in 'a^b'"})),
     ("facets", {"collection": C, "query": Q, "field": "nope"},
-     (400, {'error': "facet_field 'nope' is not an indexed field (have: ['age', 'foo', 'text'])"})),
+     (400, {'error': "facet_field 'nope' is not an indexed field "  # was 200 []
+                     "(have: ['age', 'foo', 'text'])"})),
     ("facets", {"collection": C, "query": "w00001 AND", "field": "foo"},
      (400, {'error': "dangling connective in 'w00001 AND'"})),
     ("facets-taxonomy", {"collection": C, "query": Q, "fields": '["foo", "nope"]'},
@@ -570,17 +576,19 @@ BAD = [
     ("facets-taxonomy", {"collection": C, "query": Q, "fields": "[]"},
      (400, {'error': 'dim_fields must be a non-empty list of field names'})),
     ("term-vector", {"collection": C, "id": "http://not.live/x"},
-     (400, {'error': "url 'http://not.live/x' not live in collection 'default'"})),
+     (400, {'error': "url 'http://not.live/x' not live in "  # was quoted
+                     "collection 'default'"})),
     ("term-vector", {"collection": C, "id": "", "field": "foo"},
      (400, {'error': 'id must be a non-empty string'})),
     ("more-like-this-id", {"collection": C, "id": "http://not.live/x"},
-     (400, {'error': "url 'http://not.live/x' not live in collection 'default'"})),
+     (400, {'error': "url 'http://not.live/x' not live in "  # was quoted
+                     "collection 'default'"})),
     ("more-like-this-id", {"collection": C, "id": LIVE, "limit": "0"},
-     (400, {'error': 'limit must be positive'})),
+     (400, {'error': 'limit must be positive'})),  # was 500
     ("more-like-this", {"collection": C, "text": Q, "max_query_terms": "0"},
      (400, {'error': 'max_query_terms must be >= 1'})),
     ("more-like-this", {"collection": C, "text": Q, "limit": "0"},
-     (400, {'error': 'limit must be positive'})),
+     (400, {'error': 'limit must be positive'})),  # was 500
     ("suggest", {"collection": C, "term": "w0001", "max_edits": "7"},
      (400, {'error': 'max_edits must be 1 or 2'})),
     ("suggest", {"collection": C, "term": ""},
@@ -594,7 +602,8 @@ BAD = [
     ("complete-infix", {"collection": C, "fragment": "001", "k": "-2"},
      (400, {'error': 'k must be positive'})),
     ("explain", {"collection": C, "query": Q, "id": "http://not.live/x"},
-     (400, {'error': "url 'http://not.live/x' not live in collection 'default'"})),
+     (400, {'error': "url 'http://not.live/x' not live in "  # was quoted
+                     "collection 'default'"})),
     ("explain", {"collection": C, "query": "w00001 AND", "id": LIVE},
      (400, {'error': "dangling connective in 'w00001 AND'"})),
     ("snippets", {"collection": C, "query": Q, "texts": "not-json"},
@@ -606,28 +615,12 @@ BAD = [
     ("search-sorted", {"collection": C, "query": Q, "after_ts": "zz"},
      (400, {'error': "after_ts must be an integer: 'zz'"})),
     ("search-sorted", {"collection": C, "query": Q, "limit": "0"},
-     (400, {'error': 'limit must be positive'})),
+     (400, {'error': 'limit must be positive'})),  # was 500
 ]
-XFAIL = {
-    2: 'HTTP 500 on the parent: no ValueError mapping on this route',
-    5: 'HTTP 500 on the parent: no ValueError mapping on this route',
-    7: 'HTTP 500 on the parent: no ValueError mapping on this route',
-    9: 'HTTP 500 on the parent: no ValueError mapping on this route',
-    44: 'the parent answers 200 [] for an unknown facet field',
-    48: 'the parent quotes a KeyError message (its repr)',
-    50: 'the parent quotes a KeyError message (its repr)',
-    51: 'HTTP 500 on the parent: no ValueError mapping on this route',
-    53: 'HTTP 500 on the parent: no ValueError mapping on this route',
-    60: 'the parent quotes a KeyError message (its repr)',
-    66: 'HTTP 500 on the parent: no ValueError mapping on this route',
-}
 
 
 @pytest.mark.parametrize(
-    "route,params,want",
-    [pytest.param(*b, marks=[pytest.mark.xfail(strict=True, reason=XFAIL[i])]
-                  if i in XFAIL else []) for i, b in enumerate(BAD)],
-    ids=[f"{b[0]}-{i}" for i, b in enumerate(BAD)],
+    "route,params,want", BAD, ids=[f"{b[0]}-{i}" for i, b in enumerate(BAD)]
 )
 def test_route_bad_inputs_pinned(surface, route, params, want):
     _, svc, _ = surface

@@ -89,7 +89,8 @@ def test_facets_no_match_and_unknown_field(built):
     empty = eng.facets("zzznope", "lang")
     assert empty.num_rows == 0
     assert empty.column_names == ["value", "count"]
-    assert eng.facets("pagehit", "no_such_field").num_rows == 0
+    with pytest.raises(ValueError, match="no_such_field"):
+        eng.facets("pagehit", "no_such_field")
 
 
 def test_facets_consistent_after_delta_and_deletes(ray_session, tmp_path):
