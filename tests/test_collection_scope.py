@@ -304,7 +304,8 @@ def test_url_order_breaks_cross_segment_ties_by_url(engines):
 # on the full engine and on a partitions={0, 1} engine that is handed the
 # full engine's statistics (the sharded contract: ``global_stats`` and
 # ``global_df`` where the op takes them).  The digests were computed with the
-# per-segment implementation of these ops (commit c0e24d4) and must not move
+# per-segment implementation of these ops (commit c0e24d4; the vocabulary
+# ops, suggest to text_vocab_hashes, at commit a792ccf) and must not move
 # when an op is rewritten.  The one tolerated difference is the float ``sum``
 # of ``join_from_aggregates``: its summation order follows the evaluation
 # order, so it is compared with rtol=1e-12 against the values pinned below,
@@ -444,6 +445,53 @@ def _aux_calls(full):
             e.class_votes_for_urls(vote_urls, votes, "foo"),
             e.class_votes_for_urls(vote_urls, votes, "age"),
         ]),
+        # vocabulary ops: "upsertmarker" lives only in upserted copies;
+        # "lastword5", "lastword6" and "w01703" only in deleted or shadowed
+        # docs (stored in a dictionary, live df 0)
+        ("suggest", lambda e, i: [
+            e.suggest("lastword5", max_edits=1, k=10),
+            e.suggest("upsertmarkr", k=3),
+            e.suggest("w01703", max_edits=2, k=12),
+            e.suggest("lamp", field="foo", k=4),
+            e.suggest("v9", field="foo", max_edits=1, k=10),
+            e.suggest("w00001", collection="nosuch"),
+        ]),
+        ("complete", lambda e, i: [
+            e.complete("lastword", k=30),
+            e.complete("upsert"),
+            e.complete("w017", k=40),
+            e.complete("w", k=25),
+            e.complete("v", field="foo", k=10),
+            e.complete("l", field="foo"),
+            e.complete("w0", collection="nosuch"),
+        ]),
+        ("complete_infix", lambda e, i: [
+            e.complete_infix("word", k=50),
+            e.complete_infix("marker", k=10),
+            e.complete_infix("170", k=20),
+            e.complete_infix("am", field="foo"),
+            e.complete_infix("word", collection="nosuch"),
+        ]),
+        ("top_terms", lambda e, i: [
+            e.top_terms(k=1),
+            e.top_terms(k=10),
+            e.top_terms(k=60),
+            e.top_terms("foo", k=5),
+            e.top_terms("age", k=20),
+            e.top_terms(collection="nosuch"),
+        ]),
+        ("index_stats", lambda e, i: [
+            e.index_stats(),
+            e.index_stats("nosuch"),
+        ]),
+        ("text_vocab_size", lambda e, i: [
+            e.text_vocab_size(),
+            e.text_vocab_size("nosuch"),
+        ]),
+        ("text_vocab_hashes", lambda e, i: [
+            e.text_vocab_hashes().tolist(),
+            e.text_vocab_hashes("nosuch").tolist(),
+        ]),
     ]
 
 
@@ -549,6 +597,20 @@ AUX_PINS = {
         "33298bf71506ee6e88e467ce3d9da2118b9ffb524195d91f5a6297eb59044f4d",
     ("full", "class_votes_for_urls"):
         "25eae83a1827131dc2e1e2f518fa73d9373dc834df8d81983673ce92202c09f2",
+    ("full", "suggest"):
+        "d538789250a66a7535e089b2ef621f413bbe1b3edf19e67ed23ba258c020dd53",
+    ("full", "complete"):
+        "271dca3cdf9751df3172aa2a8749b01c7331e432a88cab151c0eb66ef04fafc0",
+    ("full", "complete_infix"):
+        "13cd488b9f5793cfef7f5cdeaffb0a628626e7e1316b23e575832431f9e7f1dc",
+    ("full", "top_terms"):
+        "b2de5cdfd9cb534eb9c2baf1b9ce558341dea66d933b9b1d1ea05995f661896e",
+    ("full", "index_stats"):
+        "6a023aec71a48cd02fbbcbddffac6bba53b62300724059fba533737395b6cd6c",
+    ("full", "text_vocab_size"):
+        "fc104c645664c02655f689f9f430dea21bbedec98b79060a290973a9563ef974",
+    ("full", "text_vocab_hashes"):
+        "ed44c2a7a3c7506a9fccbe8a2a752b3dce296551b9b94de355c1098d21fbb0ab",
     ("shard", "search_after"):
         "692ce7dfd509d9a8cd2c19b67cee1eb39497d02b1c6d6f58384028328a434bdb",
     ("shard", "search_function"):
@@ -593,6 +655,20 @@ AUX_PINS = {
         "256b8eb4e089cdebed9a1e15ff9ca2d423dd15927e5e13e2a35254f263b5e0b7",
     ("shard", "class_votes_for_urls"):
         "ebc52459e0e58edc9516411e66b5a006e93bf3444258bcd6fb5d1b12e4253cfa",
+    ("shard", "suggest"):
+        "48aa64f0c9838b161610f8321debd3b21ad7409dccd4d622e0a5f5cbaa5ef609",
+    ("shard", "complete"):
+        "b28114b33c2d4b8132a5df4beea19a7b61fed46d33b6de99fb45acb733516022",
+    ("shard", "complete_infix"):
+        "975def01da49a20d2b6acad353a66ee5d3bd0f53b6a195da27ff565f31d44094",
+    ("shard", "top_terms"):
+        "ee9d3a5696cea0f760e2e809fb44b7d2eff8c337afbde56bc01d74033e967a9e",
+    ("shard", "index_stats"):
+        "93e0641a363233433b379e1e9247c2ac2f4821e927651780f3b6776b6e29a1b4",
+    ("shard", "text_vocab_size"):
+        "abc79b869bc4a77f569c45febffbcd23dcd566694b01ea5ffc65f8dc9c8cd808",
+    ("shard", "text_vocab_hashes"):
+        "c5ca847fbf08a1e7d690351ba9e68928bbe733e8a7dc8ce61f8b7a4679123bf6",
 }
 
 AUX_JOIN_SUMS = {
@@ -683,6 +759,70 @@ def test_aux_ops_pinned(multigen):
                 [s[v] for v in sorted(w)], [w[v] for v in sorted(w)],
                 rtol=1e-12, atol=0,
             )
+
+
+def test_vocabulary_ops_equal_oracle(engines, multigen):
+    """``complete``, ``complete_infix``, ``suggest`` and ``top_terms`` equal
+    the shared ranking helpers applied to the oracle's live dfs, for 50
+    seeded random prefixes, fragments, fuzzy probes and cut-offs on the
+    text and ``foo`` fields."""
+    from lucene_plugin_ray.functions.fuzzy import damerau_levenshtein
+    from lucene_plugin_ray.pipelines.query import (
+        rank_completions_table,
+        rank_suggestions_table,
+    )
+
+    _, oracle = multigen
+    eng = engines["bm25"]
+    live = {
+        f: {t: len(p) for t, p in oracle.postings[f].items() if p}
+        for f in ("text", "foo")
+    }
+    vocab = {f: sorted(d) for f, d in live.items()}
+    rng = np.random.default_rng(11)
+    letters = "abcdefgilmnorstuvw0123456789"
+    for trial in range(50):
+        field = "foo" if trial % 5 == 4 else "text"
+        dfs = live[field]
+        term = vocab[field][rng.integers(len(vocab[field]))]
+        k = int(rng.integers(1, 30))
+
+        prefix = term[: rng.integers(1, len(term) + 1)]
+        want = rank_completions_table(
+            {t: d for t, d in dfs.items() if t.startswith(prefix)}, k)
+        assert eng.complete(prefix, field=field, k=k).equals(want), prefix
+
+        a = int(rng.integers(len(term)))
+        frag = term[a: a + int(rng.integers(1, 4))]
+        want = rank_completions_table(
+            {t: d for t, d in dfs.items() if frag in t}, k)
+        assert eng.complete_infix(frag, field=field, k=k).equals(want), frag
+
+        chars = list(term)
+        for _ in range(int(rng.integers(0, 3))):
+            op, at = int(rng.integers(3)), int(rng.integers(len(chars) + 1))
+            ch = letters[rng.integers(len(letters))]
+            if op == 0:
+                chars.insert(at, ch)
+            elif chars:
+                at = min(at, len(chars) - 1)
+                if op == 1:
+                    chars[at] = ch
+                else:
+                    del chars[at]
+        probe = "".join(chars) or term
+        edits = 1 + trial % 2
+        dists = {
+            t: damerau_levenshtein(probe, t) for t in dfs
+            if abs(len(t) - len(probe)) <= edits
+        }
+        near = {t: dfs[t] for t, d in dists.items() if d <= edits}
+        want = rank_suggestions_table(near, dists, k)
+        got = eng.suggest(probe, field=field, max_edits=edits, k=k)
+        assert got.equals(want), probe
+
+        assert eng.top_terms(field, k=k).equals(
+            rank_completions_table(dfs, k)), (field, k)
 
 
 # ---- sharded read surface: pinned outputs and error parity ------------------
