@@ -75,17 +75,8 @@ class IndexConfig:
     collection_column: str = "collection"  # absent → constant "default"
     field_columns: tuple[str, ...] = ()
 
-    # Head-term salting for the term-keyed shuffle path (SURVEY.md §7.3):
-    # terms with estimated df above ``salt_df_threshold`` get ``salt_buckets``
-    # sub-keys.  The document-partitioned build (the default) does not need
-    # term salting (partition key is hash(url) — uniform); this applies to
-    # term-keyed aggregates (term_stats) and the by-term posting build.
-    salt_buckets: int = 8
-    salt_df_threshold: int = 100_000
-
     # Actor-pool sizing defaults (callers pass these to map_batches
     # ``concurrency=``; build tasks are sized by Ray's scheduler).
-    build_concurrency: int | None = None   # None → Ray decides
     query_concurrency: int = 4             # QueryExecutor pool default
     tokenize_batch_size: int = 2048
 
@@ -103,8 +94,7 @@ class IndexConfig:
     # regime where block-max WAND actually prunes.
     bmax_auto_df_threshold: int = 1 << 62
 
-    # Query-side caches (≙ reference T3/T4 LRUs, LuceneIndexBean.java:104,792)
-    query_cache_size: int = 1024
+    # Query-side results cache (≙ reference T4 LRU, LuceneIndexBean.java:792)
     results_cache_size: int = 512
 
     def fields(self) -> tuple[str, ...]:

@@ -66,7 +66,7 @@ from lucene_plugin_ray.functions.queryparse import (
     validate_dismax_fields,
 )
 from lucene_plugin_ray.state.manifest import load_manifest_chain, load_tombstones
-from lucene_plugin_ray.state.segment import SegmentReader
+from lucene_plugin_ray.state.segment import SegmentReader, prefix_range
 
 RESULT_SCHEMA = pa.schema(
     [("url", pa.string()), ("score", pa.float64()), ("docid", pa.int64())]
@@ -996,12 +996,67 @@ class _LiveSegment:
         }
 
 
+class _TermDictionary:
+    """One field's term dictionary over a list of live segments (a scope's
+    members), merged once:
+
+    * ``terms`` — the sorted union of the members' field dictionaries; a
+      code (index into ``terms``) names the same term in every member;
+    * ``starts[i]`` / ``codes[i]`` — member ``i``'s first dictionary row of
+      the field and the union code of each row of its field range (rows
+      and codes ascend together);
+    * ``stored_df`` — per code, the sum of the members' dictionary df:
+      stored postings, dead docs included, so an upper bound of the alive
+      df."""
+
+    def __init__(self, segs: list[_LiveSegment], field: str):
+        self.segs = segs
+        vocabs = [s.reader.field_vocab(field) for s in segs]
+        self.starts = [start for start, _ in vocabs]
+        present = [v for _, v in vocabs if v.size]
+        if present:
+            self.terms, inv = np.unique(np.concatenate(present), return_inverse=True)
+        else:
+            self.terms, inv = np.empty(0, object), np.empty(0, np.int64)
+        self.codes = np.split(inv, np.cumsum([v.size for _, v in vocabs])[:-1])
+        self.stored_df = np.zeros(self.terms.size, dtype=np.int64)
+        for seg, start, codes in zip(segs, self.starts, self.codes):
+            self.stored_df[codes] += seg.reader._df[start:start + codes.size]
+
+    def alive_df(self, codes: np.ndarray) -> np.ndarray:
+        """Exact alive df of each code: the stored df of the all-alive
+        members, plus, per member with deletes, one bulk docid decode of
+        its rows among ``codes`` masked by ``alive``."""
+        if all(s.all_alive for s in self.segs):
+            return self.stored_df[codes]
+        df = np.zeros(codes.size, dtype=np.int64)
+        for seg, start, mine in zip(self.segs, self.starts, self.codes):
+            j = np.searchsorted(mine, codes)
+            hit = j < mine.size
+            hit[hit] &= mine[j[hit]] == codes[hit]
+            rows = start + j[hit]
+            r = seg.reader
+            if seg.all_alive:
+                df[hit] += r._df[rows]
+                continue
+            alive = seg.alive[r.local_ids(r.docids_many(rows))]
+            owner = np.repeat(np.arange(rows.size), r._df[rows].astype(np.int64))
+            df[hit] += np.bincount(owner[alive], minlength=rows.size)
+        return df
+
+    def live_dfs(self, codes: np.ndarray) -> dict[str, int]:
+        """{term: alive df} of the distinct ``codes`` whose alive df is
+        positive."""
+        df = self.alive_df(codes)
+        keep = df > 0
+        return dict(zip(self.terms[codes[keep]].tolist(), df[keep].tolist()))
+
+
 class _FieldColumn:
     """One indexed metadata field over a scope, built from its postings:
 
-    * ``vocab`` — the sorted union of the members' field dictionaries, so a
-      code (index into ``vocab``) names the same term in every member and
-      codes order like the terms;
+    * ``vocab`` — the scope dictionary's ``terms``
+      (:meth:`_Scope.dictionary`), so codes order like the terms;
     * ``codes`` / ``ids`` — one entry per posting (dead docs included),
       ordered by code, then scope id; ``bounds[j]:bounds[j + 1]`` is term
       ``j``'s run;
@@ -1011,20 +1066,15 @@ class _FieldColumn:
       multi-valued docs)."""
 
     def __init__(self, scope: "_Scope", field: str):
-        vocabs = [s.reader.field_vocab(field) for s in scope.segs]
-        present = [v for _, v in vocabs if v.size]
-        self.vocab = (
-            np.unique(np.concatenate(present)) if present else np.empty(0, object)
-        )
+        d = scope.dictionary(field)
+        self.vocab = d.terms
         codes, ids = [], []
-        for (start, v), seg, off in zip(vocabs, scope.segs, scope.offsets):
-            if not v.size:
+        for seg, off, start, mine in zip(scope.segs, scope.offsets, d.starts, d.codes):
+            if not mine.size:
                 continue
             r = seg.reader
-            rows = np.arange(start, start + v.size, dtype=np.int64)
-            codes.append(
-                np.repeat(np.searchsorted(self.vocab, v), r._df[rows].astype(np.int64))
-            )
+            rows = np.arange(start, start + mine.size, dtype=np.int64)
+            codes.append(np.repeat(mine, r._df[rows].astype(np.int64)))
             ids.append(r.local_ids(r.docids_many(rows)) + off)
         self.codes = np.concatenate(codes) if codes else np.empty(0, np.int64)
         self.ids = np.concatenate(ids) if ids else np.empty(0, np.int64)
@@ -1061,8 +1111,9 @@ class _Scope:
     absolute docids are the members' arrays concatenated in member order (a
     field a member lacks reads 0 there; no posting of that member can name
     it).  A single segment is the one-member scope: offset 0 and the
-    segment's own arrays, no copies.  ``warc_ts`` and the per-field
-    :class:`_FieldColumn` are built on first use and kept with the scope.
+    segment's own arrays, no copies.  ``warc_ts``, the per-field
+    :class:`_TermDictionary` and the per-field :class:`_FieldColumn` are
+    built on first use and kept with the scope.
 
     ``key`` names the scope in the postings LRU: the segment path for one
     member, the tuple of member paths otherwise."""
@@ -1076,6 +1127,7 @@ class _Scope:
             n += s.reader.n_docs
         self.n = n
         self.all_alive = all(s.all_alive for s in segs)
+        self._dicts: dict[str, _TermDictionary] = {}
         self._fields: dict[str, _FieldColumn] = {}
         if len(segs) == 1:
             r = segs[0].reader
@@ -1112,6 +1164,12 @@ class _Scope:
         return np.concatenate(
             [s.reader.warc_ts.astype(np.int64, copy=False) for s in self.segs]
         )
+
+    def dictionary(self, field: str) -> _TermDictionary:
+        d = self._dicts.get(field)
+        if d is None:
+            d = self._dicts[field] = _TermDictionary(self.segs, field)
+        return d
 
     def field(self, name: str) -> _FieldColumn:
         col = self._fields.get(name)
@@ -1225,13 +1283,14 @@ class SearchEngine:
     one accumulator and one cut under the total order; the counting ops
     (count, facets, histograms, drill-sideways, classification) make one
     :meth:`_match_segment` pass and read metadata fields through the
-    scope's :class:`_FieldColumn`.  What still loops over segments:
-    ``term_vector`` and ``explain`` (per-document lookups in the doc's own
-    segment); the block-max executors (``bmax``/``bmw``), whose pruning
-    reads each segment's stored per-block bounds and block layout, which
-    do not concatenate; and the vocabulary ops (``suggest``, ``complete``,
-    ``complete_infix``, ``top_terms``, ``text_vocab_*``, ``index_stats``),
-    which merge term dictionaries, not docid spaces.
+    scope's :class:`_FieldColumn`.  The vocabulary ops (``suggest``,
+    ``complete``, ``complete_infix``, ``top_terms``, ``text_vocab_*``,
+    ``index_stats``) read the scope's per-field :class:`_TermDictionary`,
+    whose members' dictionaries are merged once.  What still loops over
+    segments: ``term_vector`` and ``explain`` (per-document lookups in the
+    doc's own segment), and the block-max executors (``bmax``/``bmw``),
+    whose pruning reads each segment's stored per-block bounds and block
+    layout, which do not concatenate.
     """
 
     def __init__(
@@ -1278,9 +1337,6 @@ class SearchEngine:
         # skip the varint decode on repeat queries.
         self._postings_cache: OrderedDict = OrderedDict()
         self._postings_cache_size = 4096
-        # distinct text-field vocabulary size per collection (classify's
-        # Laplace denominator) — generation-pinned like every other cache
-        self._vocab_size_cache: dict[str, int] = {}
         # collection → its scope, built on the collection's first query
         self._scopes: dict[str, _Scope] = {}
 
@@ -1360,6 +1416,13 @@ class SearchEngine:
         if sc is None:
             sc = self._scopes[coll] = _Scope(self._segments[coll])
         return sc
+
+    def _dictionary(self, coll: str, field: str) -> _TermDictionary:
+        """The collection scope's dictionary of ``field`` (an empty one for
+        a collection without live segments)."""
+        if coll not in self._segments:
+            return _TermDictionary([], field)
+        return self._scope(coll).dictionary(field)
 
     def _limit(self, limit: int | None) -> int:
         """``limit``, or the configured result limit when it is None; a
@@ -2716,21 +2779,15 @@ class SearchEngine:
         probe = term.lower()
         coll = sanitize_collection(collection)
         field = field or self.cfg.text_column
-        dfs: dict[str, int] = {}
+        d = self._dictionary(coll, field)
+        codes = [np.empty(0, np.int64)]
         dists: dict[str, int] = {}
-        for si, seg in enumerate(self._segments.get(coll, [])):
-            r = seg.reader
-            rows, dist = r.fuzzy_rows(field, probe, max_edits)
-            for row, d in zip(rows.tolist(), dist.tolist()):
-                t = str(r._terms[row])
-                dists[t] = d
-                if seg.all_alive:
-                    df = r.df(row)
-                else:
-                    df = len(self._decoded(_Scope([seg]), field, t, row)[0])
-                if df:
-                    dfs[t] = dfs.get(t, 0) + df
-        return rank_suggestions_table(dfs, dists, k)
+        for seg, start, mine in zip(d.segs, d.starts, d.codes):
+            rows, dist = seg.reader.fuzzy_rows(field, probe, max_edits)
+            codes.append(mine[rows - start])
+            dists.update(zip(d.terms[codes[-1]].tolist(), dist.tolist()))
+        codes = np.unique(np.concatenate(codes))
+        return rank_suggestions_table(d.live_dfs(codes), dists, k)
 
     def facets_stats(
         self,
@@ -3329,25 +3386,13 @@ class SearchEngine:
     # ---- naive-Bayes text classification (Lucene classification module) -
     def text_vocab_size(self, collection: str = "default") -> int:
         """Distinct alive-segment text-field dictionary size — classify's
-        Laplace smoothing denominator.  Exact cross-segment distinct count
-        (np.unique over the concatenated per-segment dictionaries),
-        cached per collection (the engine is generation-pinned).  Terms
-        whose postings are fully tombstoned still count — the dictionary,
-        not the live posting set, defines the smoothing vocabulary
-        (documented deviation from a live-docs recount; identical on
-        delete-free indexes)."""
+        Laplace smoothing denominator: the size of the scope's text term
+        dictionary.  Terms whose postings are fully tombstoned still
+        count — the dictionary, not the live posting set, defines the
+        smoothing vocabulary (documented deviation from a live-docs
+        recount; identical on delete-free indexes)."""
         coll = sanitize_collection(collection)
-        hit = self._vocab_size_cache.get(coll)
-        if hit is not None:
-            return hit
-        segs = self._segments.get(coll, [])
-        parts = [
-            seg.reader.field_vocab(self.cfg.text_column)[1] for seg in segs
-        ]
-        parts = [p for p in parts if p.size]
-        v = int(np.unique(np.concatenate(parts)).size) if parts else 0
-        self._vocab_size_cache[coll] = v
-        return v
+        return int(self._dictionary(coll, self.cfg.text_column).terms.size)
 
     def classify_partials(
         self, text: str, class_field: str, collection: str = "default"
@@ -3516,7 +3561,7 @@ class SearchEngine:
         * ``n_segments``   — live segments under the pinned generation,
         * ``docs_alive``   — live docs (tombstones + upsert shadowing out),
         * ``docs_stored``  — stored docs incl. deleted/shadowed (maxDoc),
-        * ``vocab``        — DISTINCT terms across segment dictionaries,
+        * ``vocab``        — DISTINCT terms: the scope dictionary's size,
         * ``postings``     — Σ dictionary df: STORED postings, not
           re-counted under deletes (Lucene parity: segment-level stats
           never re-walk deletions; CheckIndex does).
@@ -3524,31 +3569,23 @@ class SearchEngine:
         Pure dictionary/metadata reads — no posting decodes — so it is
         cheap enough to serve as a monitoring endpoint."""
         coll = sanitize_collection(collection)
-        segs = self._segments.get(coll, [])
         n_docs, _ = self._stats(coll)
-        docs_stored = sum(seg.reader.n_docs for seg in segs)
-        rows = []
-        for field in self.cfg.fields():
-            vparts, postings = [], 0
-            for seg in segs:
-                start, vocab = seg.reader.field_vocab(field)
-                if vocab.size:
-                    vparts.append(vocab)
-                    postings += int(
-                        seg.reader._df[start:start + vocab.size].sum()
-                    )
-            v = int(np.unique(np.concatenate(vparts)).size) if vparts else 0
-            rows.append((field, v, postings))
+        fields = list(self.cfg.fields())
+        dicts = [self._dictionary(coll, f) for f in fields]
+        segs = dicts[0].segs  # every field's dictionary has the same members
+        n = len(fields)
         return pa.table(
             {
-                "field": pa.array([r[0] for r in rows], pa.string()),
-                "n_segments": pa.array([len(segs)] * len(rows), pa.int64()),
-                "docs_alive": pa.array([n_docs] * len(rows), pa.int64()),
+                "field": pa.array(fields, pa.string()),
+                "n_segments": pa.array([len(segs)] * n, pa.int64()),
+                "docs_alive": pa.array([n_docs] * n, pa.int64()),
                 "docs_stored": pa.array(
-                    [docs_stored] * len(rows), pa.int64()
+                    [sum(s.reader.n_docs for s in segs)] * n, pa.int64()
                 ),
-                "vocab": pa.array([r[1] for r in rows], pa.int64()),
-                "postings": pa.array([r[2] for r in rows], pa.int64()),
+                "vocab": pa.array([d.terms.size for d in dicts], pa.int64()),
+                "postings": pa.array(
+                    [int(d.stored_df.sum()) for d in dicts], pa.int64()
+                ),
             }
         )
 
@@ -3561,16 +3598,23 @@ class SearchEngine:
         )
 
         coll = sanitize_collection(collection)
-        segs = self._segments.get(coll, [])
-        parts = [
-            seg.reader.field_vocab(self.cfg.text_column)[1] for seg in segs
-        ]
-        parts = [p for p in parts if p.size]
-        if not parts:
+        terms = self._dictionary(coll, self.cfg.text_column).terms
+        if not terms.size:
             return np.empty(0, np.uint64)
-        vocab = np.unique(np.concatenate(parts))
-        h = fnv1a_bytes_column(pa.array(vocab.tolist(), type=pa.string()))
+        h = fnv1a_bytes_column(pa.array(terms.tolist(), type=pa.string()))
         return np.unique(mix64_np(h))
+
+    def _vocab_field(self, field: str | None) -> str:
+        """``field``, or the text field when None; a field that is not
+        indexed is rejected (a typo'd field would silently answer
+        nothing)."""
+        field = field or self.cfg.text_column
+        known = {self.cfg.text_column, *self.cfg.field_columns}
+        if field not in known:
+            raise ValueError(
+                f"unknown field {field!r} (indexed: {sorted(known)})"
+            )
+        return field
 
     def complete(
         self,
@@ -3582,11 +3626,10 @@ class SearchEngine:
         """Prefix autocompletion — the Lucene suggest-module analogue
         (AnalyzingSuggester with df as weight): live-vocabulary terms
         starting with ``prefix`` (lowercased, analyzer parity), ranked
-        (df desc, term asc), top ``k``.  df is alive-masked and summed
-        across segments exactly like the search path, so completions track
-        deletes/upserts.  Expansion reuses the prefix-query dictionary scan
-        (sorted-vocab range, per-segment vocabulary-bound).  Returns
-        (term, df)."""
+        (df desc, term asc), top ``k``.  df is the exact alive df over
+        the collection, so completions track deletes/upserts.  The
+        candidates are one prefix range of the scope's term dictionary
+        (two binary searches).  Returns (term, df)."""
         if k <= 0:
             raise ValueError("k must be positive")
         probe = prefix.lower().strip()
@@ -3595,27 +3638,10 @@ class SearchEngine:
             # loudly rather than return a junk full-vocab scan
             raise ValueError("prefix must be non-empty")
         coll = sanitize_collection(collection)
-        field = field or self.cfg.text_column
-        known = {self.cfg.text_column, *self.cfg.field_columns}
-        if field not in known:
-            # a typo'd field would silently return 0 completions
-            raise ValueError(
-                f"unknown field {field!r} (indexed: {sorted(known)})"
-            )
-        segs = self._segments.get(coll, [])
-        dfs: dict[str, int] = {}
-        for si, seg in enumerate(segs):
-            r = seg.reader
-            c = MultiTermClause(SHOULD, field, "prefix", probe)
-            for row in self._expand_rows(seg, c):
-                t = str(r._terms[int(row)])
-                if seg.all_alive:
-                    df = r.df(int(row))
-                else:
-                    df = len(self._decoded(_Scope([seg]), field, t, int(row))[0])
-                if df:
-                    dfs[t] = dfs.get(t, 0) + df
-        return rank_completions_table(dfs, k)
+        field = self._vocab_field(field)
+        d = self._dictionary(coll, field)
+        codes = np.arange(*prefix_range(d.terms, probe), dtype=np.int64)
+        return rank_completions_table(d.live_dfs(codes), k)
 
     def complete_infix(
         self,
@@ -3630,43 +3656,19 @@ class SearchEngine:
         asc), top ``k`` — completing the suggest trio with
         :meth:`complete` (prefix) and :meth:`suggest` (fuzzy spell).
         An infix match cannot narrow the sorted dictionary, so the scan
-        is one vectorized substring pass over each segment's vocabulary
-        (np.char.find — per-segment vocabulary-bound like fuzzy
-        expansion, never corpus-bound); df is alive-masked and summed
-        across segments exactly like the search path.  Returns
-        (term, df)."""
+        is one vectorized substring pass (np.char.find) over the scope's
+        term dictionary — vocabulary-bound, never corpus-bound; df is the
+        exact alive df over the collection.  Returns (term, df)."""
         if k <= 0:
             raise ValueError("k must be positive")
         probe = fragment.lower().strip()
         if not probe:
             raise ValueError("fragment must be non-empty")
         coll = sanitize_collection(collection)
-        field = field or self.cfg.text_column
-        known = {self.cfg.text_column, *self.cfg.field_columns}
-        if field not in known:
-            raise ValueError(
-                f"unknown field {field!r} (indexed: {sorted(known)})"
-            )
-        segs = self._segments.get(coll, [])
-        dfs: dict[str, int] = {}
-        for si, seg in enumerate(segs):
-            r = seg.reader
-            start, vocab = r.field_vocab(field)
-            if len(vocab) == 0:
-                continue
-            hits = np.flatnonzero(
-                np.char.find(vocab.astype("U"), probe) >= 0
-            )
-            for j in hits:
-                row = int(start + j)
-                t = str(vocab[j])
-                if seg.all_alive:
-                    df = r.df(row)
-                else:
-                    df = len(self._decoded(_Scope([seg]), field, t, row)[0])
-                if df:
-                    dfs[t] = dfs.get(t, 0) + df
-        return rank_completions_table(dfs, k)
+        field = self._vocab_field(field)
+        d = self._dictionary(coll, field)
+        codes = np.flatnonzero(np.char.find(d.terms.astype("U"), probe) >= 0)
+        return rank_completions_table(d.live_dfs(codes), k)
 
     def top_terms(
         self,
@@ -3676,100 +3678,29 @@ class SearchEngine:
     ) -> pa.Table:
         """Highest-document-frequency terms of a field — the Lucene
         misc-module HighFreqTerms analogue (DOCFREQ_ORDER): top ``k``
-        live-vocabulary terms ranked (df desc, term asc), df alive-masked
-        and summed across segments like every df on the search path.
+        live-vocabulary terms ranked (df desc, term asc), df the exact
+        alive df over the collection.
 
-        Cost: one zero-copy numpy slice of the term dictionary's stored
-        df per all-alive segment (the common case).  Segments with
-        deletes need per-term posting decodes, so those are pruned with
-        the dictionary df as an UPPER bound: candidates are visited in
-        (upper-bound desc, term asc) order and decoding stops as soon as
-        the next bound cannot displace the provisional k-th exact df —
-        only a handful of terms beyond k ever decode.  Returns
-        (term, df)."""
+        The scope dictionary's stored df is an UPPER bound of the alive
+        df (and equals it when no member has deletes): terms are visited
+        in (bound desc, term asc) order, in batches that double, and the
+        visit stops as soon as the next bound is below the k-th exact df
+        found so far — members with deletes decode only the visited
+        terms.  Returns (term, df)."""
         if k <= 0:
             raise ValueError("k must be positive")
         coll = sanitize_collection(collection)
-        field = field or self.cfg.text_column
-        known = {self.cfg.text_column, *self.cfg.field_columns}
-        if field not in known:
-            raise ValueError(
-                f"unknown field {field!r} (indexed: {sorted(known)})"
-            )
-        segs = self._segments.get(coll, [])
-        vocabs, ubs = [], []
-        lazy: list[tuple[int, object, int]] = []  # (si, seg, start) w/ deletes
-        for si, seg in enumerate(segs):
-            r = seg.reader
-            start, vocab = r.field_vocab(field)
-            if len(vocab) == 0:
-                continue
-            vocabs.append(np.asarray(vocab, dtype=object))
-            ubs.append(
-                r._df[start : start + len(vocab)].astype(np.int64, copy=False)
-            )
-            if not seg.all_alive:
-                lazy.append((si, seg, start))
-        if not vocabs:
-            return pa.table(
-                {"term": pa.array([], pa.string()),
-                 "df": pa.array([], pa.int64())}
-            )
-        uniq, inv = np.unique(np.concatenate(vocabs), return_inverse=True)
-        ub = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(ub, inv, np.concatenate(ubs))
-        if not lazy:
-            # every segment fully alive: the dictionary df IS the df
-            order = np.lexsort((uniq, -ub))[: min(k, uniq.size)]
-            return pa.table(
-                {
-                    "term": pa.array(uniq[order], type=pa.string()),
-                    "df": pa.array(ub[order], type=pa.int64()),
-                }
-            )
-        # deletes present: exact df = all-alive dictionary dfs + per-term
-        # alive-masked decodes of the deleted segments; visit in upper-
-        # bound order so decoding can stop as soon as the next bound
-        # cannot displace the provisional k-th exact df
-        import heapq
-
-        pos = {str(t): i for i, t in enumerate(uniq)}
-        alive_base = np.zeros(uniq.size, dtype=np.int64)
-        for si, seg in enumerate(segs):
-            if not seg.all_alive:
-                continue
-            r = seg.reader
-            start, vocab = r.field_vocab(field)
-            if len(vocab) == 0:
-                continue
-            idx = np.array([pos[str(t)] for t in vocab], dtype=np.int64)
-            alive_base[idx] += r._df[start : start + len(vocab)].astype(
-                np.int64, copy=False
-            )
-        lazy_rows: list[tuple[int, object, dict]] = []
-        for si, seg, start in lazy:
-            _s, vocab = seg.reader.field_vocab(field)
-            lazy_rows.append(
-                (si, seg, {str(t): int(start + j) for j, t in enumerate(vocab)})
-            )
-        heap: list[int] = []  # min-heap of the k best exact dfs seen so far
-        exact_of: dict[str, int] = {}
-        for vi in np.lexsort((uniq, -ub)):
-            if len(heap) >= k and int(ub[vi]) < heap[0]:
-                break
-            term = str(uniq[vi])
-            df = int(alive_base[vi])
-            for si, seg, rows_map in lazy_rows:
-                row = rows_map.get(term)
-                if row is not None:
-                    df += len(self._decoded(_Scope([seg]), field, term, row)[0])
-            if df > 0:
-                exact_of[term] = df
-                if len(heap) < k:
-                    heapq.heappush(heap, df)
-                elif df > heap[0]:
-                    heapq.heapreplace(heap, df)
-        return rank_completions_table(exact_of, k)
+        field = self._vocab_field(field)
+        d = self._dictionary(coll, field)
+        order = np.lexsort((d.terms, -d.stored_df))
+        exact: dict[str, int] = {}
+        at, step, kth = 0, k, 0
+        while at < order.size and d.stored_df[order[at]] >= kth:
+            exact.update(d.live_dfs(order[at:at + step]))
+            at, step = at + step, 2 * step
+            best = heapq.nlargest(k, exact.values())
+            kth = best[-1] if len(best) == k else 0
+        return rank_completions_table(exact, k)
 
     def date_histogram(
         self,
@@ -4452,8 +4383,8 @@ class SearchEngine:
         (sorted scope ids, tfs), or None when no member holds the term —
         via the cross-query LRU, ONE entry per (scope, term): a collection
         scope's entry holds the members' decodes concatenated, never
-        alongside per-segment copies (only the vocabulary ops and
-        ``explain`` decode through one-member scopes).  ``row``: the
+        alongside per-segment copies (only ``explain`` decodes through
+        one-member scopes).  ``row``: the
         dictionary row, when the caller of a one-member scope already
         looked it up."""
         ck = (scope.key, field, term)

@@ -19,6 +19,21 @@ from lucene_plugin_ray.functions.codec import decode_region, varint_decode
 from lucene_plugin_ray.functions.fuzzy import FuzzyScreen
 
 
+def prefix_range(terms: np.ndarray, prefix: str) -> tuple[int, int]:
+    """``[a, b)``: the positions of the sorted ``terms`` that start with
+    ``prefix`` — two binary searches.  The exclusive upper bound bumps the
+    last bumpable codepoint of ``prefix``: every prefix-extension sorts
+    strictly below it."""
+    a = int(np.searchsorted(terms, prefix, side="left"))
+    p = prefix
+    while p and ord(p[-1]) >= 0x10FFFF:
+        p = p[:-1]
+    if not p:
+        return a, terms.size
+    hi = p[:-1] + chr(ord(p[-1]) + 1)
+    return a, int(np.searchsorted(terms, hi, side="left"))
+
+
 class _LazyRegion:
     """Chunked random-access byte view over a REMOTE region file — the
     page-granular fetch path for cold URL-rooted indexes (segment.py's
@@ -268,18 +283,8 @@ class SegmentReader(SegmentDocs):
         if rng is None:
             return np.empty(0, np.int64)
         s, e = rng
-        a = s + int(np.searchsorted(self._terms[s:e], prefix, side="left"))
-        # exclusive upper bound: bump the last bumpable codepoint — every
-        # prefix-extension sorts strictly below it
-        p = prefix
-        while p and ord(p[-1]) >= 0x10FFFF:
-            p = p[:-1]
-        if p:
-            hi = p[:-1] + chr(ord(p[-1]) + 1)
-            b = s + int(np.searchsorted(self._terms[s:e], hi, side="left"))
-        else:
-            b = e
-        return np.arange(a, b, dtype=np.int64)
+        a, b = prefix_range(self._terms[s:e], prefix)
+        return np.arange(s + a, s + b, dtype=np.int64)
 
     def field_vocab(self, field: str) -> tuple[int, np.ndarray]:
         """(start_row, object-dtype term slice) of one field's dictionary —

@@ -1134,3 +1134,29 @@ def test_sharded_error_parity(engines, fleets, op, args, kw):
     with pytest.raises(Exception) as got:
         _call(fleets[3], op, args, kw)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_scope_dictionary_built_lazily(multigen):
+    """Engine open, ``search``, the sharded phase-1 df lookup and
+    ``search_partial`` build no term dictionary (expansion queries
+    included); the first vocabulary op builds exactly one, for its
+    (scope, field)."""
+    from lucene_plugin_ray.pipelines.query import SearchEngine
+
+    cfg, _ = multigen
+    eng = SearchEngine(cfg.index_root, cfg=cfg)
+
+    def built():
+        return [(c, f) for c, sc in eng._scopes.items() for f in sc._dicts]
+
+    q = 'w00001 w0001* w000?3 w00012~1 [w00010 TO w00020] "w00008 w00001"'
+    eng.search(q, limit=10)
+    keys = sorted(scored_term_keys(parse_query(q)))
+    eng.search_partial(
+        q, limit=10, global_stats=eng.local_collection_stats(),
+        global_df=eng.local_term_dfs("default", keys),
+    )
+    assert list(eng._scopes) == ["default"]
+    assert built() == []
+    eng.complete("w0001")
+    assert built() == [("default", "text")]

@@ -108,7 +108,7 @@ def test_salted_term_stats_equals_naive(ray_session, tmp_path):
     from lucene_plugin_ray.stages.term_stats import term_stats
 
     corpus = make_pages(120, seed=53)
-    cfg = IndexConfig(num_partitions=4, salt_buckets=8)
+    cfg = IndexConfig(num_partitions=4)
     out = term_stats(ray.data.from_arrow(corpus), cfg)
     got = {}
     for b in out.iter_batches(batch_format="pyarrow"):

@@ -87,3 +87,26 @@ def test_sharded_tput_identity(built):
             svc.top_terms(field="nosuch")
     finally:
         svc.shutdown()
+
+
+def test_top_terms_visits_bound_ties(ray_session, tmp_path):
+    """A term whose stored df equals the k-th exact df must still be
+    visited: "bbb" is stored 3 times but 2 copies are deleted, so "aaa"
+    (stored once) ties it at df 1 and wins the tie on term order."""
+    import pyarrow as pa
+
+    from lucene_plugin_ray.pipelines.build import build_index, delete_docs
+    from lucene_plugin_ray.pipelines.query import SearchEngine
+
+    cfg = IndexConfig(index_root=str(tmp_path / "idx"), num_partitions=1)
+    urls = ["u1", "u2", "u3"]
+    build_index(pa.table({
+        "url": urls,
+        "warc_ts": pa.array([1, 2, 3], pa.timestamp("us")),
+        "text": ["bbb", "bbb", "bbb aaa"],
+    }), cfg)
+    delete_docs(cfg, pa.table({"collection": ["default"] * 2, "url": urls[:2]}))
+    eng = SearchEngine(cfg.index_root, cfg=cfg)
+    assert eng.top_terms(k=1).to_pylist() == [{"term": "aaa", "df": 1}]
+    assert eng.top_terms(k=2).to_pylist() == [
+        {"term": "aaa", "df": 1}, {"term": "bbb", "df": 1}]
