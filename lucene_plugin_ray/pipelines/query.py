@@ -4377,16 +4377,14 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     def _decoded(
-        self, scope: _Scope, field: str, term: str, row: int | None = None
+        self, scope: _Scope, field: str, term: str
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Alive-filtered decoded postings of (field, term) over a scope →
         (sorted scope ids, tfs), or None when no member holds the term —
         via the cross-query LRU, ONE entry per (scope, term): a collection
         scope's entry holds the members' decodes concatenated, never
         alongside per-segment copies (only ``explain`` decodes through
-        one-member scopes).  ``row``: the
-        dictionary row, when the caller of a one-member scope already
-        looked it up."""
+        one-member scopes)."""
         ck = (scope.key, field, term)
         hit = self._postings_cache.get(ck)
         if hit is not None:
@@ -4396,7 +4394,7 @@ class SearchEngine:
         tfs: list[np.ndarray] = []
         for seg, off in zip(scope.segs, scope.offsets):
             r = seg.reader
-            rw = row if row is not None else r.lookup(field, term)
+            rw = r.lookup(field, term)
             if rw < 0:
                 continue
             docids, tf = r.postings(rw)

@@ -8,7 +8,9 @@ upserts and deletes, the scope must give the same (url, score, docid) table
 bit for bit, for every clause kind and under bm25, classic and lmdirichlet;
 under bm25 it must also agree with ``OracleIndex``.  The block-max executors
 (which keep their per-segment loop) must still equal TAAT, and a warm term
-must sit in the postings LRU once, under the scope.
+must sit in the postings LRU once, under the scope.  The vocabulary ops,
+which read one term dictionary per (scope, field), must equal the oracle's
+live dfs, and only they may build that dictionary.
 """
 
 import hashlib
