@@ -1,6 +1,6 @@
 """Fuzzy term expansion — Damerau-Levenshtein over a sorted term dictionary.
 
-Q10 fuzzy queries (``term~``, ``term~1``) expand against each segment's term
+Q10 fuzzy queries (``term~``, ``term~1``) expand against a scope's term
 dictionary, like Lucene's FuzzyQuery enumerating the term index with a
 Levenshtein automaton (reference accepts these through the classic
 QueryParser, LuceneIndexBean.java:727-735).  We use TRUE Damerau-Levenshtein
@@ -11,7 +11,8 @@ Lucene's automaton in functions/queryparse.py.
 Scale shape: a :class:`FuzzyScreen` groups a vocabulary's terms by length
 and keeps one column-major ``uint32[L, n_L]`` codepoint matrix per length L
 (4 bytes per codepoint plus an 8-byte row id per term, no padding).  It is
-built once per segment and field (``SegmentReader.fuzzy_rows``, lazily on
+built once per (scope, field) over the union of the scope's member
+dictionaries (``_TermDictionary.screen`` in pipelines/query.py, lazily on
 first use) and reused by every fuzzy query and ``suggest`` call.  A query
 touches only the buckets of lengths ``len(base) ± max_edits``: two exact
 lower bounds on the distance (a positional window count and the bag

@@ -40,6 +40,7 @@ from lucene_plugin_ray.config import IndexConfig
 from lucene_plugin_ray.functions.analysis import sanitize_collection
 from lucene_plugin_ray.functions.bm25 import bm25_term_scores, idf
 from lucene_plugin_ray.functions.codec import decode_block_abs
+from lucene_plugin_ray.functions.fuzzy import FuzzyScreen
 from lucene_plugin_ray.functions.similarity import (
     Similarity,
     resolve_similarity,
@@ -1007,7 +1008,14 @@ class _TermDictionary:
       and codes ascend together);
     * ``stored_df`` — per code, the sum of the members' dictionary df:
       stored postings, dead docs included, so an upper bound of the alive
-      df."""
+      df;
+    * ``screen`` / ``arrow_terms`` — the fuzzy screen over ``terms`` and
+      ``terms`` as an Arrow string array (for the RE2 and substring
+      kernels), each built on first use.
+
+    Multi-term expansion and the vocabulary ops match terms here once per
+    scope, not once per member, and :meth:`member_rows` maps the matched
+    codes back to each member's dictionary rows."""
 
     def __init__(self, segs: list[_LiveSegment], field: str):
         self.segs = segs
@@ -1023,6 +1031,36 @@ class _TermDictionary:
         for seg, start, codes in zip(segs, self.starts, self.codes):
             self.stored_df[codes] += seg.reader._df[start:start + codes.size]
 
+    @functools.cached_property
+    def screen(self) -> FuzzyScreen:
+        return FuzzyScreen(self.terms)
+
+    @functools.cached_property
+    def arrow_terms(self) -> pa.Array:
+        return pa.array(self.terms, type=pa.string())
+
+    def member_rows(self, codes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per member, ``(at, rows)``: the positions in ``codes`` of the
+        codes the member holds, and its dictionary rows of them (a code's
+        row is one ``searchsorted`` into the ascending ``codes[i]``).  An
+        ascending run of consecutive codes (a prefix range) maps to one
+        row range per member: two integer searches."""
+        out = []
+        run = codes.size > 0 and bool((np.diff(codes) == 1).all())
+        for start, mine in zip(self.starts, self.codes):
+            if run:
+                a, b = np.searchsorted(mine, (codes[0], codes[-1] + 1))
+                at = mine[a:b] - codes[0]
+                rows = np.arange(start + a, start + b, dtype=np.int64)
+            else:
+                j = np.searchsorted(mine, codes)
+                hit = j < mine.size
+                hit[hit] &= mine[j[hit]] == codes[hit]
+                at = np.flatnonzero(hit)
+                rows = start + j[at]
+            out.append((at, rows))
+        return out
+
     def alive_df(self, codes: np.ndarray) -> np.ndarray:
         """Exact alive df of each code: the stored df of the all-alive
         members, plus, per member with deletes, one bulk docid decode of
@@ -1030,18 +1068,14 @@ class _TermDictionary:
         if all(s.all_alive for s in self.segs):
             return self.stored_df[codes]
         df = np.zeros(codes.size, dtype=np.int64)
-        for seg, start, mine in zip(self.segs, self.starts, self.codes):
-            j = np.searchsorted(mine, codes)
-            hit = j < mine.size
-            hit[hit] &= mine[j[hit]] == codes[hit]
-            rows = start + j[hit]
+        for seg, (at, rows) in zip(self.segs, self.member_rows(codes)):
             r = seg.reader
             if seg.all_alive:
-                df[hit] += r._df[rows]
+                df[at] += r._df[rows]
                 continue
             alive = seg.alive[r.local_ids(r.docids_many(rows))]
             owner = np.repeat(np.arange(rows.size), r._df[rows].astype(np.int64))
-            df[hit] += np.bincount(owner[alive], minlength=rows.size)
+            df[at] += np.bincount(owner[alive], minlength=rows.size)
         return df
 
     def live_dfs(self, codes: np.ndarray) -> dict[str, int]:
@@ -1285,8 +1319,10 @@ class SearchEngine:
     :meth:`_match_segment` pass and read metadata fields through the
     scope's :class:`_FieldColumn`.  The vocabulary ops (``suggest``,
     ``complete``, ``complete_infix``, ``top_terms``, ``text_vocab_*``,
-    ``index_stats``) read the scope's per-field :class:`_TermDictionary`,
-    whose members' dictionaries are merged once.  What still loops over
+    ``index_stats``) and multi-term expansion (prefix / wildcard / regexp
+    / fuzzy clauses, :meth:`_expand_rows`) read the scope's per-field
+    :class:`_TermDictionary`, whose members' dictionaries are merged once;
+    term and range lookups stay per member.  What still loops over
     segments: ``term_vector`` and ``explain`` (per-document lookups in the
     doc's own segment), and the block-max executors (``bmax``/``bmw``),
     whose pruning reads each segment's stored per-block bounds and block
@@ -2766,11 +2802,12 @@ class SearchEngine:
         top ``k``.  df is alive-masked and summed across segments exactly
         like the search path, so suggestions track deletes/upserts.  The
         probe itself appears at distance 0 when indexed — callers usually
-        skip suggesting in that case.  Each segment answers from its cached
-        fuzzy screen (``SegmentReader.fuzzy_rows`` — the one fuzzy queries
-        use), which also yields the exact distances: cost is the
-        ``len(term) ± max_edits`` length buckets of each segment's
-        vocabulary, never corpus-bound.  Returns (term, distance, df)."""
+        skip suggesting in that case.  The scope dictionary's fuzzy screen
+        (:attr:`_TermDictionary.screen` — the one fuzzy queries use)
+        answers with union codes and exact distances: cost is the
+        ``len(term) ± max_edits`` length buckets of the scope's
+        vocabulary, never corpus-bound.  A field that is not indexed
+        raises ``ValueError``.  Returns (term, distance, df)."""
         if k <= 0:
             raise ValueError("k must be positive")
         if max_edits not in (1, 2):
@@ -2778,15 +2815,10 @@ class SearchEngine:
             raise ValueError("max_edits must be 1 or 2")
         probe = term.lower()
         coll = sanitize_collection(collection)
-        field = field or self.cfg.text_column
+        field = self._vocab_field(field)
         d = self._dictionary(coll, field)
-        codes = [np.empty(0, np.int64)]
-        dists: dict[str, int] = {}
-        for seg, start, mine in zip(d.segs, d.starts, d.codes):
-            rows, dist = seg.reader.fuzzy_rows(field, probe, max_edits)
-            codes.append(mine[rows - start])
-            dists.update(zip(d.terms[codes[-1]].tolist(), dist.tolist()))
-        codes = np.unique(np.concatenate(codes))
+        codes, dist = d.screen.match(probe, max_edits)
+        dists = dict(zip(d.terms[codes].tolist(), dist.tolist()))
         return rank_suggestions_table(d.live_dfs(codes), dists, k)
 
     def facets_stats(
@@ -3656,9 +3688,11 @@ class SearchEngine:
         asc), top ``k`` — completing the suggest trio with
         :meth:`complete` (prefix) and :meth:`suggest` (fuzzy spell).
         An infix match cannot narrow the sorted dictionary, so the scan
-        is one vectorized substring pass (np.char.find) over the scope's
-        term dictionary — vocabulary-bound, never corpus-bound; df is the
+        is one Arrow substring kernel pass over the scope's term
+        dictionary — vocabulary-bound, never corpus-bound; df is the
         exact alive df over the collection.  Returns (term, df)."""
+        import pyarrow.compute as pc
+
         if k <= 0:
             raise ValueError("k must be positive")
         probe = fragment.lower().strip()
@@ -3667,7 +3701,8 @@ class SearchEngine:
         coll = sanitize_collection(collection)
         field = self._vocab_field(field)
         d = self._dictionary(coll, field)
-        codes = np.flatnonzero(np.char.find(d.terms.astype("U"), probe) >= 0)
+        hit = pc.match_substring(d.arrow_terms, probe)
+        codes = np.flatnonzero(hit.to_numpy(zero_copy_only=False))
         return rank_completions_table(d.live_dfs(codes), k)
 
     def top_terms(
@@ -3964,7 +3999,10 @@ class SearchEngine:
                     )
                 else:
                     assert isinstance(c, MultiTermClause)
-                    erows = self._expand_rows(seg, c)
+                    # this member's rows of the collection scope's expansion
+                    scope = self._scope(coll)
+                    codes = self._expand_rows(scope, c)
+                    erows = scope.dictionary(c.field).member_rows(codes)[si][1]
                     kind, detail = c.kind, c.pattern
                 matched = bool(
                     (r.local_ids(r.docids_many(erows)) == local_doc).any()
@@ -4452,14 +4490,19 @@ class SearchEngine:
     ) -> np.ndarray:
         """bool[scope.n]: the live docs a range / prefix / wildcard / regexp
         / fuzzy clause matches — per member, one bulk docid decode (no tfs)
-        of its expanded dictionary rows."""
+        of its dictionary rows: a range's own ``term_range``, a multi-term
+        clause's scope expansion mapped to the member's rows."""
         m = np.zeros(scope.n, dtype=bool)
-        for seg, off in zip(scope.segs, scope.offsets):
+        if isinstance(c, RangeClause):
+            parts = [
+                s.reader.term_range(c.field, c.lo, c.hi, c.lo_inc, c.hi_inc)
+                for s in scope.segs
+            ]
+        else:
+            codes = self._expand_rows(scope, c)
+            parts = [rows for _, rows in scope.dictionary(c.field).member_rows(codes)]
+        for seg, off, rows in zip(scope.segs, scope.offsets, parts):
             r = seg.reader
-            if isinstance(c, RangeClause):
-                rows = r.term_range(c.field, c.lo, c.hi, c.lo_inc, c.hi_inc)
-            else:
-                rows = self._expand_rows(seg, c)
             local = r.local_ids(r.docids_many(rows))
             if not seg.all_alive:
                 local = local[seg.alive[local]]
@@ -4667,63 +4710,53 @@ class SearchEngine:
             self._postings_cache.popitem(last=False)
         return result
 
-    def _expand_rows(self, seg: _LiveSegment, c: MultiTermClause) -> np.ndarray:
-        """Dictionary rows matched by a prefix/wildcard/regexp/fuzzy clause
-        within one segment (Q9/Q10 term expansion over the sorted
-        vocabulary; ≙ Lucene MultiTermQuery term enumeration).  Cached per
-        (segment, clause) in the postings LRU — expansion cost is
-        per-segment vocabulary-bound, not corpus-bound.  Prefix is two
-        binary searches; wildcard/regexp refine their literal-prefix range;
-        fuzzy queries the segment's cached length-bucketed screen
-        (``SegmentReader.fuzzy_rows``), built on the field's first fuzzy
-        use.  Callers decode the rows' docids in one bulk pass
-        (``SegmentReader.docids_many``)."""
-        r = seg.reader
-        ck = (r.path, c.field, c.kind, c.pattern, c.max_edits)
+    def _expand_rows(self, scope: _Scope, c: MultiTermClause) -> np.ndarray:
+        """Union codes (ascending, into ``scope.dictionary(c.field).terms``)
+        of the terms a prefix/wildcard/regexp/fuzzy clause matches (Q9/Q10
+        term expansion over the sorted vocabulary; ≙ Lucene MultiTermQuery
+        term enumeration).  The clause is matched once per scope over the
+        scope's term dictionary, never once per member, and cached per
+        (scope, clause) in the postings LRU.  Prefix is two binary
+        searches; wildcard/regexp keep the terms of their literal-prefix
+        range that fullmatch the pattern (one RE2 pass, anchored, DOTALL —
+        Lucene RegexpQuery matches the WHOLE term); fuzzy queries the
+        dictionary's fuzzy screen, built on the field's first fuzzy use.
+        Callers map the codes to member rows
+        (:meth:`_TermDictionary.member_rows`) and decode each member's
+        docids in one bulk pass (``SegmentReader.docids_many``)."""
+        ck = (scope.key, c.field, c.kind, c.pattern, c.max_edits)
         hit = self._postings_cache.get(ck)
         if hit is not None:
             self._postings_cache.move_to_end(ck)
             return hit
-        if c.kind == "prefix":
-            rows = r.prefix_rows(c.field, c.pattern)
-        elif c.kind == "wildcard":
-            import re as _re
+        d = scope.dictionary(c.field)
+        if c.kind == "fuzzy":
+            codes = d.screen.match(c.pattern, c.max_edits)[0]
+        else:
+            if c.kind == "wildcard":
+                import re as _re
 
-            lit = _re.split(r"[*?]", c.pattern, maxsplit=1)[0]
-            rx_src = "".join(
-                ".*" if ch == "*" else "." if ch == "?" else _re.escape(ch)
-                for ch in c.pattern
-            )
-            rows = self._refine_prefix_rows(r, c.field, lit, rx_src)
-        elif c.kind == "regexp":
-            # narrow the scan with the pattern's SAFE literal prefix —
-            # a leading-literal regexp is a two-binary-search range like
-            # Q9; a metachar-first (or top-level-alternation) pattern
-            # scans the per-segment vocabulary (bounded, cached) like fuzzy
-            rows = self._refine_prefix_rows(
-                r, c.field, _regexp_literal_prefix(c.pattern), c.pattern
-            )
-        else:  # fuzzy
-            rows = r.fuzzy_rows(c.field, c.pattern, c.max_edits)[0]
-        self._postings_cache[ck] = rows
+                lit = _re.split(r"[*?]", c.pattern, maxsplit=1)[0]
+                rx_src = "".join(
+                    ".*" if ch == "*" else "." if ch == "?" else _re.escape(ch)
+                    for ch in c.pattern
+                )
+            elif c.kind == "regexp":
+                # a leading-literal regexp narrows to a prefix range; a
+                # metachar-first (or top-level-alternation) pattern scans
+                # the whole dictionary
+                lit, rx_src = _regexp_literal_prefix(c.pattern), c.pattern
+            else:  # prefix
+                lit, rx_src = c.pattern, None
+            a, b = prefix_range(d.terms, lit)
+            codes = np.arange(a, b, dtype=np.int64)
+            if rx_src is not None and codes.size:
+                keep = regexp_fullmatch(d.arrow_terms.slice(a, b - a), rx_src)
+                codes = codes[keep.to_numpy(zero_copy_only=False)]
+        self._postings_cache[ck] = codes
         if len(self._postings_cache) > self._postings_cache_size:
             self._postings_cache.popitem(last=False)
-        return rows
-
-    @staticmethod
-    def _refine_prefix_rows(
-        r: SegmentReader, field: str, prefix: str, rx_src: str
-    ) -> np.ndarray:
-        """Shared wildcard/regexp term enumeration: binary-search the sorted
-        vocabulary down to ``prefix``, then keep the rows whose term
-        fullmatches ``rx_src`` (anchored, DOTALL — Lucene RegexpQuery
-        matches the WHOLE term) in one RE2 pass over the range."""
-        rows = r.prefix_rows(field, prefix)  # one contiguous range
-        if rows.size:
-            terms = r._term_strings.slice(int(rows[0]), rows.size)
-            keep = regexp_fullmatch(terms, rx_src)
-            rows = rows[keep.to_numpy(zero_copy_only=False)]
-        return rows
+        return codes
 
     # ------------------------------------------------------------------
     def _score_segment_taat(

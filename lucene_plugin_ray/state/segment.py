@@ -16,7 +16,6 @@ import os
 import numpy as np
 
 from lucene_plugin_ray.functions.codec import decode_region, varint_decode
-from lucene_plugin_ray.functions.fuzzy import FuzzyScreen
 
 
 def prefix_range(terms: np.ndarray, prefix: str) -> tuple[int, int]:
@@ -149,8 +148,6 @@ class SegmentReader(SegmentDocs):
         t = storage.read_parquet(storage.join(path, "terms.parquet"))
         self._fields = t["field"].to_numpy(zero_copy_only=False)
         self._terms = t["term"].to_numpy(zero_copy_only=False)
-        # the same strings as Arrow, for vectorized (RE2) term filtering
-        self._term_strings = t["term"]
         self._df = t["df"].to_numpy(zero_copy_only=False)
         self._doff = t["doff"].to_numpy(zero_copy_only=False)
         self._doff_end = t["doff_end"].to_numpy(zero_copy_only=False)
@@ -184,9 +181,6 @@ class SegmentReader(SegmentDocs):
         # presence probed lazily, table loaded on first doc_term_vector call
         self._tv_present: bool | None = None
         self._tv_loaded = False
-        # field → FuzzyScreen, built on a field's first fuzzy expansion so
-        # opening a segment (refresh, ingest) never pays for it
-        self._screens: dict[str, FuzzyScreen] = {}
 
         self.buf = self._map_region(path, "postings.bin", required=True)
         self.pbuf = (
@@ -275,39 +269,14 @@ class SegmentReader(SegmentDocs):
         )
         return np.arange(a, b, dtype=np.int64)
 
-    def prefix_rows(self, field: str, prefix: str) -> np.ndarray:
-        """Dictionary rows whose term starts with ``prefix`` (Q9 expansion)
-        — a contiguous range in the term-sorted dictionary, found with two
-        binary searches (no scan)."""
-        rng = self._field_ranges.get(field)
-        if rng is None:
-            return np.empty(0, np.int64)
-        s, e = rng
-        a, b = prefix_range(self._terms[s:e], prefix)
-        return np.arange(s + a, s + b, dtype=np.int64)
-
     def field_vocab(self, field: str) -> tuple[int, np.ndarray]:
         """(start_row, object-dtype term slice) of one field's dictionary —
-        the expansion domain for wildcard/fuzzy clauses."""
+        what a scope's union term dictionary is merged from."""
         rng = self._field_ranges.get(field)
         if rng is None:
             return 0, np.empty(0, object)
         s, e = rng
         return s, self._terms[s:e]
-
-    def fuzzy_rows(
-        self, field: str, base: str, max_edits: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(dictionary rows asc, exact DL distances) of the field's terms
-        within ``max_edits`` of ``base`` (Q10 expansion, spell suggest).
-        The field's FuzzyScreen is built on first use and kept for the
-        reader's lifetime (the segment is immutable)."""
-        start, vocab = self.field_vocab(field)
-        screen = self._screens.get(field)
-        if screen is None:
-            screen = self._screens[field] = FuzzyScreen(vocab)
-        rows, dist = screen.match(base, max_edits)
-        return start + rows, dist
 
     def df(self, row: int) -> int:
         return int(self._df[row])

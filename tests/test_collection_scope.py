@@ -10,7 +10,8 @@ under bm25 it must also agree with ``OracleIndex``.  The block-max executors
 (which keep their per-segment loop) must still equal TAAT, and a warm term
 must sit in the postings LRU once, under the scope.  The vocabulary ops,
 which read one term dictionary per (scope, field), must equal the oracle's
-live dfs, and only they may build that dictionary.
+live dfs, and only they and multi-term expansion may build that
+dictionary.
 """
 
 import hashlib
@@ -837,6 +838,162 @@ def test_vocabulary_ops_equal_oracle(engines, multigen):
 SH_Q = "w00001 w00002"
 
 
+def _random_multiterm(rng, field: str, vocab: list[str]):
+    """A random prefix / wildcard / regexp / fuzzy (~1, ~2) clause on
+    ``field``, mostly built from a term of ``vocab``, sometimes from a term
+    no member holds."""
+    from lucene_plugin_ray.functions.queryparse import MultiTermClause
+
+    letters = "abcdefgilmnorstuvwxz0123456789"
+    if vocab and rng.random() < 0.85:
+        base = vocab[rng.integers(len(vocab))]
+    else:
+        base = "zq" + "".join(letters[i] for i in rng.integers(len(letters), size=3))
+    kind = ("prefix", "wildcard", "regexp", "fuzzy")[rng.integers(4)]
+    max_edits = 0
+    if kind == "prefix":
+        pattern = base[: rng.integers(1, len(base) + 1)]
+    elif kind == "wildcard":
+        chars = list(base)
+        for i in rng.integers(1, len(chars) + 1, size=2):  # never the first
+            if i < len(chars):
+                chars[i] = "?*"[rng.integers(2)]
+            else:
+                chars.append("*")
+        pattern = "".join(chars)
+    elif kind == "regexp":
+        pieces = [".", ".*", "[a-z0-9]", "[^w]"]
+        pattern = "".join(
+            pieces[rng.integers(len(pieces))] if rng.random() < 0.3 else ch
+            for ch in base
+        )
+    else:
+        chars = list(base)
+        for _ in range(int(rng.integers(0, 4))):
+            op, at = int(rng.integers(3)), int(rng.integers(len(chars)))
+            ch = letters[rng.integers(len(letters))]
+            if op == 0:
+                chars.insert(at, ch)
+            elif op == 1:
+                chars[at] = ch
+            elif len(chars) > 1:
+                del chars[at]
+        pattern, max_edits = "".join(chars), 1 + int(rng.integers(2))
+    return MultiTermClause(occur=MUST, field=field, kind=kind,
+                           pattern=pattern, max_edits=max_edits)
+
+
+def _term_matcher(c):
+    """Brute-force predicate of one multi-term clause on one term."""
+    import re
+
+    from lucene_plugin_ray.functions.fuzzy import damerau_levenshtein
+
+    if c.kind == "prefix":
+        return lambda t: t.startswith(c.pattern)
+    if c.kind == "fuzzy":
+        return lambda t: damerau_levenshtein(c.pattern, t) <= c.max_edits
+    src = c.pattern if c.kind == "regexp" else "".join(
+        ".*" if ch == "*" else "." if ch == "?" else re.escape(ch)
+        for ch in c.pattern
+    )
+    rx = re.compile(src, re.DOTALL)
+    return lambda t: rx.fullmatch(t) is not None
+
+
+def _assert_union_expansion_equals_scan(eng, c) -> int:
+    """The scope expansion of ``c`` (union codes), mapped to each member,
+    equals a brute-force scan of that member's own field vocabulary;
+    returns the number of matched distinct terms."""
+    scope = eng._scope("default")
+    codes = eng._expand_rows(scope, c)
+    d = scope.dictionary(c.field)
+    assert (np.diff(codes) > 0).all(), c
+    match, memo = _term_matcher(c), {}
+    union: set[str] = set()
+    for seg, (at, rows) in zip(scope.segs, d.member_rows(codes)):
+        start, vocab = seg.reader.field_vocab(c.field)
+        keep = [memo[t] if t in memo else memo.setdefault(t, match(t)) for t in vocab]
+        want = start + np.flatnonzero(np.asarray(keep, dtype=bool))
+        np.testing.assert_array_equal(rows, want, err_msg=str(c))
+        np.testing.assert_array_equal(d.terms[codes[at]], vocab[want - start])
+        union.update(vocab[want - start].tolist())
+    assert d.terms[codes].tolist() == sorted(union), c
+    return len(union)
+
+
+@pytest.fixture(scope="module")
+def evolved(ray_session, tmp_path_factory):
+    """2 partitions × 2 generations whose first generation predates the
+    ``age`` field, so its members lack it; the second upserts and deletes
+    first-generation docs."""
+    from lucene_plugin_ray.pipelines.build import build_delta, build_index
+
+    corpus = make_pages(120, seed=61, with_fields=True).drop_columns(["html"])
+    urls = sorted(set(corpus["url"].to_pylist()))
+    root = str(tmp_path_factory.mktemp("idx_evolved"))
+    first = pc.is_in(corpus["url"], value_set=pa.array(urls[:70]))
+    build_index(corpus.filter(first),
+                IndexConfig(index_root=root, num_partitions=2, field_columns=("foo",)))
+    cfg = IndexConfig(index_root=root, num_partitions=2, field_columns=("foo", "age"))
+    later = corpus.filter(pc.is_in(corpus["url"], value_set=pa.array(urls[60:])))
+    victims = urls[:60:9]
+    build_delta(later, cfg, deletes=pa.table(
+        {"collection": ["default"] * len(victims), "url": victims}))
+    return cfg
+
+
+def test_union_expansion_equals_member_scan(engines, multigen, evolved):
+    """Random prefix / wildcard / regexp / fuzzy clauses — including ones
+    that match nothing, a field some members lack and a field no member
+    has — expand once over the scope dictionary to exactly the member
+    rows a per-member brute-force scan (Python ``re.fullmatch`` /
+    ``damerau_levenshtein``) finds, on indexes with upserts and deletes."""
+    from lucene_plugin_ray.pipelines.query import SearchEngine
+
+    rng = np.random.default_rng(23)
+    old = SearchEngine(evolved.index_root, cfg=evolved)
+    lacking = [s for s in old._scope("default").segs if "age" not in s.reader.doc_len]
+    assert lacking and not all(s.all_alive for s in old._scope("default").segs)
+    plan = [(engines["bm25"], "text", 60), (engines["bm25"], "foo", 12),
+            (engines["bm25"], "age", 12), (old, "age", 16), (old, "text", 12),
+            (old, "nope", 4)]
+    kinds, empty, matched = set(), 0, 0
+    for eng, field, n in plan:
+        scope = eng._scope("default")
+        vocab = sorted({t for s in scope.segs for t in s.reader.field_vocab(field)[1]})
+        for _ in range(n):
+            c = _random_multiterm(rng, field, vocab)
+            got = _assert_union_expansion_equals_scan(eng, c)
+            kinds.add((c.kind, c.max_edits))
+            empty += got == 0
+            matched += got
+    assert kinds == {("prefix", 0), ("wildcard", 0), ("regexp", 0),
+                     ("fuzzy", 1), ("fuzzy", 2)}
+    assert empty >= 5 and matched > 100, (empty, matched)
+
+
+def test_explain_on_expansion_clauses_equals_oracle(engines, multigen):
+    """``explain`` reports a wildcard / fuzzy clause as matched exactly when
+    the document holds a term the clause matches (oracle postings), with
+    the clause's constant weight."""
+    _, oracle = multigen
+    eng = engines["bm25"]
+    queries = ["w000?3", "w0*1", "w00012~1", "pagehti~2", "upsertmarkr~1", "zzzq*z"]
+    urls = sorted(oracle.url_of.values())[::7]
+    postings = oracle.postings["text"]
+    for q in queries:
+        (c,) = parse_query(q)
+        match = _term_matcher(c)
+        hit = {oracle.url_of[i] for t, p in postings.items() if match(t) for i in p}
+        for url in urls:
+            (row,) = eng.explain(q, url)["clauses"]
+            assert (row["kind"], row["detail"]) == (c.kind, c.pattern)
+            assert row["tf"] == int(url in hit), (q, url)
+            assert row["weight"] == (1.0 if url in hit else 0.0), (q, url)
+        assert hit or q.startswith("zzzq")
+
+
 @pytest.fixture(scope="module")
 def fleets(multigen):
     from lucene_plugin_ray.pipelines.sharded import ShardedSearcherService
@@ -1112,6 +1269,7 @@ PARITY = [
     ("snippets", (SH_Q, None), {"window": 0}),
     ("facets", (SH_Q, "nope"), {}),
     ("facets_stats", (SH_Q, "nope"), {}),
+    ("suggest", ("lamb",), {"field": "nope"}),
 ]
 
 
@@ -1139,19 +1297,19 @@ def test_sharded_error_parity(engines, fleets, op, args, kw):
 
 
 def test_scope_dictionary_built_lazily(multigen):
-    """Engine open, ``search``, the sharded phase-1 df lookup and
-    ``search_partial`` build no term dictionary (expansion queries
-    included); the first vocabulary op builds exactly one, for its
-    (scope, field)."""
+    """Engine open, term / phrase / range ``search``, the sharded phase-1
+    df lookup and ``search_partial`` build no term dictionary; the first
+    expansion query (prefix / wildcard / regexp / fuzzy) and the first
+    vocabulary op each build exactly one, for their (scope, field)."""
     from lucene_plugin_ray.pipelines.query import SearchEngine
 
     cfg, _ = multigen
-    eng = SearchEngine(cfg.index_root, cfg=cfg)
 
-    def built():
+    def built(eng):
         return [(c, f) for c, sc in eng._scopes.items() for f in sc._dicts]
 
-    q = 'w00001 w0001* w000?3 w00012~1 [w00010 TO w00020] "w00008 w00001"'
+    eng = SearchEngine(cfg.index_root, cfg=cfg)
+    q = 'w00001 +w00002 [w00010 TO w00020] "w00008 w00001"'
     eng.search(q, limit=10)
     keys = sorted(scored_term_keys(parse_query(q)))
     eng.search_partial(
@@ -1159,6 +1317,10 @@ def test_scope_dictionary_built_lazily(multigen):
         global_df=eng.local_term_dfs("default", keys),
     )
     assert list(eng._scopes) == ["default"]
-    assert built() == []
+    assert built(eng) == []
+    eng.search("w00001 w0001* w000?3 w00012~1 /w00.*/", limit=10)
+    assert built(eng) == [("default", "text")]
+
+    eng = SearchEngine(cfg.index_root, cfg=cfg)
     eng.complete("w0001")
-    assert built() == [("default", "text")]
+    assert built(eng) == [("default", "text")]

@@ -1,4 +1,4 @@
-"""Multi-term expansion: the per-segment fuzzy screen and the bulk docid
+"""Multi-term expansion: the scope's fuzzy screen and the bulk docid
 decode of constant-score clauses (prefix/wildcard/regexp/fuzzy/range).
 
 * ``SegmentReader.docids_many(rows)`` (and ``field_postings``, which shares
@@ -150,9 +150,10 @@ def test_expansion_queries_equal_oracle(multigen, q):
 
 
 def test_vectorized_term_filter_equals_python_re(multigen):
-    """Wildcard/regexp expansion filters each dictionary range in one RE2
-    pass; on every segment it keeps exactly the rows a Python re.fullmatch
-    scan of the field's whole vocabulary keeps."""
+    """Wildcard/regexp expansion filters the scope dictionary's range in
+    one RE2 pass; mapped to every segment, it keeps exactly the rows a
+    Python re.fullmatch scan of the segment's whole field vocabulary
+    keeps."""
     import re
 
     from lucene_plugin_ray.functions.queryparse import MultiTermClause, parse_query
@@ -165,18 +166,18 @@ def test_vectorized_term_filter_equals_python_re(multigen):
         if isinstance(c, MultiTermClause) and c.kind in ("wildcard", "regexp")
     ]
     assert {c.kind for c in clauses} == {"wildcard", "regexp"}
+    scope = engine._scope("default")
     matched = 0
-    for seg in engine._segments["default"]:
-        r = seg.reader
-        for c in clauses:
-            src = c.pattern if c.kind == "regexp" else "".join(
-                ".*" if ch == "*" else "." if ch == "?" else re.escape(ch)
-                for ch in c.pattern
-            )
-            rx = re.compile(src, re.DOTALL)
-            start, vocab = r.field_vocab(c.field)
+    for c in clauses:
+        src = c.pattern if c.kind == "regexp" else "".join(
+            ".*" if ch == "*" else "." if ch == "?" else re.escape(ch)
+            for ch in c.pattern
+        )
+        rx = re.compile(src, re.DOTALL)
+        member_rows = scope.dictionary(c.field).member_rows(engine._expand_rows(scope, c))
+        for seg, (_, got) in zip(scope.segs, member_rows):
+            start, vocab = seg.reader.field_vocab(c.field)
             want = start + np.flatnonzero([rx.fullmatch(t) is not None for t in vocab])
-            got = engine._expand_rows(seg, c)
             np.testing.assert_array_equal(got, want, err_msg=c.pattern)
             matched += got.size
     assert matched
@@ -201,18 +202,26 @@ def test_suggest_ranks_like_scalar_scan(multigen, probe, max_edits):
     assert list(zip(*got.to_pydict().values())) == want
 
 
-def test_segment_screens_are_lazy_and_exactly_sized(multigen):
+def test_scope_screen_is_lazy_and_exactly_sized(multigen):
+    """One fuzzy screen per (scope, field), over the union of the members'
+    vocabularies: nothing is built at engine open or by a non-fuzzy
+    expansion, the first fuzzy search builds it, later fuzzy searches and
+    ``suggest`` reuse it, and it holds exactly 4 bytes per codepoint plus
+    8 per distinct term."""
     engine, _ = multigen
     from lucene_plugin_ray.pipelines.query import SearchEngine
 
     fresh = SearchEngine(engine.cfg.index_root, cfg=engine.cfg)
-    segs = fresh._segments["default"]
-    assert all(not s.reader._screens for s in segs)  # nothing built at open
+    assert not fresh._scopes  # nothing built at open
+    fresh.search("w0001*", limit=5)
+    scope = fresh._scope("default")
+    d = scope.dictionary("text")
+    assert "screen" not in vars(d)  # a prefix expansion needs no screen
     fresh.search("w00012~1", limit=5)
-    for s in segs:
-        r = s.reader
-        screen = r._screens["text"]
-        r.fuzzy_rows("text", "w00013", 2)
-        assert r._screens["text"] is screen  # cached, not rebuilt
-        _, vocab = r.field_vocab("text")
-        assert screen.nbytes == 4 * sum(map(len, vocab)) + 8 * len(vocab)
+    screen = vars(d)["screen"]
+    fresh.search("w00013~2", limit=5)
+    fresh.suggest("w00013")
+    assert scope.dictionary("text") is d and d.screen is screen  # reused
+    union = sorted({t for s in scope.segs for t in s.reader.field_vocab("text")[1]})
+    assert d.terms.tolist() == union
+    assert screen.nbytes == 4 * sum(map(len, union)) + 8 * len(union)
