@@ -1022,7 +1022,11 @@ class _TermDictionary:
         vocabs = [s.reader.field_vocab(field) for s in segs]
         self.starts = [start for start, _ in vocabs]
         present = [v for _, v in vocabs if v.size]
-        if present:
+        if len(present) == 1:
+            # one member's field vocabulary is already sorted and distinct:
+            # explain's one-member scopes build their dictionary per call
+            self.terms, inv = present[0], np.arange(present[0].size, dtype=np.int64)
+        elif present:
             self.terms, inv = np.unique(np.concatenate(present), return_inverse=True)
         else:
             self.terms, inv = np.empty(0, object), np.empty(0, np.int64)

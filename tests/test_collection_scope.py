@@ -901,11 +901,10 @@ def _term_matcher(c):
     return lambda t: rx.fullmatch(t) is not None
 
 
-def _assert_union_expansion_equals_scan(eng, c) -> int:
+def _assert_union_expansion_equals_scan(eng, scope, c) -> int:
     """The scope expansion of ``c`` (union codes), mapped to each member,
     equals a brute-force scan of that member's own field vocabulary;
     returns the number of matched distinct terms."""
-    scope = eng._scope("default")
     codes = eng._expand_rows(scope, c)
     d = scope.dictionary(c.field)
     assert (np.diff(codes) > 0).all(), c
@@ -948,8 +947,9 @@ def test_union_expansion_equals_member_scan(engines, multigen, evolved):
     that match nothing, a field some members lack and a field no member
     has — expand once over the scope dictionary to exactly the member
     rows a per-member brute-force scan (Python ``re.fullmatch`` /
-    ``damerau_levenshtein``) finds, on indexes with upserts and deletes."""
-    from lucene_plugin_ray.pipelines.query import SearchEngine
+    ``damerau_levenshtein``) finds, on indexes with upserts and deletes,
+    over the collection scope and over one-member scopes (``explain``'s)."""
+    from lucene_plugin_ray.pipelines.query import SearchEngine, _Scope
 
     rng = np.random.default_rng(23)
     old = SearchEngine(evolved.index_root, cfg=evolved)
@@ -964,7 +964,9 @@ def test_union_expansion_equals_member_scan(engines, multigen, evolved):
         vocab = sorted({t for s in scope.segs for t in s.reader.field_vocab(field)[1]})
         for _ in range(n):
             c = _random_multiterm(rng, field, vocab)
-            got = _assert_union_expansion_equals_scan(eng, c)
+            got = _assert_union_expansion_equals_scan(eng, scope, c)
+            one = _Scope([scope.segs[rng.integers(len(scope.segs))]])
+            _assert_union_expansion_equals_scan(eng, one, c)
             kinds.add((c.kind, c.max_edits))
             empty += got == 0
             matched += got
