@@ -35,6 +35,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from lucene_plugin_ray.config import IndexConfig
 from lucene_plugin_ray.functions.analysis import sanitize_collection
@@ -733,8 +734,6 @@ def _diversify_hits(t: pa.Table, max_per_key: int, limit: int) -> pa.Table:
     merge (object-url tiebreak)."""
     if t.num_rows == 0:
         return t
-    import pyarrow.compute as pc
-
     urls = t["url"].to_numpy(zero_copy_only=False)
     scores = t["score"].to_numpy()
     order = np.lexsort((urls, -scores))
@@ -849,8 +848,6 @@ def mlt_select_clauses(
 def exclude_source_url(res: pa.Table, url: str, limit: int) -> pa.Table:
     """Drop the MLT source document from a fetched limit+1 result and
     re-truncate — the like-document exclusion, shared everywhere."""
-    import pyarrow.compute as pc
-
     if res.num_rows:
         res = res.filter(
             pc.not_equal(res["url"], pa.scalar(url))
@@ -1027,7 +1024,16 @@ class _TermDictionary:
             # explain's one-member scopes build their dictionary per call
             self.terms, inv = present[0], np.arange(present[0].size, dtype=np.int64)
         elif present:
-            self.terms, inv = np.unique(np.concatenate(present), return_inverse=True)
+            # np.unique's inverse, with the sort done by Arrow (UTF-8 byte
+            # order is codepoint order): ~4x faster than an object sort
+            cat = np.concatenate(present)
+            order = pc.array_sort_indices(pa.array(cat, pa.string())).to_numpy()
+            cat = cat[order]
+            new = np.empty(cat.size, dtype=bool)
+            new[0], new[1:] = True, cat[1:] != cat[:-1]
+            self.terms = cat[new]
+            inv = np.empty(cat.size, dtype=np.int64)
+            inv[order] = np.cumsum(new) - 1
         else:
             self.terms, inv = np.empty(0, object), np.empty(0, np.int64)
         self.codes = np.split(inv, np.cumsum([v.size for _, v in vocabs])[:-1])
@@ -3695,8 +3701,6 @@ class SearchEngine:
         is one Arrow substring kernel pass over the scope's term
         dictionary — vocabulary-bound, never corpus-bound; df is the
         exact alive df over the collection.  Returns (term, df)."""
-        import pyarrow.compute as pc
-
         if k <= 0:
             raise ValueError("k must be positive")
         probe = fragment.lower().strip()
