@@ -924,8 +924,8 @@ def _assert_union_expansion_equals_scan(eng, scope, c) -> int:
 @pytest.fixture(scope="module")
 def evolved(ray_session, tmp_path_factory):
     """2 partitions × 2 generations whose first generation predates the
-    ``age`` field, so its members lack it; the second upserts and deletes
-    first-generation docs."""
+    ``age`` field, so its members lack it; the second generation also
+    deletes first-generation docs."""
     from lucene_plugin_ray.pipelines.build import build_delta, build_index
 
     corpus = make_pages(120, seed=61, with_fields=True).drop_columns(["html"])
