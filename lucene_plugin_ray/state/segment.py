@@ -18,21 +18,6 @@ import numpy as np
 from lucene_plugin_ray.functions.codec import decode_region, varint_decode
 
 
-def prefix_range(terms: np.ndarray, prefix: str) -> tuple[int, int]:
-    """``[a, b)``: the positions of the sorted ``terms`` that start with
-    ``prefix`` — two binary searches.  The exclusive upper bound bumps the
-    last bumpable codepoint of ``prefix``: every prefix-extension sorts
-    strictly below it."""
-    a = int(np.searchsorted(terms, prefix, side="left"))
-    p = prefix
-    while p and ord(p[-1]) >= 0x10FFFF:
-        p = p[:-1]
-    if not p:
-        return a, terms.size
-    hi = p[:-1] + chr(ord(p[-1]) + 1)
-    return a, int(np.searchsorted(terms, hi, side="left"))
-
-
 class _LazyRegion:
     """Chunked random-access byte view over a REMOTE region file — the
     page-granular fetch path for cold URL-rooted indexes (segment.py's
