@@ -77,6 +77,27 @@ RESULT_SCHEMA = pa.schema(
 # Lucene join-module ScoreMode values (JoinUtil.createJoinQuery)
 _JOIN_MODES = ("none", "max", "min", "total", "avg")
 
+# one row per (collection, field, term) of an engine's alive df table
+# (SearchEngine.local_df_table)
+DF_TABLE_SCHEMA = pa.schema(
+    [
+        ("collection", pa.string()),
+        ("field", pa.string()),
+        ("term", pa.string()),
+        ("df", pa.int64()),
+    ]
+)
+
+
+def check_metadata_field(field_columns, role: str, name) -> None:
+    """Reject ``name`` unless it is one of the indexed metadata
+    ``field_columns``; ``role`` names the argument in the message."""
+    if name not in field_columns:
+        raise ValueError(
+            f"{role} {name!r} is not an indexed metadata field "
+            f"(have: {sorted(field_columns)})"
+        )
+
 
 def build_dim_clauses(
     dims: dict, field_columns: tuple[str, ...]
@@ -92,11 +113,7 @@ def build_dim_clauses(
         raise ValueError("dims must name at least one drill-down field")
     out: dict[str, list[TermClause]] = {}
     for field, vals in dims.items():
-        if field not in field_columns:
-            raise ValueError(
-                f"drill-down field {field!r} is not an indexed metadata "
-                f"field (have: {sorted(field_columns)})"
-            )
+        check_metadata_field(field_columns, "drill-down field", field)
         if isinstance(vals, str):
             vlist = [vals]
         elif isinstance(vals, (list, tuple)):
@@ -2951,11 +2968,7 @@ class SearchEngine:
         ordered (group_rank asc, score desc, url asc)."""
         if group_limit <= 0 or docs_per_group <= 0:
             raise ValueError("group_limit and docs_per_group must be positive")
-        if group_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"group_field {group_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "group_field", group_field)
         coll = sanitize_collection(collection)
         clauses = self._rewrite(query, synonyms)
         got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
@@ -3012,11 +3025,7 @@ class SearchEngine:
         score-free boolean matcher replaces the TAAT pass and only counts
         are folded (sum/max/min emitted as 0.0); on full-corpus match sets
         this removes the dominant cost."""
-        if from_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"from_field {from_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "from_field", from_field)
         coll = sanitize_collection(collection)
         clauses = self._rewrite(from_query, synonyms)
         rclauses = None
@@ -3103,11 +3112,7 @@ class SearchEngine:
         in value (term) order, so each doc's float fold adds its values in
         term order.  Returns (url, score, docid) truncated to ``limit``
         under the engine's (score desc, url asc) total order."""
-        if to_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"to_field {to_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "to_field", to_field)
         if score_mode not in _JOIN_MODES:
             raise ValueError(
                 f"score_mode must be one of {_JOIN_MODES}, got {score_mode!r}"
@@ -3193,11 +3198,7 @@ class SearchEngine:
             raise ValueError(
                 f"score_mode must be one of {_JOIN_MODES}, got {score_mode!r}"
             )
-        if to_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"to_field {to_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "to_field", to_field)
         agg = self.join_from_aggregates(
             from_query, from_field, collection=collection, synonyms=synonyms,
             global_stats=global_stats, global_df=global_df,
@@ -3274,11 +3275,7 @@ class SearchEngine:
             raise ValueError(
                 f"score_mode must be one of {_JOIN_MODES}, got {score_mode!r}"
             )
-        if block_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"block_field {block_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "block_field", block_field)
         if not parse_query(parent_filter, default_field=self.cfg.text_column):
             raise ValueError("parent_filter must contain at least one clause")
         limit = self._limit(limit)
@@ -3326,11 +3323,7 @@ class SearchEngine:
         parent's score (``score=False`` ≙ doScores=false: constant 1.0).
         Several parents sharing a block value fold under max (Lucene's
         one-parent-per-block invariant is the caller's data contract)."""
-        if block_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"block_field {block_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "block_field", block_field)
         if not parse_query(parent_filter, default_field=self.cfg.text_column):
             raise ValueError("parent_filter must contain at least one clause")
         limit = self._limit(limit)
@@ -3443,11 +3436,7 @@ class SearchEngine:
         class field's scope postings, one bincount for the class counts
         and one per distinct token over its cached text postings
         (multi-valued class docs count toward every class they carry)."""
-        if class_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"class_field {class_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "class_field", class_field)
         from lucene_plugin_ray.functions.analysis import analyze
 
         toks = sorted(set(analyze(text)))
@@ -3523,11 +3512,7 @@ class SearchEngine:
         postings.  Shadowed/deleted copies of a url never vote (alive
         mask), so across doc-disjoint shards the integer fold is exact —
         the sharded partial."""
-        if class_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"class_field {class_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "class_field", class_field)
         coll = sanitize_collection(collection)
         acc: dict[str, list[int]] = {}
         if not self._segments.get(coll):
@@ -3567,11 +3552,7 @@ class SearchEngine:
         alive docs) is bit-identical, and a DuckDB oracle reproduces the
         arithmetic exactly.  Returns (class, vote_units, hits) over
         classes with ≥ 1 voting hit, ordered (vote desc, class asc)."""
-        if class_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"class_field {class_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "class_field", class_field)
         hits = self.more_like_this(
             text, collection=collection,
             max_query_terms=max_query_terms, limit=k,
@@ -4161,6 +4142,40 @@ class SearchEngine:
                     else 0
                 )
         return out
+
+    def local_df_table(self) -> bytes:
+        """The alive df of every (collection, field, term) with df > 0
+        within this engine's loaded partitions: the IPC bytes of one
+        ``DF_TABLE_SCHEMA`` record batch, terms ascending within each
+        (collection, field).  Read off each collection scope's term
+        dictionaries, so it holds exactly the dfs :meth:`local_term_dfs`
+        answers for any key (0 for a key it omits) — one shard's whole
+        contribution to the global df sums."""
+        colls, fields, terms, dfs = [], [], [], []
+        for coll, segs in self._segments.items():
+            if not segs:
+                continue
+            scope = self._scope(coll)
+            for field in dict.fromkeys(
+                f for s in segs for f in s.reader._field_ranges
+            ):
+                d = scope.dictionary(field)
+                df = d.alive_df(np.arange(d.terms.size))
+                live = df > 0
+                n = int(live.sum())
+                colls += [coll] * n
+                fields += [field] * n
+                terms += d.terms[live].tolist()
+                dfs.append(df[live])
+        return pa.RecordBatch.from_arrays(
+            [
+                pa.array(colls, pa.string()),
+                pa.array(fields, pa.string()),
+                pa.array(terms, pa.string()),
+                pa.array(np.concatenate(dfs) if dfs else [], pa.int64()),
+            ],
+            schema=DF_TABLE_SCHEMA,
+        ).serialize().to_pybytes()
 
     def local_term_ttfs(
         self, coll: str, terms: list[tuple[str, str]]

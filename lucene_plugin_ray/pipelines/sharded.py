@@ -10,15 +10,21 @@ two-phase plan (the classic distributed-search df-then-score protocol):
 
     PASS 1 = per shard, _shard_stats: local n_docs, sum_dl and term dfs
              → driver _reduce_stats sums them            (exact integers)
-    PASS 2 = per shard, _shard_score: top-k per query with the
-             INJECTED global statistics → (qid, url, score, docid)
+    PASS 2 = per shard, _shard_score: top-k per query (the driver's parsed
+             clauses) with the INJECTED global statistics
+             → (qid, url, score, docid)
     merge  = driver _rank_cut: (score desc, url asc) per qid, rank < k
 
-The same three functions serve both execution modes: :func:`sharded_search`
-runs the passes as Ray Data task pools over plain functions (every shard row
-is processed once per pass, so per-actor state gives no reuse; warm-path
-reuse comes from a per-worker-process engine LRU), and
-:class:`ShardedSearcherService` runs them on long-lived shard actors.
+:func:`sharded_search` runs both passes per call as Ray Data task pools
+over plain functions (every shard row is processed once per pass, so
+per-actor state gives no reuse; warm-path reuse comes from a
+per-worker-process engine LRU).  :class:`ShardedSearcherService` runs them
+on long-lived shard actors pinned to one generation, so PASS 1 is a
+constant of the service: the first scored op sums every shard's whole
+term→df table (``SearchEngine.local_df_table``) and collection statistics
+once, the driver keeps the sums, and each later PASS 1 is a driver-side
+lookup — one actor round trip per batch (Solr's ExactStatsCache).  Over
+``DF_TABLE_MAX_BYTES`` the service gathers PASS 1 per call instead.
 
 Every other read op of the service is one generic actor call: the driver
 sends ``(op, kwargs)`` and the shard answers with
@@ -56,6 +62,7 @@ from lucene_plugin_ray.config import IndexConfig
 from lucene_plugin_ray.functions.analysis import analyze, sanitize_collection
 from lucene_plugin_ray.functions.hashing import partition_of_key
 from lucene_plugin_ray.functions.queryparse import (
+    QueryParseError,
     apply_fields,
     parse_query,
     scored_term_keys,
@@ -63,11 +70,13 @@ from lucene_plugin_ray.functions.queryparse import (
 )
 from lucene_plugin_ray.pipelines.query import (
     _JOIN_MODES,
+    DF_TABLE_SCHEMA,
     RESULT_SCHEMA,
     SearchEngine,
     _diversify_hits,
     best_snippet_windows,
     build_dim_clauses,
+    check_metadata_field,
     common_terms_parse,
     common_terms_rewrite,
     drill_filter_query,
@@ -118,6 +127,15 @@ _RANKED_SCHEMA = pa.schema(
 )
 
 _ALL = 2**31 - 1  # "no per-shard truncation": the driver ranks the union
+
+# Bound on the fleet's df tables (SearchEngine.local_df_table), in IPC bytes
+# summed over the actors, that ShardedSearcherService keeps on the driver.
+# A key costs 20 IPC bytes plus its three strings (1.69 MB for the 45,660
+# keys of the 5,000-doc benchmark index), and about twice that as the
+# driver's Python strings and int64 dfs: 64 MiB is ~1.8M keys, ~130 MB of
+# driver memory.  Over the bound the service gathers each phase 1's dfs
+# from the fleet instead.
+DF_TABLE_MAX_BYTES = 64 << 20
 
 
 class _ShardEngineCache:
@@ -224,6 +242,60 @@ def _reduce_stats(
     return global_stats, global_df
 
 
+def _df_index(
+    tables: list[pa.Table],
+) -> dict[str, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The fleet's df tables (``DF_TABLE_SCHEMA``) as {collection: {field:
+    (ascending terms, int64 dfs)}}.  Actors are doc-disjoint, so a key's
+    dfs add; one actor's table is already one row per key, in order."""
+    t = pa.concat_tables(tables)
+    if len(tables) > 1:
+        keys = ["collection", "field", "term"]
+        t = (
+            t.group_by(keys).aggregate([("df", "sum")])
+            .select([*keys, "df_sum"]).rename_columns([*keys, "df"])
+            .sort_by([(k, "ascending") for k in keys])
+        )
+    if not t.num_rows:
+        return {}
+    coll, field, term = (
+        t[c].to_numpy(zero_copy_only=False) for c in ("collection", "field", "term")
+    )
+    df = t["df"].to_numpy()
+    cuts = np.flatnonzero((coll[1:] != coll[:-1]) | (field[1:] != field[:-1])) + 1
+    out: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
+    for a, b in zip([0, *cuts], [*cuts, len(term)]):
+        out.setdefault(coll[a], {})[field[a]] = (term[a:b], df[a:b])
+    return out
+
+
+def _table_dfs(
+    index: dict, terms_by_coll: dict[str, list[tuple[str, str]]]
+) -> dict[str, dict[tuple[str, str], int]]:
+    """Each requested (field, term)'s global df by collection, looked up in
+    a :func:`_df_index` by one ``searchsorted`` per field: 0 for a term,
+    field or collection the fleet does not hold — :func:`_reduce_stats`'
+    ``global_df`` for the same keys."""
+    none = (np.empty(0, object), np.empty(0, np.int64))
+    out: dict[str, dict[tuple[str, str], int]] = {}
+    for coll, keys in terms_by_coll.items():
+        fields = index.get(coll, {})
+        by_field: dict[str, list[str]] = {}
+        for f, t in keys:
+            by_field.setdefault(f, []).append(t)
+        got = out[coll] = {}
+        for f, ts in by_field.items():
+            terms, df = fields.get(f, none)
+            probe = np.array(ts, dtype=object)
+            j = np.searchsorted(terms, probe)
+            hit = j < terms.size
+            hit[hit] = terms[j[hit]] == probe[hit]
+            v = np.zeros(probe.size, dtype=np.int64)
+            v[hit] = df[j[hit]]
+            got.update(zip(((f, t) for t in ts), v.tolist()))
+    return out
+
+
 def _shard_score(
     eng: SearchEngine, qlist: list[dict], method: str, global_stats: dict,
     global_df_by_coll: dict,
@@ -299,9 +371,10 @@ def _plan_batch(
             {
                 "qid": int(q["qid"]),
                 "collection": coll,
-                # dismax rewrites travel structured (search_partial accepts
-                # clause tuples) so shards never re-derive the field map
-                "query": tuple(clauses) if fields else q["query"],
+                # the parsed (and dismax-rewritten) clauses travel
+                # structured — search_partial accepts clause tuples — so
+                # shards never parse a query again
+                "query": tuple(clauses),
                 "limit": limit,
                 "min_should_match": min_should_match,
             }
@@ -453,8 +526,8 @@ def _gather(refs: list) -> list:
 
 
 def _read_batches(bufs: list, schema: pa.Schema) -> pa.Table:
-    """The shards' IPC-encoded record batches (``_ShardActor.score`` and
-    ``stats_and_dfs``) as one table."""
+    """The shards' IPC-encoded record batches (``_ShardActor.score``,
+    ``stats_and_dfs`` and ``SearchEngine.local_df_table``) as one table."""
     return pa.Table.from_batches(
         [pa.ipc.read_record_batch(b, schema) for b in bufs], schema=schema
     )
@@ -505,14 +578,17 @@ def _fold_join(parts: list[dict]) -> dict[str, list]:
 class _ShardActor:
     """Long-lived shard searcher: pins its partition subset ONCE as a
     partition-restricted ``SearchEngine`` (the 'searcher lease',
-    LuceneReaderImpl.java:90-98).  Four methods: ``node_id``, the two
-    passes of the search protocol (``stats_and_dfs``, ``score``) and
-    ``call(op, kwargs)``, which runs any engine method and returns its
-    result unchanged — Arrow tables, ints, dicts or numpy arrays.  Each
-    pass returns one Arrow record batch per call, as the bytes of an IPC
-    message (:func:`_read_batches` decodes them): Ray pickles a small
-    RecordBatch buffer by buffer and a Table column by column, ~170-350 µs
-    per call against ~20 µs for the bytes.
+    LuceneReaderImpl.java:90-98).  Five methods: ``node_id``, the two
+    passes of the search protocol (``stats_and_dfs``, ``score``),
+    ``df_table_nbytes`` (the size of the shard's df table, reported before
+    the service decides to fetch it) and ``call(op, kwargs)``, which runs
+    any engine method and returns its result unchanged — Arrow tables,
+    ints, dicts, bytes or numpy arrays.  Each pass returns one Arrow record
+    batch per call, as the bytes of an IPC message (:func:`_read_batches`
+    decodes them): Ray pickles a small RecordBatch buffer by buffer and a
+    Table column by column, ~170-350 µs per call against ~20 µs for the
+    bytes.  ``score`` takes each query as the driver's parsed clauses, so
+    a shard never parses.
 
     Restartable (constructor args are small by-value; calls are read-only /
     idempotent), so a node loss re-pins the shard instead of killing the
@@ -536,6 +612,9 @@ class _ShardActor:
     ) -> bytes:
         return _shard_stats(self.engine, terms_by_coll).serialize().to_pybytes()
 
+    def df_table_nbytes(self) -> int:
+        return len(self.engine.local_df_table())
+
     def score(self, qlist: list[dict], method: str, global_stats: dict,
               global_df_by_coll: dict) -> bytes:
         return _shard_score(
@@ -555,10 +634,19 @@ class ShardedSearcherService:
     (``_ShardActor.call``), so a bad argument raises the engine's own
     exception, with the engine's message, from the first shard that sees
     it.  The driver keeps only the work no single shard can do: the
-    phase-1 gather of corpus-global statistics (:meth:`_phase1`) before
-    any scored op, the merge of the shards' answers (``_cut`` for hit
-    tables, ``_sum_by_key`` for counts), and the checks of arguments that
-    no shard receives.  Each merge's exactness argument sits beside it.
+    corpus-global statistics every scored op injects (:meth:`_phase1`),
+    the merge of the shards' answers (``_cut`` for hit tables,
+    ``_sum_by_key`` for counts), and the checks of arguments that no shard
+    receives.  Each merge's exactness argument sits beside it.
+
+    The shards are doc-disjoint and pinned to one generation, so the
+    fleet's statistics are a constant of the service: the first scored op
+    loads every shard's n_docs, sum_dl and term→df table once and keeps
+    their sums on the driver (:meth:`_gather_global`), and each later
+    phase 1 is a driver-side lookup.  A ``search_batch`` then makes one
+    actor call per shard (``score``), with the queries as parsed clauses.
+    When the shards' df tables exceed ``DF_TABLE_MAX_BYTES``, phase 1
+    gathers each call's dfs from the fleet instead (``stats_and_dfs``).
 
     ``num_shards`` is the largest fleet the service starts: it is capped at
     the partition count and at the cluster's CPU count (read once, at
@@ -593,9 +681,11 @@ class ShardedSearcherService:
         specs = shard_assignment(P, num_shards)
         self.num_partitions = P
         self.shard_partitions = [spec["partitions"] for spec in specs]
-        # classify's V (distinct text vocab) per collection — a property of
-        # the generation-pinned fleet, gathered once per service lifetime
+        # classify's V (distinct text vocab) per collection and the BM25
+        # statistics — properties of the generation-pinned fleet, gathered
+        # once per service lifetime
         self._vocab_union_cache: dict[str, int] = {}
+        self._fleet_stats: tuple[dict, dict | None] | None = None
         # SPREAD: a serving fleet wants one shard's heap/postings per node
         # slot, not all shards packed onto the head node — balances memory
         # and fans query CPU across the cluster (verified on a real 2-node
@@ -633,25 +723,59 @@ class ShardedSearcherService:
     def _gather_global(
         self, terms_by_coll: dict[str, list[tuple[str, str]]]
     ) -> tuple[dict, dict]:
-        """Phase-1 df/stats gather: one parallel round to the fleet, summed
-        on the driver (shards are doc-disjoint) → (global_stats,
-        global_df by collection) — the corpus-global BM25 statistics every
-        scoring call injects."""
-        parts = _gather(
-            [a.stats_and_dfs.remote(terms_by_coll) for a in self.actors]
+        """Phase 1: the corpus-global BM25 statistics → (global_stats,
+        global_df by collection for the keys of ``terms_by_coll``), the
+        arguments every scoring call injects.  The first call loads the
+        fleet's statistics (:meth:`_load_stats`); after that this is a
+        driver-side lookup, or — when the df tables were over the bound —
+        one parallel ``stats_and_dfs`` round summed on the driver."""
+        if self._fleet_stats is None:
+            self._fleet_stats = self._load_stats()
+        stats, index = self._fleet_stats
+        if index is None:
+            parts = _gather(
+                [a.stats_and_dfs.remote(terms_by_coll) for a in self.actors]
+            )
+            return _reduce_stats(_read_batches(parts, _STATS_SCHEMA))
+        return stats, _table_dfs(index, terms_by_coll)
+
+    def _load_stats(self) -> tuple[dict, dict | None]:
+        """The fleet's summed collection statistics and its :func:`_df_index`
+        — None when the shards' df tables, by the sizes they report first,
+        exceed ``DF_TABLE_MAX_BYTES``.  Exact: shards are doc-disjoint, so
+        every count adds."""
+        refs = [a.stats_and_dfs.remote({}) for a in self.actors]
+        refs += [a.df_table_nbytes.remote() for a in self.actors]
+        got = _gather(refs)
+        n = len(self.actors)
+        stats, _ = _reduce_stats(_read_batches(got[:n], _STATS_SCHEMA))
+        nbytes = sum(got[n:])
+        if nbytes > DF_TABLE_MAX_BYTES:
+            logger.info(
+                "ShardedSearcherService: the shards' df tables hold %d bytes, "
+                "over DF_TABLE_MAX_BYTES=%d; phase 1 gathers dfs per call",
+                nbytes, DF_TABLE_MAX_BYTES,
+            )
+            return stats, None
+        return stats, _df_index(
+            [_read_batches([b], DF_TABLE_SCHEMA) for b in self._fan("local_df_table")]
         )
-        return _reduce_stats(_read_batches(parts, _STATS_SCHEMA))
 
     def _phase1(self, collection: str, *queries) -> dict:
         """Phase 1 for queries over one collection: parse each (a query
-        string, or clauses already built), gather the global statistics of
-        their scored terms and return them as the ``global_stats`` /
-        ``global_df`` arguments of the engine's scored ops."""
+        string, or clauses already built) and look up the global
+        statistics of their scored terms → the ``global_stats`` /
+        ``global_df`` arguments of the engine's scored ops.  When a query
+        does not parse, no statistics are injected: the shards then parse
+        it themselves and raise the engine's own first error."""
         sc = sanitize_collection(collection)
         keys: set[tuple[str, str]] = set()
         for q in queries:
             if isinstance(q, str):
-                q = parse_query(q, default_field=self.cfg.text_column)
+                try:
+                    q = parse_query(q, default_field=self.cfg.text_column)
+                except QueryParseError:
+                    return {}
             keys.update(scored_term_keys(q))
         stats, dfs = self._gather_global({sc: sorted(keys)})
         return {"global_stats": stats, "global_df": dfs.get(sc, {})}
@@ -927,6 +1051,9 @@ class ShardedSearcherService:
         from the exact sharded MoreLikeThis, votes are integer 1e-4 score
         units, and the shards' per-class (vote sum, hit count) over their
         doc-disjoint alive docs are summed."""
+        # the engine checks class_field before MoreLikeThis's arguments;
+        # the shards see it only after the MoreLikeThis round
+        check_metadata_field(self.cfg.field_columns, "class_field", class_field)
         hits = self.more_like_this(
             text, collection=collection,
             max_query_terms=max_query_terms, limit=k,
@@ -1234,11 +1361,7 @@ class ShardedSearcherService:
         limit = limit if limit is not None else self.cfg.result_limit
         if limit <= 0:
             raise ValueError("limit must be positive")
-        if block_field not in self.cfg.field_columns:
-            raise ValueError(
-                f"block_field {block_field!r} is not an indexed metadata "
-                f"field (have: {sorted(self.cfg.field_columns)})"
-            )
+        check_metadata_field(self.cfg.field_columns, "block_field", block_field)
         if not parse_query(parent_filter, default_field=self.cfg.text_column):
             raise ValueError("parent_filter must contain at least one clause")
         return limit
@@ -1642,6 +1765,7 @@ class MultiIndexSearcherService(ShardedSearcherService):
         self.root_partitions: list[int] = []
         self.actors = []
         self._vocab_union_cache = {}
+        self._fleet_stats = None
         for i, root in enumerate(index_roots):
             chain = load_manifest_chain(
                 root, generations[i] if generations else None

@@ -33,8 +33,10 @@ facade's signatures.
   ``index-file`` paths must resolve inside ``file_root`` when one is set;
   ``search-after`` needs a finite ``after_score`` and an ``after_url``.
 * **Errors.** A ``LuceneException`` (bad input, query grammar, any engine
-  ``ValueError``) or a value that does not decode answers HTTP 400 with
-  ``{"error": message}``; an unknown op or the wrong verb answers 404.
+  ``ValueError``), a value that does not decode or a parameter the route
+  does not declare (``index-map``'s field keys aside) answers HTTP 400
+  with ``{"error": message}``; an unknown op or the wrong verb answers
+  404.
 
 This is a SERVING adapter, not a data-plane component: one process, stdlib
 ``ThreadingHTTPServer``, a lock serializing facade access (the facade owns
@@ -422,6 +424,12 @@ class LuceneHttpService:
         """Decode ``q`` by the facade signature, run the op under the lock
         (a read commits pending writes first: read-your-writes) and encode
         its answer."""
+        declared = [p.wire for p in route.params.values()]
+        unknown = [k for k in q if k not in declared]
+        if unknown and route.name != "index_map":
+            raise LuceneException(
+                f"unknown parameter {unknown[0]!r} (takes: {', '.join(declared)})"
+            )
         kwargs = self._per_route(route, q)
         for p in route.params.values():
             raw = q.get(p.wire)

@@ -140,6 +140,20 @@ def test_bad_input_is_400_on_every_route(served, op):
     assert bad == {}
 
 
+def test_undeclared_parameter_is_400(served):
+    """A parameter the route's facade method does not declare is named in a
+    400, never dropped; index-map's free-form field keys stay accepted."""
+    svc, _ = served
+    status, body = _send(
+        svc, "suggest", {"collection": C, "term": "alpah", "field": "nope"}, "GET"
+    )
+    assert status == 400 and "unknown parameter 'field'" in body["error"]
+    status, _ = _send(
+        svc, "index-map", {"collection": "mapkeys", "id": "m1", "foo": "v9"}, "POST"
+    )
+    assert status == 200
+
+
 def test_route_table_is_the_facade():
     """One route per public facade method except ``commit``, named by the
     method, and one client method per route."""

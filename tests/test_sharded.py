@@ -454,3 +454,146 @@ def test_sharded_explain_matches_single_engine(built):
             svc.explain("w00001", "https://nope.example/x")
     finally:
         svc.shutdown()
+
+
+# ---- the service's driver-side statistics ---------------------------------
+
+
+def _gathered(svc, terms_by_coll):
+    """Today's per-call phase 1: every actor's ``stats_and_dfs``, summed."""
+    from lucene_plugin_ray.pipelines.sharded import (
+        _STATS_SCHEMA, _gather, _read_batches, _reduce_stats,
+    )
+
+    parts = _gather([a.stats_and_dfs.remote(terms_by_coll) for a in svc.actors])
+    return _reduce_stats(_read_batches(parts, _STATS_SCHEMA))
+
+
+def _stats_service(kind, built, multigen):
+    from lucene_plugin_ray.pipelines.sharded import (
+        MultiIndexSearcherService, ShardedSearcherService,
+    )
+
+    cfg, _ = multigen
+    if kind == "federation":
+        # multigen's deltas/upserts/deletes beside an 8-partition root with
+        # tombstones and without the metadata fields
+        return MultiIndexSearcherService([cfg.index_root, built[0]], cfg=cfg)
+    return ShardedSearcherService(cfg.index_root, cfg=cfg, num_shards=int(kind[-1]))
+
+
+@pytest.mark.parametrize("kind", ["fleet1", "fleet3", "federation"])
+def test_df_table_equals_gather(built, multigen, kind):
+    """For random (collection, field, term) keys — indexed terms, terms
+    with no live doc, made-up terms, an unindexed field and an unknown
+    collection — the driver's table answers exactly what summing every
+    actor's ``stats_and_dfs`` answers."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    from lucene_plugin_ray.pipelines.query import SearchEngine
+
+    cfg, _ = multigen
+    vocab = sorted(
+        {t for root in (cfg.index_root, built[0])
+         for f in ("text", "foo", "age")
+         for t in SearchEngine(root, cfg=cfg)._dictionary("default", f).terms.tolist()}
+    )
+    keys = st.tuples(
+        st.sampled_from(["default", "nocoll"]),
+        st.sampled_from(["text", "foo", "age", "nope"]),
+        st.one_of(st.sampled_from(vocab), st.text("aw0125~é", max_size=7)),
+    )
+    svc = _stats_service(kind, built, multigen)
+    try:
+
+        @settings(max_examples=40, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.lists(keys, max_size=30))
+        def check(drawn):
+            terms: dict[str, set] = {}
+            for coll, f, t in drawn:
+                terms.setdefault(coll, set()).add((f, t))
+            terms_by_coll = {c: sorted(v) for c, v in terms.items()}
+            assert svc._gather_global(terms_by_coll) == _gathered(svc, terms_by_coll)
+
+        check()
+        assert svc._fleet_stats[1] is not None  # served from the table
+    finally:
+        svc.shutdown()
+
+
+class _Spy:
+    """An actor handle that records each remote call as (method, args)."""
+
+    def __init__(self, actor, log: list):
+        self.actor, self._log = actor, log
+
+    def __getattr__(self, name):
+        method, log = getattr(self.actor, name), self._log
+
+        class _Method:
+            @staticmethod
+            def remote(*args, **kwargs):
+                log.append((name, args))
+                return method.remote(*args, **kwargs)
+
+        return _Method
+
+
+def _spied_batch(svc, queries) -> tuple[pa.Table, list]:
+    """``svc.search_batch(queries)`` with every actor call recorded."""
+    log: list = []
+    actors = svc.actors
+    svc.actors = [_Spy(a, log) for a in actors]
+    try:
+        return svc.search_batch(queries), log
+    finally:
+        svc.actors = actors
+
+
+def test_search_batch_is_one_actor_round_trip(built):
+    """In steady state a batch submits only ``score``, once per actor, and
+    ships every query as parsed clauses, so no actor parses."""
+    from lucene_plugin_ray.pipelines.sharded import ShardedSearcherService
+
+    root, cfg, _ = built
+    svc = ShardedSearcherService(root, cfg=cfg, num_shards=3)
+    try:
+        want = svc.search_batch(_query_table())  # loads the statistics
+        got, log = _spied_batch(svc, _query_table())
+        assert got.equals(want)
+        assert [name for name, _ in log] == ["score"] * 3
+        for _, (qlist, *_rest) in log:
+            assert len(qlist) == len(QUERIES)
+            assert all(isinstance(q["query"], tuple) for q in qlist)
+    finally:
+        svc.shutdown()
+
+
+def test_df_table_over_the_bound_gathers_per_batch(built, monkeypatch):
+    """With the byte bound at 0 the driver never builds the table: each
+    batch gathers its dfs from the fleet, with identical results."""
+    from lucene_plugin_ray.pipelines import sharded
+
+    root, cfg, _ = built
+    table = sharded.ShardedSearcherService(root, cfg=cfg, num_shards=2)
+    try:
+        want = table.search_batch(_query_table())
+    finally:
+        table.shutdown()
+
+    def never(tables):
+        raise AssertionError("df table built over the bound")
+
+    monkeypatch.setattr(sharded, "DF_TABLE_MAX_BYTES", 0)
+    monkeypatch.setattr(sharded, "_df_index", never)
+    svc = sharded.ShardedSearcherService(root, cfg=cfg, num_shards=2)
+    try:
+        assert svc.search_batch(_query_table()).equals(want)
+        assert svc._fleet_stats[1] is None
+        got, log = _spied_batch(svc, _query_table())
+        assert got.equals(want)
+        assert [name for name, _ in log] == ["stats_and_dfs"] * 2 + ["score"] * 2
+    finally:
+        svc.shutdown()
