@@ -4,7 +4,8 @@ Every public ``LuceneFacade`` method except ``commit`` has a route and a
 ``LuceneHttpClient`` method.  On every route, bad input is a client error:
 HTTP 400 with an ``{"error": ...}`` body, never a 500 — for a missing or
 empty required parameter, a non-numeric number, a ``limit`` below 1, a
-word outside its choices, and malformed JSON or JSON of the wrong type.
+word outside its choices, malformed JSON or JSON of the wrong type, and a
+parameter the route does not declare.
 """
 
 import inspect
