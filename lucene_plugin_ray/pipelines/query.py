@@ -99,6 +99,40 @@ def check_metadata_field(field_columns, role: str, name) -> None:
         )
 
 
+def check_query_opts(
+    cfg: IndexConfig, fields: dict[str, float] | None, tie_breaker: float,
+    min_should_match: int,
+) -> None:
+    """Validate the dismax ``fields``/``tie_breaker`` pair and
+    ``min_should_match`` of a classic query."""
+    if fields is not None:
+        validate_dismax_fields(
+            fields, tie_breaker, {cfg.text_column, *cfg.field_columns}
+        )
+    elif tie_breaker != 0.0:
+        raise ValueError("tie_breaker requires fields= (dismax)")
+    if min_should_match < 0:
+        raise ValueError("min_should_match must be >= 0")
+
+
+def rewrite_query(
+    query: str, default_field: str,
+    synonyms: dict[str, list[str]] | None = None,
+    fields: dict[str, float] | None = None, tie_breaker: float = 0.0,
+) -> list[Clause]:
+    """A classic query's clauses with the synonym rewrite, then the dismax
+    ``fields`` rewrite, applied — the clauses the engine scores, and the
+    ones the sharded driver's phase 1 gathers statistics for."""
+    clauses = parse_query(query, default_field=default_field)
+    if synonyms:
+        clauses = list(apply_synonyms(tuple(clauses), synonyms))
+    if fields:
+        clauses = list(
+            apply_fields(tuple(clauses), fields, tie_breaker, default_field)
+        )
+    return clauses
+
+
 def build_dim_clauses(
     dims: dict, field_columns: tuple[str, ...]
 ) -> dict[str, list["TermClause"]]:
@@ -1253,48 +1287,68 @@ def _top_hits(scope: _Scope, cand: np.ndarray, sc: np.ndarray, limit: int) -> pa
     (scope ids ``cand`` with scores ``sc``), ordered (score desc, url asc).
     A bounded selection comes first: ``argpartition`` alone would pick an
     ARBITRARY subset of the docs tied at the k-th score, so EVERY candidate
-    at or above it is kept and the exact sort breaks the ties.  Url order is
-    invariant under generations, partitioning and compaction, unlike docids
-    (whose ranges are per generation)."""
+    at or above it is kept and :func:`_url_order` breaks the ties.  Url
+    order is invariant under generations, partitioning and compaction,
+    unlike docids (whose ranges are per generation)."""
     if cand.size == 0:
         return RESULT_SCHEMA.empty_table()
     if cand.size > limit:
         kth = np.partition(sc, sc.size - limit)[sc.size - limit]
         keep = sc >= kth
         cand, sc = cand[keep], sc[keep]
-    urls = scope.urls[cand]
-    order = np.lexsort((urls, -sc))[:limit]
+    order = _url_order(scope, cand, (-sc,), limit)
+    sel = cand[order]
     return pa.table(
         {
             # from a list: pyarrow converts an object ndarray far slower
-            "url": pa.array(urls[order].tolist(), type=pa.string()),
+            "url": pa.array(scope.urls[sel].tolist(), type=pa.string()),
             "score": pa.array(sc[order], type=pa.float64()),
-            "docid": pa.array(scope.docids(cand[order]), type=pa.int64()),
+            "docid": pa.array(scope.docids(sel), type=pa.int64()),
         }
     )
 
 
-def _url_order(scope: _Scope, ids: np.ndarray, keys: tuple) -> np.ndarray:
+def _url_order(
+    scope: _Scope, ids: np.ndarray, keys: tuple, limit: int | None = None
+) -> np.ndarray:
     """Indices that sort scope ids ``ids`` by ``keys`` (``np.lexsort``
-    order: the last key is primary) with the url-asc tiebreak last.  Within
-    a member scope id order is url order, so one numeric lexsort settles
-    every row but ties across members; only the tied rows' urls are
-    compared — no object sort over a full match set."""
+    order: the last key is primary) with the url-asc tiebreak last — the
+    first ``limit`` of them when ``limit`` is given.  Within a member scope
+    id order is url order, so one numeric lexsort settles every row but
+    ties across members, and only tied rows' urls are compared.  In a run
+    of tied rows that the ``limit`` cut splits, the ``need`` rows it keeps
+    are among the first ``need`` ids of each member, so at most members ×
+    ``need`` urls are sorted — never a whole constant-score match set."""
     order = np.lexsort((ids, *keys))
-    if order.size < 2:
-        return order
-    same = np.ones(order.size - 1, dtype=bool)
+    n = order.size if limit is None else min(limit, order.size)
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
     for k in keys:
         ks = k[order]
         same &= ks[1:] == ks[:-1]
+    cut = order[:0]
+    if 0 < n < order.size and same[n - 1]:
+        # the cut splits the tied run order[a:b] (ascending scope ids)
+        starts = np.flatnonzero(~same[: n - 1]) + 1
+        a = int(starts[-1]) if starts.size else 0
+        ends = np.flatnonzero(~same[n - 1 :])
+        run = order[a : n + int(ends[0]) if ends.size else order.size]
+        member = np.searchsorted(scope.offsets, ids[run], side="right") - 1
+        first = _run_starts(member)
+        rank = np.arange(run.size) - np.repeat(
+            first, np.diff(np.append(first, run.size))
+        )
+        run = run[rank < n - a]
+        cut = run[np.argsort(scope.urls[ids[run]], kind="stable")][: n - a]
+        n = a
+    order, same = order[:n], same[: max(n - 1, 0)]
     if same.any():
         tied = np.flatnonzero(
             np.concatenate(([False], same)) | np.concatenate((same, [False]))
         )
-        run = np.concatenate(([0], np.cumsum(~same)))[tied]
-        sub = np.lexsort((scope.urls[ids[order[tied]]], run))
+        run_no = np.concatenate(([0], np.cumsum(~same)))[tied]
+        sub = np.lexsort((scope.urls[ids[order[tied]]], run_no))
         order[tied] = order[tied][sub]
-    return order
+    return np.concatenate((order, cut))
 
 
 def _id_mask(n: int, ids: np.ndarray) -> np.ndarray:
@@ -1492,36 +1546,6 @@ class SearchEngine:
             raise ValueError("limit must be positive")
         return limit
 
-    def _check_query_opts(
-        self, fields: dict[str, float] | None, tie_breaker: float,
-        min_should_match: int,
-    ) -> None:
-        """Validate the dismax ``fields``/``tie_breaker`` pair and
-        ``min_should_match`` of a classic query."""
-        if fields is not None:
-            self._check_fields(fields, tie_breaker)
-        elif tie_breaker != 0.0:
-            raise ValueError("tie_breaker requires fields= (dismax)")
-        if min_should_match < 0:
-            raise ValueError("min_should_match must be >= 0")
-
-    def _rewrite(
-        self, query: str, synonyms: dict[str, list[str]] | None = None,
-        fields: dict[str, float] | None = None, tie_breaker: float = 0.0,
-    ) -> list[Clause]:
-        """A classic query's clauses with the synonym rewrite, then the
-        dismax ``fields`` rewrite, applied."""
-        clauses = parse_query(query, default_field=self.cfg.text_column)
-        if synonyms:
-            clauses = list(apply_synonyms(tuple(clauses), synonyms))
-        if fields:
-            clauses = list(
-                apply_fields(
-                    tuple(clauses), fields, tie_breaker, self.cfg.text_column
-                )
-            )
-        return clauses
-
     def _scored(
         self,
         clauses: list[Clause],
@@ -1594,7 +1618,7 @@ class SearchEngine:
         matches than SHOULD clauses ⇒ zero hits, Lucene parity)."""
         limit = self._limit(limit)
         coll = sanitize_collection(collection)
-        self._check_query_opts(fields, tie_breaker, min_should_match)
+        check_query_opts(self.cfg, fields, tie_breaker, min_should_match)
         syn_key = (
             tuple(sorted((k, tuple(v)) for k, v in synonyms.items()))
             if synonyms
@@ -1609,7 +1633,9 @@ class SearchEngine:
             self._results_cache.move_to_end(cache_key)
             return hit
 
-        clauses = self._rewrite(query, synonyms, fields, tie_breaker)
+        clauses = rewrite_query(
+            query, self.cfg.text_column, synonyms, fields, tie_breaker
+        )
         table = self._execute(
             clauses, coll, limit, method, min_should=min_should_match
         )
@@ -1660,8 +1686,10 @@ class SearchEngine:
             raise ValueError("after_score must be finite")
         limit = self._limit(limit)
         coll = sanitize_collection(collection)
-        self._check_query_opts(fields, tie_breaker, min_should_match)
-        clauses = self._rewrite(query, synonyms, fields, tie_breaker)
+        check_query_opts(self.cfg, fields, tie_breaker, min_should_match)
+        clauses = rewrite_query(
+            query, self.cfg.text_column, synonyms, fields, tie_breaker
+        )
         got = self._scored(
             clauses, coll, global_stats, global_df, global_ttf,
             min_should=min_should_match,
@@ -2226,11 +2254,6 @@ class SearchEngine:
             out["first_score"] = pa.array(w_scores[order], type=pa.float64())
         return pa.table(out)
 
-    def _check_fields(self, fields: dict[str, float], tie: float) -> None:
-        validate_dismax_fields(
-            fields, tie, {self.cfg.text_column, *self.cfg.field_columns}
-        )
-
     def facets(
         self, query: str, facet_field: str, collection: str = "default",
         syntax: str = "classic",
@@ -2493,7 +2516,7 @@ class SearchEngine:
         (W/N proximity + AND/OR/NOT — score-free span counting;
         synonyms/fields/min_should_match are classic-only)."""
         coll = sanitize_collection(collection)
-        self._check_query_opts(fields, 0.0, min_should_match)
+        check_query_opts(self.cfg, fields, 0.0, min_should_match)
         if syntax == "surround":
             if synonyms or fields or min_should_match:
                 raise ValueError(
@@ -2504,7 +2527,9 @@ class SearchEngine:
 
             clauses = parse_surround(query, self.cfg.text_column)
         elif syntax == "classic":
-            clauses = self._rewrite(query, synonyms, fields)
+            clauses = rewrite_query(
+                query, self.cfg.text_column, synonyms, fields
+            )
         else:
             raise ValueError(
                 f"syntax must be 'classic' or 'surround', got {syntax!r}"
@@ -2562,7 +2587,7 @@ class SearchEngine:
             tied = np.flatnonzero(ts == after_ts)
             keep[tied] = scope.urls[matched[tied]] > after_url
             matched, ts = matched[keep], ts[keep]
-        order = _url_order(scope, matched, (-ts if descending else ts,))[:limit]
+        order = _url_order(scope, matched, (-ts if descending else ts,), limit)
         sel = matched[order]
         return pa.table(
             {
@@ -2654,7 +2679,7 @@ class SearchEngine:
             else np.where(k >= 0, -k if d == "desc" else k, np.iinfo(np.int64).max)
             for (_, d), k, num in zip(fields, keys, numeric)
         ]
-        order = _url_order(scope, matched, tuple(reversed(sort_cols)))[:limit]
+        order = _url_order(scope, matched, tuple(reversed(sort_cols)), limit)
         sel = matched[order]
         return pa.table(
             {
@@ -2970,7 +2995,7 @@ class SearchEngine:
             raise ValueError("group_limit and docs_per_group must be positive")
         check_metadata_field(self.cfg.field_columns, "group_field", group_field)
         coll = sanitize_collection(collection)
-        clauses = self._rewrite(query, synonyms)
+        clauses = rewrite_query(query, self.cfg.text_column, synonyms)
         got = self._scored(clauses, coll, global_stats, global_df, global_ttf)
         groups: dict[str, list[tuple[str, float, int]]] = {}
         if got is not None:
@@ -3027,7 +3052,7 @@ class SearchEngine:
         this removes the dominant cost."""
         check_metadata_field(self.cfg.field_columns, "from_field", from_field)
         coll = sanitize_collection(collection)
-        clauses = self._rewrite(from_query, synonyms)
+        clauses = rewrite_query(from_query, self.cfg.text_column, synonyms)
         rclauses = None
         if restrict_query is not None:
             rclauses = parse_query(

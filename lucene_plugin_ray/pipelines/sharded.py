@@ -33,6 +33,20 @@ schemas and errors are the engine's own.  The driver then merges once per
 result shape: hit tables concatenate and cut under their total order, and
 counts fold by an exact per-key integer sum (shards are doc-disjoint).
 
+The read ops that fan out once and merge once are DECLARED, not written: a
+row of ``_DECLARED`` names the engine op, its merge (a plain function of the
+shards' answers and the bound arguments, with its exactness argument beside
+it) and the query arguments phase 1 scores, and ``_declared_ops`` generates
+the method with the engine op's name, signature and docstring.  So the
+fleet's signatures cannot drift from the engine's.  ``search`` is declared
+too; it runs on the score path of ``search_batch``.  Ops that need more
+than one fan-out or a driver-side protocol stay written by hand:
+``top_terms`` (TPUT rounds), ``classify`` and ``classify_knn``,
+``drill_sideways``, ``search_grouped`` (uncut groups), ``rescore`` (a
+first-pass window), the joins and block joins (a from-side fold, then a
+to-side cut), the ops that build their own clauses (surround, common
+terms, spans, MoreLikeThis), ``search_batch`` and ``snippets``.
+
 The shard merge is exact without tie closure: the (score desc, url asc)
 comparator is a TOTAL order (url is the primary key within a collection), so
 every document in the global top-k ranks within its own shard's top-k.
@@ -48,9 +62,11 @@ holds correspondingly more of the index.
 
 from __future__ import annotations
 
+import inspect
 import logging
 from collections import OrderedDict
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -62,7 +78,6 @@ from lucene_plugin_ray.config import IndexConfig
 from lucene_plugin_ray.functions.analysis import analyze, sanitize_collection
 from lucene_plugin_ray.functions.hashing import partition_of_key
 from lucene_plugin_ray.functions.queryparse import (
-    QueryParseError,
     apply_fields,
     parse_query,
     scored_term_keys,
@@ -77,6 +92,7 @@ from lucene_plugin_ray.pipelines.query import (
     best_snippet_windows,
     build_dim_clauses,
     check_metadata_field,
+    check_query_opts,
     common_terms_parse,
     common_terms_rewrite,
     drill_filter_query,
@@ -89,6 +105,7 @@ from lucene_plugin_ray.pipelines.query import (
     rank_completions_table,
     rank_grouped_table,
     rank_suggestions_table,
+    rewrite_query,
     score_to_vote_units,
     sort_order_mixed,
     taxonomy_table,
@@ -574,14 +591,228 @@ def _fold_join(parts: list[dict]) -> dict[str, list]:
     return agg
 
 
+# ---- the declared read ops ---------------------------------------------------
+# Each op below runs the engine op of the same name on every shard (or on the
+# one shard that owns a url) and merges the answers once: the operator runs
+# below the union of shards, one merge above it.  A merge is a plain function
+# of the shards' answers and the call's bound arguments; its exactness
+# argument is its docstring.
+
+
+def _total(parts: list, a: dict) -> int:
+    """Match counts add: the shards are doc-disjoint."""
+    return sum(parts)
+
+
+def _facet_counts(parts: list, a: dict) -> pa.Table:
+    """Per-value counts add (an integer keyed sum over doc-disjoint
+    shards), then the engine's (count desc, value asc) rank."""
+    return facet_count_table(_sum_by_key(parts, "value", "count"))
+
+
+def _taxonomy(parts: list, a: dict) -> pa.Table:
+    """Per-path counts add, then the engine's formatter: ``top_n`` prunes
+    the merged exact counts, never a shard's."""
+    return taxonomy_table(_sum_by_key(parts), a["top_n"])
+
+
+def _facet_stats(parts: list, a: dict) -> pa.Table:
+    """Per value, count and sum add and min and max fold — all integers,
+    so exact in any order."""
+    g = pa.concat_tables(parts).group_by("value").aggregate(
+        [("count", "sum"), ("vmin", "min"), ("vmax", "max"), ("vsum", "sum")]
+    )
+    return (
+        g.select(["value", "count_sum", "vmin_min", "vmax_max", "vsum_sum"])
+        .rename_columns(parts[0].column_names)
+        .sort_by("value")
+    )
+
+
+def _range_counts(parts: list, a: dict) -> pa.Table:
+    """Per-label counts add (labels are unique, so range order is kept)."""
+    counts = _sum_by_key(parts, "label", "count")
+    return pa.table(
+        {"label": pa.array(list(counts), pa.string()),
+         "count": pa.array(list(counts.values()), pa.int64())}
+    )
+
+
+def _suggestions(parts: list, a: dict) -> pa.Table:
+    """Every shard's uncut candidates, df summed per term, then the
+    engine's (distance, df desc, term) rank cut at ``k``: a term's global
+    df rank can exceed its rank on any one shard, and the edit-distance
+    ball keeps the candidate set small."""
+    dists = {t: d for p in parts
+             for t, d in zip(p["term"].to_pylist(), p["distance"].to_pylist())}
+    return rank_suggestions_table(_sum_by_key(parts, "term", "df"), dists, a["k"])
+
+
+def _completions(parts: list, a: dict) -> pa.Table:
+    """Every shard's uncut (term, df) candidates, df summed, then the
+    engine's (df desc, term asc) rank cut at ``k`` — the suggest merge
+    over a prefix range or a substring scan."""
+    return rank_completions_table(_sum_by_key(parts, "term", "df"), a["k"])
+
+
+def _top_scored(parts: list, a: dict) -> pa.Table:
+    """The shards' top-``limit`` under (score desc, url asc), cut once
+    more over the union: a total order, so every global top-``limit`` doc
+    is in its shard's top-``limit``.  A per-doc score function (recency,
+    expression, demotion), a row predicate (filter, expression range) or
+    a search-after anchor composes with that order."""
+    return _cut(pa.concat_tables(parts), a["limit"])
+
+
+def _top_sorted(parts: list, a: dict) -> pa.Table:
+    """The shards' top-``limit`` under (warc_ts desc|asc, url asc), cut
+    once more over the union — exact for the BM25 merge's reason, and
+    with an anchor too (the anchor predicate composes with the order)."""
+    return _cut(pa.concat_tables(parts), a["limit"], "warc_ts", a["descending"])
+
+
+def _top_sorted_by(parts: list, a: dict) -> pa.Table:
+    """The shards' top-``limit`` under the composite (keys…, url) total
+    order, merged by the engine's mixed-key kernel (string keys are
+    re-ranked over the union, so shard-local truncation merges exactly)."""
+    t = pa.concat_tables(parts)
+    fields = [tuple(p) for p in a["sort"]]
+    order = sort_order_mixed(
+        t["url"].to_numpy(zero_copy_only=False),
+        [t[f].to_numpy(zero_copy_only=False) for f, _ in fields], fields,
+    )
+    return t.take(order[: a["limit"]])
+
+
+def _diversified(parts: list, a: dict) -> pa.Table:
+    """The shards' diversified top-``limit``, then one more
+    cap-then-truncate pass over the union — exact because greedy
+    selection under the total order is idempotent under recapping (see
+    ``_diversify_hits``)."""
+    return _diversify_hits(pa.concat_tables(parts), a["max_per_key"], a["limit"])
+
+
+def _answer(answer, a: dict):
+    """The fan-out's answer as it is: the owning shard's (a live url lives
+    on exactly one shard), or the score path's, which ``_rank_cut``
+    already merged."""
+    return answer
+
+
+class _Op(NamedTuple):
+    """One declared read op of the fleet."""
+
+    merge: Callable
+    # the query arguments phase 1 scores: their global statistics are
+    # injected into the shards' op
+    scores: tuple[str, ...] = ()
+    # the service method that fans out: ``_fan`` (every shard), ``_lookup``
+    # (the shard owning ``url``) or ``_score`` (``search_batch``'s path)
+    fan: str = "_fan"
+    # the engine op the shards run, when it is not the op itself
+    shard_op: str | None = None
+    # an argument the merge cuts at: the driver checks it is positive and
+    # the shards answer uncut
+    uncut: str | None = None
+
+
+_DECLARED = {
+    "search": _Op(_answer, fan="_score"),
+    "count": _Op(_total),
+    "facets": _Op(_facet_counts),
+    "facets_taxonomy": _Op(_taxonomy, shard_op="facets_taxonomy_counts"),
+    "facets_stats": _Op(_facet_stats),
+    "facet_ranges": _Op(_range_counts),
+    "suggest": _Op(_suggestions, uncut="k"),
+    "complete": _Op(_completions, uncut="k"),
+    "complete_infix": _Op(_completions, uncut="k"),
+    "search_sorted": _Op(_top_sorted),
+    "search_sorted_by": _Op(_top_sorted_by),
+    "search_diversified": _Op(_diversified, ("query",)),
+    "search_after": _Op(_top_scored, ("query",)),
+    "search_function": _Op(_top_scored, ("query",)),
+    # the negative query is a mask, never a statistics contributor
+    "search_boosting": _Op(_top_scored, ("positive_query",)),
+    "search_expression": _Op(_top_scored, ("query",)),
+    "search_expression_range": _Op(_top_scored, ("query",)),
+    # the filter never touches statistics
+    "search_filtered": _Op(_top_scored, ("query",)),
+    "term_vector": _Op(_answer, fan="_lookup"),
+    "explain": _Op(_answer, ("query",), fan="_lookup"),
+}
+
+# the engine's statistics-injection parameters: the fleet sets them
+_INJECTED = ("global_stats", "global_df", "global_ttf")
+
+
+def _fleet_signature(fn) -> inspect.Signature:
+    """``fn``'s signature without the parameters the fleet sets itself:
+    the injected statistics and any ``_``-prefixed parameter."""
+    sig = inspect.signature(fn)
+    return sig.replace(parameters=[
+        p for p in sig.parameters.values()
+        if p.name not in _INJECTED and not p.name.startswith("_")
+    ])
+
+
+def _declared_op(name: str, op: _Op):
+    """The fleet method of ``SearchEngine.<name>``: its name, signature
+    (:func:`_fleet_signature`) and docstring.  It binds the call's
+    arguments (a ``limit`` of None becomes the configured result limit),
+    runs phase 1 over the declared query arguments with the call's
+    synonym and dismax rewrite, fans out and applies the merge."""
+    engine_fn = getattr(SearchEngine, name)
+    sig = _fleet_signature(engine_fn)
+    shard_op = op.shard_op or name
+    accepts = set(inspect.signature(getattr(SearchEngine, shard_op)).parameters)
+
+    def method(self, *args, **kwargs):
+        bound = sig.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        a = {k: v for k, v in bound.arguments.items() if k != "self"}
+        if "limit" in a and a["limit"] is None:
+            a["limit"] = self.cfg.result_limit
+        send = {k: v for k, v in a.items() if k in accepts}
+        if op.uncut is not None:
+            if a[op.uncut] <= 0:
+                raise ValueError(f"{op.uncut} must be positive")
+            send[op.uncut] = _ALL
+        if op.scores:
+            send.update(self._phase1(
+                a["collection"], *(a[q] for q in op.scores),
+                synonyms=a.get("synonyms"), fields=a.get("fields"),
+                tie_breaker=a.get("tie_breaker", 0.0),
+            ))
+        return op.merge(getattr(self, op.fan)(shard_op, **send), a)
+
+    method.__name__ = name
+    method.__doc__ = engine_fn.__doc__
+    method.__signature__ = sig
+    return method
+
+
+def _declared_ops(table: dict[str, _Op]):
+    """Class decorator: one generated method per row of ``table``."""
+
+    def decorate(cls):
+        for name, op in table.items():
+            method = _declared_op(name, op)
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+        return cls
+
+    return decorate
+
+
 @ray.remote(max_restarts=-1, max_task_retries=-1)
 class _ShardActor:
     """Long-lived shard searcher: pins its partition subset ONCE as a
     partition-restricted ``SearchEngine`` (the 'searcher lease',
-    LuceneReaderImpl.java:90-98).  Five methods: ``node_id``, the two
-    passes of the search protocol (``stats_and_dfs``, ``score``),
-    ``df_table_nbytes`` (the size of the shard's df table, reported before
-    the service decides to fetch it) and ``call(op, kwargs)``, which runs
+    LuceneReaderImpl.java:90-98).  Six methods: ``node_id``, the two
+    passes of the search protocol (``stats_and_dfs``, ``score``), the
+    fleet-load pair ``df_table_nbytes`` / ``take_df_table`` (the shard's
+    df table is built once; its size is reported before the service
+    decides to fetch it) and ``call(op, kwargs)``, which runs
     any engine method and returns its result unchanged — Arrow tables,
     ints, dicts, bytes or numpy arrays.  Each pass returns one Arrow record
     batch per call, as the bytes of an IPC message (:func:`_read_batches`
@@ -613,7 +844,18 @@ class _ShardActor:
         return _shard_stats(self.engine, terms_by_coll).serialize().to_pybytes()
 
     def df_table_nbytes(self) -> int:
-        return len(self.engine.local_df_table())
+        """Build the shard's df table (``SearchEngine.local_df_table``) and
+        keep it until :meth:`take_df_table`; its size in bytes."""
+        self._df_table = self.engine.local_df_table()
+        return len(self._df_table)
+
+    def take_df_table(self, send: bool) -> bytes | None:
+        """The kept df table when ``send``, else None; the actor drops its
+        copy either way (a restarted actor builds it again)."""
+        table, self._df_table = getattr(self, "_df_table", None), None
+        if not send:
+            return None
+        return table if table is not None else self.engine.local_df_table()
 
     def score(self, qlist: list[dict], method: str, global_stats: dict,
               global_df_by_coll: dict) -> bytes:
@@ -625,6 +867,7 @@ class _ShardActor:
         return getattr(self.engine, op)(**kwargs)
 
 
+@_declared_ops(_DECLARED)
 class ShardedSearcherService:
     """Persistent distributed searcher: up to ``num_shards`` long-lived
     actors, each pinning one round-robin partition subset, behind the
@@ -638,6 +881,13 @@ class ShardedSearcherService:
     the merge of the shards' answers (``_cut`` for hit tables,
     ``_sum_by_key`` for counts), and the checks of arguments that no shard
     receives.  Each merge's exactness argument sits beside it.
+
+    The ops with one fan-out and one merge (``search``, ``count``, the
+    facets, the completions, the sorted and scored hit ops,
+    ``term_vector`` and ``explain``) are generated from ``_DECLARED`` with
+    the signature and docstring of the ``SearchEngine`` op of the same
+    name, less the injected statistics; the methods written out below
+    each need more than one fan-out or a protocol of their own.
 
     The shards are doc-disjoint and pinned to one generation, so the
     fleet's statistics are a constant of the service: the first scored op
@@ -681,21 +931,26 @@ class ShardedSearcherService:
         specs = shard_assignment(P, num_shards)
         self.num_partitions = P
         self.shard_partitions = [spec["partitions"] for spec in specs]
+        # SPREAD: a serving fleet wants one shard's heap/postings per node
+        # slot, not all shards packed onto the head node — balances memory
+        # and fans query CPU across the cluster (verified on a real 2-node
+        # cluster by scripts/two_node_smoke.py; no-op under address="local")
+        self._init_fleet([
+            _ShardActor.options(scheduling_strategy="SPREAD").remote(
+                index_root, self.generation, self.cfg, spec["partitions"]
+            )
+            for spec in specs
+        ])
+
+    def _init_fleet(self, actors: list) -> None:
+        """The per-service state of a started fleet, shared with
+        :class:`MultiIndexSearcherService`."""
+        self.actors = actors
         # classify's V (distinct text vocab) per collection and the BM25
         # statistics — properties of the generation-pinned fleet, gathered
         # once per service lifetime
         self._vocab_union_cache: dict[str, int] = {}
         self._fleet_stats: tuple[dict, dict | None] | None = None
-        # SPREAD: a serving fleet wants one shard's heap/postings per node
-        # slot, not all shards packed onto the head node — balances memory
-        # and fans query CPU across the cluster (verified on a real 2-node
-        # cluster by scripts/two_node_smoke.py; no-op under address="local")
-        self.actors = [
-            _ShardActor.options(scheduling_strategy="SPREAD").remote(
-                index_root, self.generation, self.cfg, spec["partitions"]
-            )
-            for spec in specs
-        ]
 
     # ---- the shard protocol -----------------------------------------------
     def _submit(self, op: str, actors=None, **kwargs) -> list:
@@ -750,7 +1005,9 @@ class ShardedSearcherService:
         n = len(self.actors)
         stats, _ = _reduce_stats(_read_batches(got[:n], _STATS_SCHEMA))
         nbytes = sum(got[n:])
-        if nbytes > DF_TABLE_MAX_BYTES:
+        fits = nbytes <= DF_TABLE_MAX_BYTES
+        tables = _gather([a.take_df_table.remote(fits) for a in self.actors])
+        if not fits:
             logger.info(
                 "ShardedSearcherService: the shards' df tables hold %d bytes, "
                 "over DF_TABLE_MAX_BYTES=%d; phase 1 gathers dfs per call",
@@ -758,23 +1015,31 @@ class ShardedSearcherService:
             )
             return stats, None
         return stats, _df_index(
-            [_read_batches([b], DF_TABLE_SCHEMA) for b in self._fan("local_df_table")]
+            [_read_batches([b], DF_TABLE_SCHEMA) for b in tables]
         )
 
-    def _phase1(self, collection: str, *queries) -> dict:
-        """Phase 1 for queries over one collection: parse each (a query
-        string, or clauses already built) and look up the global
-        statistics of their scored terms → the ``global_stats`` /
-        ``global_df`` arguments of the engine's scored ops.  When a query
-        does not parse, no statistics are injected: the shards then parse
-        it themselves and raise the engine's own first error."""
+    def _phase1(
+        self, collection: str, *queries,
+        synonyms: dict[str, list[str]] | None = None,
+        fields: dict[str, float] | None = None, tie_breaker: float = 0.0,
+    ) -> dict:
+        """Phase 1 for queries over one collection: rewrite each query
+        string as the engine does (:func:`rewrite_query`: parse, synonyms,
+        dismax ``fields``; clauses already built pass as they are) and look
+        up the global statistics of their scored terms → the
+        ``global_stats`` / ``global_df`` arguments of the engine's scored
+        ops.  When a rewrite fails, no statistics are injected: the engine
+        runs the same rewrite on the same arguments, so the shards then
+        raise the engine's own first error."""
         sc = sanitize_collection(collection)
         keys: set[tuple[str, str]] = set()
         for q in queries:
             if isinstance(q, str):
                 try:
-                    q = parse_query(q, default_field=self.cfg.text_column)
-                except QueryParseError:
+                    q = rewrite_query(
+                        q, self.cfg.text_column, synonyms, fields, tie_breaker
+                    )
+                except Exception:
                     return {}
             keys.update(scored_term_keys(q))
         stats, dfs = self._gather_global({sc: sorted(keys)})
@@ -810,6 +1075,7 @@ class ShardedSearcherService:
     def _search_clauses(
         self, clauses: tuple, collection: str, limit: int | None,
         method: str = "taat", inj: dict | None = None,
+        min_should_match: int = 0,
     ) -> pa.Table:
         """One query given as clauses through the two-phase protocol →
         (url, score, docid).  ``inj`` is phase-1 output already gathered."""
@@ -817,136 +1083,34 @@ class ShardedSearcherService:
         limit = limit if limit is not None else self.cfg.result_limit
         return self._phase2_merge(
             [{"qid": 0, "collection": collection, "query": tuple(clauses),
-              "limit": limit}],
+              "limit": limit, "min_should_match": min_should_match}],
             method, inj["global_stats"],
             {sanitize_collection(collection): inj["global_df"]},
         ).select(["url", "score", "docid"])
 
-    # ---- counting ops: per-key integer sums ---------------------------------
-    def count(self, query: str, collection: str = "default",
-              syntax: str = "classic") -> int:
-        """Cluster-wide match count: the shards' counts summed."""
-        return sum(
-            self._fan("count", query=query, collection=collection,
-                      syntax=syntax)
+    def _score(
+        self, op: str, query: str, collection: str, limit: int, method: str,
+        synonyms: dict[str, list[str]] | None, fields: dict[str, float] | None,
+        tie_breaker: float, min_should_match: int,
+    ) -> pa.Table:
+        """``op`` (``search``) on the score path, ``search_batch``'s
+        protocol for one query: the engine's checks in its order, then the
+        rewritten clauses' phase 1 and one ``score`` call per shard
+        (``search_partial`` with the injected statistics), merged by
+        :func:`_rank_cut`.  The driver raises the engine's errors itself:
+        the shards never see ``fields`` or the query string."""
+        if limit < 1:
+            raise ValueError("limit must be positive")
+        check_query_opts(self.cfg, fields, tie_breaker, min_should_match)
+        clauses = rewrite_query(
+            query, self.cfg.text_column, synonyms, fields, tie_breaker
+        )
+        return self._search_clauses(
+            tuple(clauses), collection, limit, method,
+            min_should_match=min_should_match,
         )
 
-    def facets(
-        self, query: str, facet_field: str, collection: str = "default",
-        syntax: str = "classic",
-    ) -> pa.Table:
-        """Cluster-wide facet counts (value, count), (count desc, value
-        asc): the shards' per-value counts summed."""
-        parts = self._fan("facets", query=query, facet_field=facet_field,
-                          collection=collection, syntax=syntax)
-        return facet_count_table(_sum_by_key(parts, "value", "count"))
-
-    def facets_taxonomy(
-        self,
-        query: str,
-        dim_fields,
-        collection: str = "default",
-        top_n: int | None = None,
-    ) -> pa.Table:
-        """Cluster-wide hierarchical facets: per-path counts summed, then
-        the engine's formatter — ``top_n`` prunes the merged exact
-        counts."""
-        parts = self._fan("facets_taxonomy_counts", query=query,
-                          dim_fields=dim_fields, collection=collection)
-        return taxonomy_table(_sum_by_key(parts), top_n)
-
-    def facets_stats(
-        self,
-        query: str,
-        facet_field: str,
-        value_source: str = "doc_len",
-        collection: str = "default",
-    ) -> pa.Table:
-        """Cluster-wide numeric facet aggregation: count and sum add, min
-        and max fold — all integers, so exact in any order."""
-        parts = self._fan("facets_stats", query=query, facet_field=facet_field,
-                          value_source=value_source, collection=collection)
-        g = pa.concat_tables(parts).group_by("value").aggregate(
-            [("count", "sum"), ("vmin", "min"), ("vmax", "max"),
-             ("vsum", "sum")]
-        )
-        return (
-            g.select(["value", "count_sum", "vmin_min", "vmax_max", "vsum_sum"])
-            .rename_columns(parts[0].column_names)
-            .sort_by("value")
-        )
-
-    def facet_ranges(
-        self,
-        query: str,
-        ranges: list[tuple],
-        value_source: str = "doc_len",
-        collection: str = "default",
-    ) -> pa.Table:
-        """Cluster-wide numeric range faceting: per-label counts summed
-        (labels are unique, so range order is kept)."""
-        counts = _sum_by_key(
-            self._fan("facet_ranges", query=query, ranges=ranges,
-                      value_source=value_source, collection=collection),
-            "label", "count",
-        )
-        return pa.table(
-            {"label": pa.array(list(counts), pa.string()),
-             "count": pa.array(list(counts.values()), pa.int64())}
-        )
-
-    def suggest(
-        self,
-        term: str,
-        collection: str = "default",
-        field: str | None = None,
-        max_edits: int = 2,
-        k: int = 5,
-    ) -> pa.Table:
-        """Cluster-wide spell suggestion: every shard's candidates (k is
-        applied after the df sum — a term's global df rank can exceed its
-        rank on any one shard, and the edit-distance ball keeps the
-        candidate set small), df summed per term, then the engine's
-        (distance, df desc, term) rank."""
-        if k <= 0:  # shards never receive k
-            raise ValueError("k must be positive")
-        parts = self._fan("suggest", term=term, collection=collection,
-                          field=field, max_edits=max_edits, k=_ALL)
-        dists = {t: d for p in parts
-                 for t, d in zip(p["term"].to_pylist(), p["distance"].to_pylist())}
-        return rank_suggestions_table(_sum_by_key(parts, "term", "df"), dists, k)
-
-    def complete(
-        self,
-        prefix: str,
-        collection: str = "default",
-        field: str | None = None,
-        k: int = 5,
-    ) -> pa.Table:
-        """Cluster-wide prefix autocompletion: every shard's (term, df)
-        candidates, df summed, then the global (df desc, term asc) rank —
-        the suggest contract over a prefix range."""
-        if k <= 0:  # shards never receive k
-            raise ValueError("k must be positive")
-        parts = self._fan("complete", prefix=prefix, collection=collection,
-                          field=field, k=_ALL)
-        return rank_completions_table(_sum_by_key(parts, "term", "df"), k)
-
-    def complete_infix(
-        self,
-        fragment: str,
-        collection: str = "default",
-        field: str | None = None,
-        k: int = 5,
-    ) -> pa.Table:
-        """Cluster-wide infix autocompletion: the complete() merge over
-        the shards' substring scans."""
-        if k <= 0:  # shards never receive k
-            raise ValueError("k must be positive")
-        parts = self._fan("complete_infix", fragment=fragment,
-                          collection=collection, field=field, k=_ALL)
-        return rank_completions_table(_sum_by_key(parts, "term", "df"), k)
-
+    # ---- ops with more than one fan-out, or a driver-side protocol ---------
     def top_terms(
         self,
         field: str | None = None,
@@ -1093,51 +1257,6 @@ class ShardedSearcherService:
             for f in dim_clauses
         }
 
-    # ---- ordered ops: cut the union under the shards' total order ----------
-    def search_sorted(
-        self,
-        query: str,
-        collection: str = "default",
-        limit: int | None = None,
-        descending: bool = True,
-        after_ts: int | None = None,
-        after_url: str = "",
-    ) -> pa.Table:
-        """Cluster-wide recency-sorted search: the shards' top-``limit``
-        under (warc_ts, url asc), cut once more over the union — exact for
-        the BM25 merge's reason, and with an anchor too (the anchor
-        predicate composes with the total order)."""
-        limit = limit if limit is not None else self.cfg.result_limit
-        parts = self._fan("search_sorted", query=query, collection=collection,
-                          limit=limit, descending=descending,
-                          after_ts=after_ts, after_url=after_url)
-        return _cut(pa.concat_tables(parts), limit, "warc_ts", descending)
-
-    def search_sorted_by(
-        self,
-        query: str,
-        sort: list,
-        collection: str = "default",
-        limit: int | None = None,
-        after_keys: "list | None" = None,
-        after_url: str = "",
-    ) -> pa.Table:
-        """Cluster-wide multi-key sorted search: the shards' top-``limit``
-        under the composite (keys…, url) total order, merged by the
-        engine's mixed-key kernel (string keys are re-ranked over the
-        union, so shard-local truncation merges exactly)."""
-        limit = limit if limit is not None else self.cfg.result_limit
-        parts = self._fan("search_sorted_by", query=query, sort=sort,
-                          collection=collection, limit=limit,
-                          after_keys=after_keys, after_url=after_url)
-        t = pa.concat_tables(parts)
-        fields = [tuple(p) for p in sort]
-        order = sort_order_mixed(
-            t["url"].to_numpy(zero_copy_only=False),
-            [t[f].to_numpy(zero_copy_only=False) for f, _ in fields], fields,
-        )
-        return t.take(order[:limit])
-
     def search_grouped(
         self,
         query: str,
@@ -1145,6 +1264,7 @@ class ShardedSearcherService:
         collection: str = "default",
         group_limit: int = 10,
         docs_per_group: int = 3,
+        synonyms: dict[str, list[str]] | None = None,
     ) -> pa.Table:
         """Cluster-wide grouped top-k: the shards' untruncated groups, each
         with its top ``docs_per_group`` docs — a group's global head can
@@ -1156,7 +1276,8 @@ class ShardedSearcherService:
         parts = self._fan(
             "search_grouped", query=query, group_field=group_field,
             collection=collection, group_limit=_ALL,
-            docs_per_group=docs_per_group, **self._phase1(collection, query),
+            docs_per_group=docs_per_group, synonyms=synonyms,
+            **self._phase1(collection, query, synonyms=synonyms),
         )
         groups: dict[str, list[tuple[str, float, int]]] = {}
         for p in parts:
@@ -1198,129 +1319,6 @@ class ShardedSearcherService:
         window = _cut(pa.concat_tables(parts), window_size, "first_score")
         return _cut(window, limit).select(["url", "score", "docid"])
 
-    def search_diversified(
-        self,
-        query: str,
-        key_field: str,
-        max_per_key: int = 1,
-        collection: str = "default",
-        limit: int | None = None,
-    ) -> "pa.Table":
-        """Cluster-wide diversified top-k (DiversifiedTopDocsCollector):
-        the shards' diversified top-``limit``, then ONE more
-        cap-then-truncate pass over the union — exact because greedy
-        selection under the total order is idempotent under recapping
-        (see _diversify_hits)."""
-        limit = limit if limit is not None else self.cfg.result_limit
-        parts = self._fan(
-            "search_diversified", query=query, key_field=key_field,
-            max_per_key=max_per_key, collection=collection, limit=limit,
-            **self._phase1(collection, query),
-        )
-        return _diversify_hits(pa.concat_tables(parts), max_per_key, limit)
-
-    # ---- scored hit ops: phase 1, then the shards' top-limit, then _cut ----
-    def search_after(
-        self,
-        query: str,
-        after_score: float,
-        after_url: str,
-        collection: str = "default",
-        limit: int | None = None,
-    ) -> pa.Table:
-        """Cluster-wide deep pagination — searchAfter over the fleet: the
-        anchor predicate composed with the total order is itself a total
-        order, so per-shard post-anchor truncation is lossless."""
-        return self._hits(
-            "search_after", limit, query=query, after_score=after_score,
-            after_url=after_url, collection=collection,
-            **self._phase1(collection, query),
-        )
-
-    def search_function(
-        self,
-        query: str,
-        now_us: int,
-        scale_us: int,
-        collection: str = "default",
-        limit: int | None = None,
-    ) -> pa.Table:
-        """Cluster-wide function-scored search (recency decay): the final
-        score is a per-doc function, so (final desc, url asc) is a total
-        order and the shards' top-``limit`` merge exactly."""
-        return self._hits(
-            "search_function", limit, query=query, now_us=now_us,
-            scale_us=scale_us, collection=collection,
-            **self._phase1(collection, query),
-        )
-
-    def search_boosting(
-        self,
-        positive_query: str,
-        negative_query: str,
-        demote: float = 0.2,
-        collection: str = "default",
-        limit: int | None = None,
-    ) -> "pa.Table":
-        """Cluster-wide BoostingQuery: phase 1 gathers the POSITIVE query's
-        terms only (the negative side is a mask, never a statistics
-        contributor); demotion is per doc, so the merge is the BM25 one."""
-        return self._hits(
-            "search_boosting", limit, positive_query=positive_query,
-            negative_query=negative_query, demote=demote,
-            collection=collection, **self._phase1(collection, positive_query),
-        )
-
-    def search_expression(
-        self,
-        query: str,
-        expression: str,
-        bindings: dict | None = None,
-        collection: str = "default",
-        limit: int | None = None,
-    ) -> pa.Table:
-        """Cluster-wide expression-scored search (expressions module): the
-        expression is a per-doc function, so the BM25 merge applies."""
-        return self._hits(
-            "search_expression", limit, query=query, expression=expression,
-            bindings=bindings, collection=collection,
-            **self._phase1(collection, query),
-        )
-
-    def search_expression_range(
-        self,
-        query: str,
-        expression: str,
-        lo: float | None = None,
-        hi: float | None = None,
-        bindings: dict | None = None,
-        collection: str = "default",
-        limit: int | None = None,
-    ) -> "pa.Table":
-        """Cluster-wide FunctionRangeQuery: the [lo, hi] predicate applies
-        shard-side before truncation (a row predicate composes with the
-        total order, so the merge is exact)."""
-        return self._hits(
-            "search_expression_range", limit, query=query,
-            expression=expression, lo=lo, hi=hi, bindings=bindings,
-            collection=collection, **self._phase1(collection, query),
-        )
-
-    def search_filtered(
-        self,
-        query: str,
-        filter_query: str,
-        collection: str = "default",
-        limit: int | None = None,
-    ) -> pa.Table:
-        """Cluster-wide filtered search: phase 1 over the QUERY's terms
-        only (the filter never touches statistics); the filter is a
-        per-doc predicate, so it commutes with sharding."""
-        return self._hits(
-            "search_filtered", limit, query=query, filter_query=filter_query,
-            collection=collection, **self._phase1(collection, query),
-        )
-
     def search_join(
         self,
         from_query: str,
@@ -1329,6 +1327,7 @@ class ShardedSearcherService:
         score_mode: str = "max",
         collection: str = "default",
         limit: int | None = None,
+        synonyms: dict[str, list[str]] | None = None,
     ) -> pa.Table:
         """Cluster-wide query-time join (JoinUtil analogue) — identical to
         SearchEngine.search_join on the whole index for score_mode
@@ -1338,13 +1337,10 @@ class ShardedSearcherService:
         folded on the driver into the value→score map, which is broadcast
         to the to-side top-``limit`` calls and cut once more.  Driver
         traffic is O(S·|from vocab| + S·limit) rows."""
-        need_scores = score_mode != "none"
-        inj = self._phase1(collection, from_query) if need_scores else {}
-        agg = _fold_join(self._fan(
-            "join_from_aggregates", from_query=from_query,
-            from_field=from_field, collection=collection,
-            need_scores=need_scores, **inj,
-        ))
+        agg = self._join_from(
+            from_query, from_field, collection, score_mode != "none",
+            synonyms, None,
+        )
         return self._hits(
             "join_to_hits", limit, to_field=to_field,
             value_scores=SearchEngine.join_value_scores(agg, score_mode),
@@ -1358,28 +1354,33 @@ class ShardedSearcherService:
         only as a join from/to field and run after the cross-shard
         contract probe, so the engine's checks are repeated here, in the
         engine's order."""
-        limit = limit if limit is not None else self.cfg.result_limit
-        if limit <= 0:
-            raise ValueError("limit must be positive")
         check_metadata_field(self.cfg.field_columns, "block_field", block_field)
         if not parse_query(parent_filter, default_field=self.cfg.text_column):
             raise ValueError("parent_filter must contain at least one clause")
+        limit = limit if limit is not None else self.cfg.result_limit
+        if limit <= 0:
+            raise ValueError("limit must be positive")
         return limit
 
-    def _block_join_common(
+    def _join_from(
         self,
         query: str,
-        block_field: str,
+        field: str,
         collection: str,
         need_scores: bool,
+        synonyms: dict[str, list[str]] | None,
         restrict_query: str | None,
     ) -> dict[str, list]:
-        """Shared block-join plumbing: global-stats gather for the scored
-        query and the exact from-side aggregate fold."""
-        inj = self._phase1(collection, query) if need_scores else {}
+        """The join from-side shared by ``search_join`` and the block
+        joins: phase 1 for the scored query (none when scores are not
+        needed) and the exact fold of the shards' aggregates."""
+        inj = (
+            self._phase1(collection, query, synonyms=synonyms)
+            if need_scores else {}
+        )
         return _fold_join(self._fan(
-            "join_from_aggregates", from_query=query, from_field=block_field,
-            collection=collection, need_scores=need_scores,
+            "join_from_aggregates", from_query=query, from_field=field,
+            collection=collection, synonyms=synonyms, need_scores=need_scores,
             restrict_query=restrict_query, **inj,
         ))
 
@@ -1391,6 +1392,7 @@ class ShardedSearcherService:
         score_mode: str = "max",
         collection: str = "default",
         limit: int | None = None,
+        synonyms: dict[str, list[str]] | None = None,
     ) -> pa.Table:
         """Cluster-wide ToParentBlockJoinQuery (SearchEngine
         .block_join_parents semantics on the whole index).  Blocks are
@@ -1416,9 +1418,9 @@ class ShardedSearcherService:
                 "ToParentBlockJoinQuery requires the child query to match "
                 "only non-parent docs"
             )
-        agg = self._block_join_common(
-            child_query, block_field, collection,
-            need_scores=score_mode != "none", restrict_query=None,
+        agg = self._join_from(
+            child_query, block_field, collection, score_mode != "none",
+            synonyms, None,
         )
         return self._hits(
             "join_to_hits", limit, to_field=block_field,
@@ -1435,6 +1437,7 @@ class ShardedSearcherService:
         collection: str = "default",
         limit: int | None = None,
         score: bool = True,
+        synonyms: dict[str, list[str]] | None = None,
     ) -> pa.Table:
         """Cluster-wide ToChildBlockJoinQuery (SearchEngine
         .block_join_children semantics): parent scores fold under max
@@ -1442,9 +1445,9 @@ class ShardedSearcherService:
         children gathered with the parent filter as a non-scoring
         exclusion before exact per-shard truncation."""
         limit = self._validate_block_join(parent_filter, block_field, limit)
-        agg = self._block_join_common(
-            parent_query, block_field, collection,
-            need_scores=score, restrict_query=parent_filter,
+        agg = self._join_from(
+            parent_query, block_field, collection, score, synonyms,
+            parent_filter,
         )
         return self._hits(
             "join_to_hits", limit, to_field=block_field,
@@ -1638,7 +1641,7 @@ class ShardedSearcherService:
     def snippets(
         self,
         query: str,
-        texts: "pa.Table",
+        texts: pa.Table,
         k: int = 10,
         window: int = 8,
         collection: str = "default",
@@ -1677,28 +1680,6 @@ class ShardedSearcherService:
                 "snippet": pa.array(snips, pa.string()),
             }
         )
-
-    # ---- per-document lookups ----------------------------------------------
-    def term_vector(
-        self,
-        url: str,
-        field: str | None = None,
-        collection: str = "default",
-        with_positions: bool = True,
-    ) -> pa.Table:
-        """Cluster-wide term vector: the owning shard's answer.  Raises
-        KeyError when the url is not live."""
-        return self._lookup("term_vector", collection, url, field=field,
-                            with_positions=with_positions)
-
-    def explain(
-        self, query: str, url: str, collection: str = "default"
-    ) -> dict:
-        """Cluster-wide explain — the numbers the sharded search scores
-        with: phase-1 global statistics, then the owning shard's explain.
-        Raises KeyError when the url is not live."""
-        return self._lookup("explain", collection, url, query=query,
-                            **self._phase1(collection, query))
 
     def shutdown(self) -> None:
         for a in self.actors:
@@ -1763,9 +1744,7 @@ class MultiIndexSearcherService(ShardedSearcherService):
         self.index_roots = list(index_roots)
         self.generations: list[int] = []
         self.root_partitions: list[int] = []
-        self.actors = []
-        self._vocab_union_cache = {}
-        self._fleet_stats = None
+        actors = []
         for i, root in enumerate(index_roots):
             chain = load_manifest_chain(
                 root, generations[i] if generations else None
@@ -1781,9 +1760,8 @@ class MultiIndexSearcherService(ShardedSearcherService):
                 )
             self.generations.append(g)
             self.root_partitions.append(P)
-            self.actors.append(
-                _ShardActor.remote(root, g, self.cfg, list(range(P)))
-            )
+            actors.append(_ShardActor.remote(root, g, self.cfg, list(range(P))))
+        self._init_fleet(actors)
         # inherited APIs never consult these (per-document lookups probe
         # the roots instead), but keep them coherent for introspection
         self.generation = self.generations[-1]

@@ -10,10 +10,20 @@ change first on odd ones (a host that drifts between speed regimes then
 favours neither side).  Each checkout's runs use its own work directory
 (``<checkout>/.perfbench``).  The script prints every pair, then per
 end-to-end metric of ``BENCHMARK.json`` each side's median and quartiles,
-how many pairs the change won, and whether the gain rule holds: the change
+how many pairs the change won, whether the gain rule holds (the change
 wins at least 9 in 10 pairs and the medians differ by more than the
-parent's interquartile range.  ``--json PATH`` also writes the runs and the
-summary.
+parent's interquartile range) and the no-regression verdict under the
+metric's ``bound``, a fraction of the parent's median:
+
+* ``worse`` — the change's median is worse than the parent's by more than
+  the bound;
+* ``unresolved`` — either side's interquartile range exceeds the bound
+  (relative to its median), unless every change run beats every parent
+  run: the runs spread too widely to tell;
+* ``ok`` — otherwise.
+
+It also prints each side's total of failed operations.  ``--json PATH``
+also writes the runs and the summary.
 """
 
 from __future__ import annotations
@@ -57,9 +67,29 @@ def value(run: dict, name: str) -> float:
     return float(run["metrics"][name]["value"])
 
 
+def spread(q: np.ndarray) -> float:
+    """Interquartile range over the median of quartiles ``q``."""
+    if q[1]:
+        return float((q[2] - q[0]) / abs(q[1]))
+    return 0.0 if q[2] == q[0] else float("inf")
+
+
+def verdict(a: np.ndarray, b: np.ndarray, lower: bool, bound: float) -> str:
+    """The no-regression verdict of change runs ``b`` against parent runs
+    ``a`` under ``bound`` (see the module docstring)."""
+    q_a, q_b = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
+    loss = (q_b[1] - q_a[1]) if lower else (q_a[1] - q_b[1])
+    if loss > bound * abs(q_a[1]):
+        return "worse"
+    beats_all = b.max() < a.min() if lower else b.min() > a.max()
+    if max(spread(q_a), spread(q_b)) > bound and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, the change's wins and
-    whether the gain rule holds."""
+    """Per metric: each side's median and quartiles, the change's wins,
+    whether the gain rule holds and the no-regression verdict."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -72,8 +102,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "parent": q_a.tolist(), "change": q_b.tolist(),
             "wins": wins, "pairs": len(runs),
             "gain_rule": bool(wins >= 0.9 * len(runs) and gain > q_a[2] - q_a[0]),
+            "verdict": verdict(a, b, lower, m["bound"]),
         }
     return out
+
+
+def failed_totals(runs: list[dict]) -> dict[str, int]:
+    """Each side's failed operations, summed over the runs."""
+    return {side: sum(int(r[side]["failed"]) for r in runs)
+            for side in ("parent", "change")}
 
 
 def main() -> None:
@@ -108,16 +145,19 @@ def main() -> None:
         print(f"seed {seed} ({order[0]} first): {cells}  failed {fails}",
               flush=True)
     summary = summarize(runs, metrics)
+    failed = failed_totals(runs)
     print(f"\n{args.workload}, {len(runs)} pairs: metric  parent q1/median/q3"
-          "  change q1/median/q3  wins  gain rule")
+          "  change q1/median/q3  wins  gain rule  verdict")
     for name, s in summary.items():
         p, c = ("/".join(f"{v:.4g}" for v in s[k]) for k in ("parent", "change"))
         print(f"{name}  {p}  {c}  {s['wins']}/{s['pairs']}  "
-              f"{'holds' if s['gain_rule'] else 'misses'}")
+              f"{'holds' if s['gain_rule'] else 'misses'}  {s['verdict']}")
+    print(f"failed: parent {failed['parent']}, change {failed['change']}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"workload": args.workload, "seconds": args.seconds,
-                       "runs": runs, "summary": summary}, f, indent=1)
+                       "runs": runs, "summary": summary, "failed": failed},
+                      f, indent=1)
 
 
 if __name__ == "__main__":

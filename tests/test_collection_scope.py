@@ -255,6 +255,33 @@ def test_url_order_breaks_cross_segment_ties_by_url(engines):
     got = _url_order(scope, ids, (k2, k1))
     want = sorted(range(ids.size), key=lambda i: (k1[i], k2[i], scope.urls[ids[i]]))
     assert [scope.urls[ids[i]] for i in got] == [scope.urls[ids[i]] for i in want]
+    for limit in (1, 5, 40, 299, 400):
+        assert _url_order(scope, ids, (k2, k1), limit).tolist() == want[:limit]
+
+
+def test_top_hits_cuts_constant_score_ties_like_a_full_sort(engines):
+    """Constant-score ties across members (a prefix or range clause scores
+    its whole match set alike): ``_top_hits`` sorts urls only in the tie
+    group at the cut, each member's first ``limit`` ids, and still returns
+    the rows of the full (score desc, url asc) sort."""
+    from lucene_plugin_ray.pipelines.query import _top_hits, _url_order
+
+    scope = engines["bm25"]._scope("default")
+    assert len(scope.segs) >= 9
+    live = np.flatnonzero(scope.alive)
+    rng = np.random.default_rng(11)
+    for n, levels in ((200, (1.0,)), (200, (2.0, 1.0, 1.0, 1.0)), (60, (3.0, 1.0)),
+                      (live.size, (1.5, 1.0, 0.5))):
+        ids = np.sort(rng.choice(live, n, replace=False))
+        sc = np.asarray(levels)[rng.integers(0, len(levels), n)]
+        full = np.lexsort((scope.urls[ids], -sc))  # the full url sort
+        for limit in (1, 3, 10, 64, n - 1, n, n + 5):
+            got = _url_order(scope, ids, (-sc,), limit)
+            assert got.tolist() == full[:limit].tolist(), (n, levels, limit)
+            t = _top_hits(scope, ids, sc, limit)
+            assert t["url"].to_pylist() == scope.urls[ids[full[:limit]]].tolist()
+            assert t["score"].to_pylist() == sc[full[:limit]].tolist()
+            assert t["docid"].to_pylist() == scope.docids(ids[full[:limit]]).tolist()
 
 # ---- aux read ops: pinned outputs ------------------------------------------
 # sha256 of each aux op's canonical output under bm25 on the multigen index,
@@ -1058,6 +1085,14 @@ def _sharded_calls(full):
             s.more_like_this_url(urls[0], limit=8),
             s.more_like_this_url(urls[1], max_query_terms=5, limit=8, include_self=True)]),
         ("search_batch", lambda s: [s.search_batch(batch)]),
+        ("search", lambda s: [
+            s.search(SH_Q, limit=12), s.search("w00003 w0001*", limit=7),
+            s.search("w00001 w00007", synonyms={"w00001": ["w00002", "w00003"]}),
+            s.search("lamb w00001", fields={"text": 1.0, "foo": 2.0}, tie_breaker=0.3,
+                     limit=12),
+            s.search("w00001 w00002 w00003 w00004", min_should_match=2, limit=12,
+                     method="taat"),
+            s.search("zzznope")]),
         ("snippets", lambda s: [s.snippets(SH_Q, texts, k=6),
                                 s.snippets("w00003", texts, k=4, window=4)]),
     ]
@@ -1134,6 +1169,9 @@ SHARDED_PINS = {
         "13b938fe0320bcaccef444ec9e24d77fa185ccc0b712938b6986f68a1c89d9e9",
     "snippets":
         "5d6a5bea48695969ec5341145396302bd42ceb0e1aaf75539385d7926ffc7ee0",
+    # computed from SearchEngine.search on the same calls
+    "search":
+        "bac6ffde31ee0b167861c3e1ad098a3175fb154bc1eeeb6132ec6e5d6c2e9087",
 }
 
 
@@ -1228,6 +1266,14 @@ PARITY = [
     ("suggest", ("lamb",), {"field": "nope"}),
     ("search_grouped", ("w00001 AND", "text"), {}),
     ("classify_knn", (SH_Q, "nope"), {"max_query_terms": 0}),
+    ("search", (SH_Q,), {"limit": 0}),
+    ("search", (SH_Q,), {"fields": {"nope": 1.0}}),
+    ("search", (SH_Q,), {"tie_breaker": 0.5}),
+    ("search", (SH_Q,), {"min_should_match": -1}),
+    ("search", ("w00001 AND",), {}),
+    ("search_sorted", (SH_Q,), {"sort_field": "nope"}),
+    ("block_join_parents", (SH_Q, "foo:v1", "nope"), {"limit": 0}),
+    ("block_join_children", (SH_Q, "foo:v1", "nope"), {"limit": 0}),
 ]
 
 
@@ -1252,6 +1298,94 @@ def test_sharded_error_parity(engines, fleets, op, args, kw):
     with pytest.raises(Exception) as got:
         _call(fleets[3], op, args, kw)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+# Parameters of an engine op that its fleet method leaves out, each because
+# the fleet's own protocol sets it.
+FLEET_SETS = {
+    # the driver asks every shard for its first-pass scores and re-derives
+    # the global window from them
+    "rescore": {"include_first"},
+    # the hits come from the fleet's own two-phase search
+    "snippets": {"hits"},
+    # the fleet probes the contract once, summed over the shards
+    "block_join_parents": {"check_contract"},
+}
+
+
+def test_sharded_methods_have_engine_signatures():
+    """Every public fleet method but ``search_batch`` and ``shutdown`` has
+    its engine op's parameters (names, kinds, defaults and annotations),
+    without the injected statistics and ``_``-prefixed parameters, except
+    for the ones ``FLEET_SETS`` lists."""
+    import inspect
+
+    from lucene_plugin_ray.pipelines.query import SearchEngine
+    from lucene_plugin_ray.pipelines.sharded import ShardedSearcherService
+
+    injected = {"global_stats", "global_df", "global_ttf"}
+    public = sorted(
+        n for n in vars(ShardedSearcherService)
+        if not n.startswith("_") and n not in ("search_batch", "shutdown")
+    )
+    assert len(public) == 37 and set(FLEET_SETS) <= set(public)
+    for name in public:
+        leave_out = injected | FLEET_SETS.get(name, set())
+        want = [
+            p for p in inspect.signature(getattr(SearchEngine, name)).parameters.values()
+            if p.name not in leave_out and not p.name.startswith("_")
+        ]
+        got = list(inspect.signature(getattr(ShardedSearcherService, name)).parameters.values())
+        assert got == want, name
+
+
+SYN = {"w00001": ["w00002", "w00017"]}
+
+
+def _widened_calls(full):
+    """(op, call(obj)) for parameters the fleet gained from the engine's
+    signature: each must give the engine's answer."""
+    s5, u5 = _aux_anchor(full, SH_Q, 5)
+    syn5 = full.search(SH_Q, limit=6, synonyms=SYN).to_pylist()[5]
+    dis = {"fields": {"text": 1.0, "foo": 2.0}, "tie_breaker": 0.3}
+    dis5 = full.search("lamb w00001", limit=6, **dis).to_pylist()[5]
+    return [
+        ("search_after", lambda o: [
+            o.search_after(SH_Q, syn5["score"], syn5["url"], limit=10, synonyms=SYN),
+            o.search_after("lamb w00001", dis5["score"], dis5["url"], limit=10, **dis),
+            o.search_after("w00001 w00002 w00003", s5, u5, limit=10, min_should_match=2)]),
+        ("count", lambda o: [
+            o.count("w00001 w00002 w00003 w00004", min_should_match=2),
+            o.count(SH_Q, synonyms=SYN), o.count("lamb w00001", fields=dis["fields"])]),
+        ("search_sorted", lambda o: [o.search_sorted(SH_Q, sort_field="warc_ts", limit=9)]),
+        ("search_grouped", lambda o: [
+            o.search_grouped(SH_Q, "foo", group_limit=5, docs_per_group=3, synonyms=SYN)]),
+        ("search_join", lambda o: [
+            o.search_join(SH_Q, "foo", "foo", limit=12, synonyms=SYN),
+            o.search_join("w00003", "age", "age", score_mode="none", limit=12,
+                          synonyms={"w00003": ["w00004"]})]),
+        ("block_join_parents", lambda o: [
+            o.block_join_parents("w00003", "age:25 -w00003", "foo", limit=12,
+                                 synonyms={"w00003": ["w00004"]})]),
+        ("block_join_children", lambda o: [
+            o.block_join_children(SH_Q, "age:25", "foo", limit=12, synonyms=SYN)]),
+    ]
+
+
+def test_sharded_widened_parameters_equal_engine(multigen, fleets):
+    """The parameters the fleet gained (synonyms, dismax fields,
+    tie_breaker, min_should_match, sort_field) give the engine's answer
+    on fleets of 1 and 3 actors."""
+    from lucene_plugin_ray.pipelines.query import SearchEngine
+
+    cfg, _ = multigen
+    full = SearchEngine(cfg.index_root, cfg=cfg)
+    for name, call in _widened_calls(full):
+        out = call(full)
+        assert all(t.num_rows if isinstance(t, pa.Table) else t for t in out), name
+        want = _canon(out)
+        for n, svc in fleets.items():
+            assert _canon(call(svc)) == want, (name, n)
 
 
 def test_scope_dictionary_built_lazily(multigen):
