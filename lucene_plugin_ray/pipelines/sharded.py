@@ -78,6 +78,7 @@ from lucene_plugin_ray.config import IndexConfig
 from lucene_plugin_ray.functions.analysis import analyze, sanitize_collection
 from lucene_plugin_ray.functions.hashing import partition_of_key
 from lucene_plugin_ray.functions.queryparse import (
+    QueryParseError,
     apply_fields,
     parse_query,
     scored_term_keys,
@@ -741,28 +742,20 @@ _DECLARED = {
     "explain": _Op(_answer, ("query",), fan="_lookup"),
 }
 
-# the engine's statistics-injection parameters: the fleet sets them
-_INJECTED = ("global_stats", "global_df", "global_ttf")
-
-
-def _fleet_signature(fn) -> inspect.Signature:
-    """``fn``'s signature without the parameters the fleet sets itself:
-    the injected statistics and any ``_``-prefixed parameter."""
-    sig = inspect.signature(fn)
-    return sig.replace(parameters=[
-        p for p in sig.parameters.values()
-        if p.name not in _INJECTED and not p.name.startswith("_")
-    ])
-
-
 def _declared_op(name: str, op: _Op):
-    """The fleet method of ``SearchEngine.<name>``: its name, signature
-    (:func:`_fleet_signature`) and docstring.  It binds the call's
+    """The fleet method of ``SearchEngine.<name>``: its name, docstring
+    and signature, less the parameters the fleet sets itself (the
+    injected statistics and any ``_``-prefixed one).  It binds the call's
     arguments (a ``limit`` of None becomes the configured result limit),
     runs phase 1 over the declared query arguments with the call's
     synonym and dismax rewrite, fans out and applies the merge."""
     engine_fn = getattr(SearchEngine, name)
-    sig = _fleet_signature(engine_fn)
+    sig = inspect.signature(engine_fn)
+    sig = sig.replace(parameters=[
+        p for p in sig.parameters.values()
+        if p.name not in ("global_stats", "global_df", "global_ttf")
+        and not p.name.startswith("_")
+    ])
     shard_op = op.shard_op or name
     accepts = set(inspect.signature(getattr(SearchEngine, shard_op)).parameters)
 
@@ -1028,9 +1021,9 @@ class ShardedSearcherService:
         dismax ``fields``; clauses already built pass as they are) and look
         up the global statistics of their scored terms → the
         ``global_stats`` / ``global_df`` arguments of the engine's scored
-        ops.  When a rewrite fails, no statistics are injected: the engine
-        runs the same rewrite on the same arguments, so the shards then
-        raise the engine's own first error."""
+        ops.  When a query does not parse, no statistics are injected: the
+        shards then parse it themselves and raise the engine's own first
+        error."""
         sc = sanitize_collection(collection)
         keys: set[tuple[str, str]] = set()
         for q in queries:
@@ -1039,7 +1032,7 @@ class ShardedSearcherService:
                     q = rewrite_query(
                         q, self.cfg.text_column, synonyms, fields, tie_breaker
                     )
-                except Exception:
+                except QueryParseError:
                     return {}
             keys.update(scored_term_keys(q))
         stats, dfs = self._gather_global({sc: sorted(keys)})
