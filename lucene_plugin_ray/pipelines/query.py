@@ -1321,24 +1321,30 @@ def _url_order(
     ``need`` urls are sorted — never a whole constant-score match set."""
     order = np.lexsort((ids, *keys))
     n = order.size if limit is None else min(limit, order.size)
-    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    head = order[: n + 1]
+    same = None  # same[i]: rows i and i + 1 of ``head`` tie on every key
     for k in keys:
-        ks = k[order]
-        same &= ks[1:] == ks[:-1]
+        kh = k[head]
+        eq = kh[1:] == kh[:-1]
+        same = eq if same is None else same & eq
     cut = order[:0]
-    if 0 < n < order.size and same[n - 1]:
+    if n < order.size and same[n - 1]:
         # the cut splits the tied run order[a:b] (ascending scope ids)
-        starts = np.flatnonzero(~same[: n - 1]) + 1
-        a = int(starts[-1]) if starts.size else 0
-        ends = np.flatnonzero(~same[n - 1 :])
-        run = order[a : n + int(ends[0]) if ends.size else order.size]
-        member = np.searchsorted(scope.offsets, ids[run], side="right") - 1
-        first = _run_starts(member)
-        rank = np.arange(run.size) - np.repeat(
-            first, np.diff(np.append(first, run.size))
+        starts = np.flatnonzero(~same[: n - 1])
+        a = int(starts[-1]) + 1 if starts.size else 0
+        tail = order[n:]
+        tie = np.ones(tail.size, dtype=bool)
+        for k in keys:
+            tie &= k[tail] == k[order[n - 1]]
+        b = n + (int(np.argmin(tie)) if not tie.all() else tail.size)
+        run, need = order[a:b], n - a
+        # each member's rows of the run: ids ascend, members lie end to end
+        bounds = np.searchsorted(ids[run], scope.offsets[1:]).tolist()
+        bounds = [0, *bounds, run.size]
+        pick = np.concatenate(
+            [run[i : min(i + need, j)] for i, j in zip(bounds, bounds[1:])]
         )
-        run = run[rank < n - a]
-        cut = run[np.argsort(scope.urls[ids[run]], kind="stable")][: n - a]
+        cut = pick[np.argsort(scope.urls[ids[pick]], kind="stable")[:need]]
         n = a
     order, same = order[:n], same[: max(n - 1, 0)]
     if same.any():
@@ -1348,7 +1354,7 @@ def _url_order(
         run_no = np.concatenate(([0], np.cumsum(~same)))[tied]
         sub = np.lexsort((scope.urls[ids[order[tied]]], run_no))
         order[tied] = order[tied][sub]
-    return np.concatenate((order, cut))
+    return np.concatenate((order, cut)) if cut.size else order
 
 
 def _id_mask(n: int, ids: np.ndarray) -> np.ndarray:

@@ -82,7 +82,6 @@ from lucene_plugin_ray.functions.queryparse import (
     apply_fields,
     parse_query,
     scored_term_keys,
-    validate_dismax_fields,
 )
 from lucene_plugin_ray.pipelines.query import (
     _JOIN_MODES,
@@ -480,12 +479,7 @@ def sharded_search(
     stay corpus-global-exact.  ``min_should_match`` applies
     BooleanQuery.setMinimumNumberShouldMatch to every query in the batch."""
     cfg = cfg or IndexConfig(index_root=index_root)
-    if min_should_match < 0:
-        raise ValueError("min_should_match must be >= 0")
-    if fields is not None:
-        validate_dismax_fields(
-            fields, tie_breaker, {cfg.text_column, *cfg.field_columns}
-        )
+    check_query_opts(cfg, fields, tie_breaker, min_should_match)
     chain = load_manifest_chain(index_root, generation)
     gen = chain[-1].generation
     P = chain[-1].num_partitions

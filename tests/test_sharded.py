@@ -395,9 +395,12 @@ def test_sharded_dismax_matches_full_engine(ray_session, tmp_path):
         np.testing.assert_allclose(
             [s for _, _, s in got], exp["score"].to_numpy(), atol=1e-9
         )
-    # invalid fields rejected before any cluster work
+    # invalid fields, and tie_breaker without fields, rejected before any
+    # cluster work with the engine's messages
     with pytest.raises(ValueError, match="unknown dismax field"):
         sharded_search(root, q, cfg=cfg, fields={"nope": 1.0})
+    with pytest.raises(ValueError, match="tie_breaker requires fields"):
+        sharded_search(root, q, cfg=cfg, tie_breaker=0.4)
 
 
 def test_sharded_min_should_match_matches_full_engine(built):
