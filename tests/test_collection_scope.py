@@ -245,8 +245,10 @@ def test_warm_term_cached_once_under_the_scope(multigen, monkeypatch):
 def test_url_order_breaks_cross_segment_ties_by_url(engines):
     """``_url_order`` sorts scope ids by keys, then url: one numeric sort,
     with urls compared only among rows tied on every key — which, across
-    segments, scope id order does not settle."""
-    from lucene_plugin_ray.pipelines.query import _url_order
+    segments, scope id order does not settle — and, under a limit, only in
+    each member's first rows of the tied run the cut splits.  ``_top_hits``
+    breaks its ties the same way."""
+    from lucene_plugin_ray.pipelines.query import _top_hits, _url_order
 
     scope = engines["bm25"]._scope("default")
     rng = np.random.default_rng(5)
@@ -257,16 +259,9 @@ def test_url_order_breaks_cross_segment_ties_by_url(engines):
     assert [scope.urls[ids[i]] for i in got] == [scope.urls[ids[i]] for i in want]
     for limit in (1, 5, 40, 299, 400):
         assert _url_order(scope, ids, (k2, k1), limit).tolist() == want[:limit]
-
-
-def test_top_hits_cuts_constant_score_ties_like_a_full_sort(engines):
-    """Constant-score ties across members (a prefix or range clause scores
-    its whole match set alike): ``_top_hits`` sorts urls only in the tie
-    group at the cut, each member's first ``limit`` ids, and still returns
-    the rows of the full (score desc, url asc) sort."""
-    from lucene_plugin_ray.pipelines.query import _top_hits, _url_order
-
-    scope = engines["bm25"]._scope("default")
+    # constant-score ties across members (a prefix or range clause scores its
+    # whole match set alike), cut at a limit: the rows of the old full url
+    # sort, from both _url_order and _top_hits
     assert len(scope.segs) >= 9
     live = np.flatnonzero(scope.alive)
     rng = np.random.default_rng(11)
@@ -282,6 +277,7 @@ def test_top_hits_cuts_constant_score_ties_like_a_full_sort(engines):
             assert t["url"].to_pylist() == scope.urls[ids[full[:limit]]].tolist()
             assert t["score"].to_pylist() == sc[full[:limit]].tolist()
             assert t["docid"].to_pylist() == scope.docids(ids[full[:limit]]).tolist()
+
 
 # ---- aux read ops: pinned outputs ------------------------------------------
 # sha256 of each aux op's canonical output under bm25 on the multigen index,
