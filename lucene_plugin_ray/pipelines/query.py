@@ -1284,28 +1284,54 @@ class _Scope:
 
 def _top_hits(scope: _Scope, cand: np.ndarray, sc: np.ndarray, limit: int) -> pa.Table:
     """The (url, score, docid) table of the best ``limit`` candidates
-    (scope ids ``cand`` with scores ``sc``), ordered (score desc, url asc).
-    A bounded selection comes first: ``argpartition`` alone would pick an
-    ARBITRARY subset of the docs tied at the k-th score, so EVERY candidate
-    at or above it is kept and :func:`_url_order` breaks the ties.  Url
-    order is invariant under generations, partitioning and compaction,
-    unlike docids (whose ranges are per generation)."""
+    (scope ids ``cand``, ascending, with scores ``sc``), ordered (score
+    desc, url asc).  A bounded selection comes first: ``argpartition``
+    alone would pick an ARBITRARY subset of the docs tied at the k-th
+    score, so every candidate above it is kept and the tied ones the cut
+    needs are the first by url (:func:`_first_by_url`: a constant-score
+    clause ties its whole match set, and only members × ``limit`` of its
+    urls are compared).  One sort of the ``limit`` kept urls orders them.
+    Url order is invariant under generations, partitioning and
+    compaction, unlike docids (whose ranges are per generation)."""
     if cand.size == 0:
         return RESULT_SCHEMA.empty_table()
     if cand.size > limit:
         kth = np.partition(sc, sc.size - limit)[sc.size - limit]
         keep = sc >= kth
         cand, sc = cand[keep], sc[keep]
-    order = _url_order(scope, cand, (-sc,), limit)
-    sel = cand[order]
+        if cand.size > limit:  # the cut splits the candidates tied at kth
+            tied = np.flatnonzero(sc == kth)
+            keep = sc > kth
+            need = limit - (cand.size - tied.size)
+            keep[_first_by_url(scope, cand, tied, need)] = True
+            cand, sc = cand[keep], sc[keep]
+    urls = scope.urls[cand]
+    order = np.lexsort((urls, -sc))[:limit]
     return pa.table(
         {
             # from a list: pyarrow converts an object ndarray far slower
-            "url": pa.array(scope.urls[sel].tolist(), type=pa.string()),
+            "url": pa.array(urls[order].tolist(), type=pa.string()),
             "score": pa.array(sc[order], type=pa.float64()),
-            "docid": pa.array(scope.docids(sel), type=pa.int64()),
+            "docid": pa.array(scope.docids(cand[order]), type=pa.int64()),
         }
     )
+
+
+def _first_by_url(
+    scope: _Scope, ids: np.ndarray, rows: np.ndarray, need: int
+) -> np.ndarray:
+    """The ``need`` of ``rows`` (indices into ``ids``, ascending scope ids)
+    whose urls come first, in url order — the url tie-break of a tied run
+    that a cut splits.  Within a member scope id order is url order, so
+    they are among each member's first ``need`` rows: at most members ×
+    ``need`` urls are compared, whatever the run's length."""
+    # each member's rows: ids ascend, and members lie end to end
+    bounds = np.searchsorted(ids[rows], scope.offsets[1:]).tolist()
+    pick = np.concatenate([
+        rows[i : min(i + need, j)]
+        for i, j in zip([0, *bounds], [*bounds, rows.size])
+    ])
+    return pick[np.argsort(scope.urls[ids[pick]], kind="stable")[:need]]
 
 
 def _url_order(
@@ -1315,10 +1341,9 @@ def _url_order(
     order: the last key is primary) with the url-asc tiebreak last — the
     first ``limit`` of them when ``limit`` is given.  Within a member scope
     id order is url order, so one numeric lexsort settles every row but
-    ties across members, and only tied rows' urls are compared.  In a run
-    of tied rows that the ``limit`` cut splits, the ``need`` rows it keeps
-    are among the first ``need`` ids of each member, so at most members ×
-    ``need`` urls are sorted — never a whole constant-score match set."""
+    ties across members, and only tied rows' urls are compared; a tied run
+    that the ``limit`` cut splits goes through :func:`_first_by_url` — no
+    object sort over a full match set."""
     order = np.lexsort((ids, *keys))
     n = order.size if limit is None else min(limit, order.size)
     head = order[: n + 1]
@@ -1337,14 +1362,7 @@ def _url_order(
         for k in keys:
             tie &= k[tail] == k[order[n - 1]]
         b = n + (int(np.argmin(tie)) if not tie.all() else tail.size)
-        run, need = order[a:b], n - a
-        # each member's rows of the run: ids ascend, members lie end to end
-        bounds = np.searchsorted(ids[run], scope.offsets[1:]).tolist()
-        bounds = [0, *bounds, run.size]
-        pick = np.concatenate(
-            [run[i : min(i + need, j)] for i, j in zip(bounds, bounds[1:])]
-        )
-        cut = pick[np.argsort(scope.urls[ids[pick]], kind="stable")[:need]]
+        cut = _first_by_url(scope, ids, order[a:b], n - a)
         n = a
     order, same = order[:n], same[: max(n - 1, 0)]
     if same.any():
