@@ -1321,10 +1321,10 @@ def _first_by_url(
     scope: _Scope, ids: np.ndarray, rows: np.ndarray, need: int
 ) -> np.ndarray:
     """The ``need`` of ``rows`` (indices into ``ids``, ascending scope ids)
-    whose urls come first, in url order — the url tie-break of a tied run
-    that a cut splits.  Within a member scope id order is url order, so
-    they are among each member's first ``need`` rows: at most members ×
-    ``need`` urls are compared, whatever the run's length."""
+    whose urls come first, in url order — :func:`_top_hits`' tie-break of
+    the candidates tied at the k-th score.  Within a member scope id order
+    is url order, so they are among each member's first ``need`` rows: at
+    most members × ``need`` urls are compared, whatever the tie's size."""
     # each member's rows: ids ascend, and members lie end to end
     bounds = np.searchsorted(ids[rows], scope.offsets[1:]).tolist()
     pick = np.concatenate([
@@ -1334,45 +1334,27 @@ def _first_by_url(
     return pick[np.argsort(scope.urls[ids[pick]], kind="stable")[:need]]
 
 
-def _url_order(
-    scope: _Scope, ids: np.ndarray, keys: tuple, limit: int | None = None
-) -> np.ndarray:
+def _url_order(scope: _Scope, ids: np.ndarray, keys: tuple) -> np.ndarray:
     """Indices that sort scope ids ``ids`` by ``keys`` (``np.lexsort``
-    order: the last key is primary) with the url-asc tiebreak last — the
-    first ``limit`` of them when ``limit`` is given.  Within a member scope
-    id order is url order, so one numeric lexsort settles every row but
-    ties across members, and only tied rows' urls are compared; a tied run
-    that the ``limit`` cut splits goes through :func:`_first_by_url` — no
-    object sort over a full match set."""
+    order: the last key is primary) with the url-asc tiebreak last.  Within
+    a member scope id order is url order, so one numeric lexsort settles
+    every row but ties across members; only the tied rows' urls are
+    compared — no object sort over a full match set."""
     order = np.lexsort((ids, *keys))
-    n = order.size if limit is None else min(limit, order.size)
-    head = order[: n + 1]
-    same = None  # same[i]: rows i and i + 1 of ``head`` tie on every key
+    if order.size < 2:
+        return order
+    same = np.ones(order.size - 1, dtype=bool)
     for k in keys:
-        kh = k[head]
-        eq = kh[1:] == kh[:-1]
-        same = eq if same is None else same & eq
-    cut = order[:0]
-    if n < order.size and same[n - 1]:
-        # the cut splits the tied run order[a:b] (ascending scope ids)
-        starts = np.flatnonzero(~same[: n - 1])
-        a = int(starts[-1]) + 1 if starts.size else 0
-        tail = order[n:]
-        tie = np.ones(tail.size, dtype=bool)
-        for k in keys:
-            tie &= k[tail] == k[order[n - 1]]
-        b = n + (int(np.argmin(tie)) if not tie.all() else tail.size)
-        cut = _first_by_url(scope, ids, order[a:b], n - a)
-        n = a
-    order, same = order[:n], same[: max(n - 1, 0)]
+        ks = k[order]
+        same &= ks[1:] == ks[:-1]
     if same.any():
         tied = np.flatnonzero(
             np.concatenate(([False], same)) | np.concatenate((same, [False]))
         )
-        run_no = np.concatenate(([0], np.cumsum(~same)))[tied]
-        sub = np.lexsort((scope.urls[ids[order[tied]]], run_no))
+        run = np.concatenate(([0], np.cumsum(~same)))[tied]
+        sub = np.lexsort((scope.urls[ids[order[tied]]], run))
         order[tied] = order[tied][sub]
-    return np.concatenate((order, cut)) if cut.size else order
+    return order
 
 
 def _id_mask(n: int, ids: np.ndarray) -> np.ndarray:
@@ -2611,7 +2593,7 @@ class SearchEngine:
             tied = np.flatnonzero(ts == after_ts)
             keep[tied] = scope.urls[matched[tied]] > after_url
             matched, ts = matched[keep], ts[keep]
-        order = _url_order(scope, matched, (-ts if descending else ts,), limit)
+        order = _url_order(scope, matched, (-ts if descending else ts,))[:limit]
         sel = matched[order]
         return pa.table(
             {
@@ -2703,7 +2685,7 @@ class SearchEngine:
             else np.where(k >= 0, -k if d == "desc" else k, np.iinfo(np.int64).max)
             for (_, d), k, num in zip(fields, keys, numeric)
         ]
-        order = _url_order(scope, matched, tuple(reversed(sort_cols)), limit)
+        order = _url_order(scope, matched, tuple(reversed(sort_cols)))[:limit]
         sel = matched[order]
         return pa.table(
             {

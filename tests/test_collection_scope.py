@@ -245,9 +245,8 @@ def test_warm_term_cached_once_under_the_scope(multigen, monkeypatch):
 def test_url_order_breaks_cross_segment_ties_by_url(engines):
     """``_url_order`` sorts scope ids by keys, then url: one numeric sort,
     with urls compared only among rows tied on every key — which, across
-    segments, scope id order does not settle — and, under a limit, only in
-    each member's first rows of the tied run the cut splits.  ``_top_hits``
-    breaks its ties the same way."""
+    segments, scope id order does not settle.  ``_top_hits`` compares urls
+    only among each member's first rows of the tie its cut splits."""
     from lucene_plugin_ray.pipelines.query import _top_hits, _url_order
 
     scope = engines["bm25"]._scope("default")
@@ -257,8 +256,6 @@ def test_url_order_breaks_cross_segment_ties_by_url(engines):
     got = _url_order(scope, ids, (k2, k1))
     want = sorted(range(ids.size), key=lambda i: (k1[i], k2[i], scope.urls[ids[i]]))
     assert [scope.urls[ids[i]] for i in got] == [scope.urls[ids[i]] for i in want]
-    for limit in (1, 5, 40, 299, 400):
-        assert _url_order(scope, ids, (k2, k1), limit).tolist() == want[:limit]
     # constant-score ties across members (a prefix or range clause scores its
     # whole match set alike), cut at a limit: the rows of the old full url
     # sort, from both _url_order and _top_hits
@@ -271,7 +268,7 @@ def test_url_order_breaks_cross_segment_ties_by_url(engines):
         sc = np.asarray(levels)[rng.integers(0, len(levels), n)]
         full = np.lexsort((scope.urls[ids], -sc))  # the full url sort
         for limit in (1, 3, 10, 64, n - 1, n, n + 5):
-            got = _url_order(scope, ids, (-sc,), limit)
+            got = _url_order(scope, ids, (-sc,))[:limit]
             assert got.tolist() == full[:limit].tolist(), (n, levels, limit)
             t = _top_hits(scope, ids, sc, limit)
             assert t["url"].to_pylist() == scope.urls[ids[full[:limit]]].tolist()
