@@ -38,10 +38,10 @@ row of ``_DECLARED`` names the engine op, its merge (a plain function of the
 shards' answers and the bound arguments, with its exactness argument beside
 it) and the query arguments phase 1 scores, and ``_declared_ops`` generates
 the method with the engine op's name, signature and docstring.  So the
-fleet's signatures cannot drift from the engine's.  ``search`` is declared
-too; it runs on the score path of ``search_batch``.  Ops that need more
-than one fan-out or a driver-side protocol stay written by hand:
-``top_terms`` (TPUT rounds), ``classify`` and ``classify_knn``,
+fleet's signatures cannot drift from the engine's (a test compares every
+fleet method's signature with the engine op's).  Ops that need more than
+one fan-out or a driver-side protocol stay written by hand: ``search``
+(``search_batch``'s score path for one query), ``top_terms`` (TPUT rounds), ``classify`` and ``classify_knn``,
 ``drill_sideways``, ``search_grouped`` (uncut groups), ``rescore`` (a
 first-pass window), the joins and block joins (a from-side fold, then a
 to-side cut), the ops that build their own clauses (surround, common
@@ -688,9 +688,8 @@ def _diversified(parts: list, a: dict) -> pa.Table:
 
 
 def _answer(answer, a: dict):
-    """The fan-out's answer as it is: the owning shard's (a live url lives
-    on exactly one shard), or the score path's, which ``_rank_cut``
-    already merged."""
+    """The owning shard's answer as it is: a live url lives on exactly one
+    shard."""
     return answer
 
 
@@ -701,8 +700,8 @@ class _Op(NamedTuple):
     # the query arguments phase 1 scores: their global statistics are
     # injected into the shards' op
     scores: tuple[str, ...] = ()
-    # the service method that fans out: ``_fan`` (every shard), ``_lookup``
-    # (the shard owning ``url``) or ``_score`` (``search_batch``'s path)
+    # the service method that fans out: ``_fan`` (every shard) or ``_lookup``
+    # (the shard owning ``url``)
     fan: str = "_fan"
     # the engine op the shards run, when it is not the op itself
     shard_op: str | None = None
@@ -712,7 +711,6 @@ class _Op(NamedTuple):
 
 
 _DECLARED = {
-    "search": _Op(_answer, fan="_score"),
     "count": _Op(_total),
     "facets": _Op(_facet_counts),
     "facets_taxonomy": _Op(_taxonomy, shard_op="facets_taxonomy_counts"),
@@ -869,12 +867,12 @@ class ShardedSearcherService:
     ``_sum_by_key`` for counts), and the checks of arguments that no shard
     receives.  Each merge's exactness argument sits beside it.
 
-    The ops with one fan-out and one merge (``search``, ``count``, the
-    facets, the completions, the sorted and scored hit ops,
+    The ops with one fan-out and one merge (``count``, the facets, the completions, the sorted and scored hit ops,
     ``term_vector`` and ``explain``) are generated from ``_DECLARED`` with
     the signature and docstring of the ``SearchEngine`` op of the same
     name, less the injected statistics; the methods written out below
-    each need more than one fan-out or a protocol of their own.
+    each need more than one fan-out or a protocol of their own
+    (``search`` runs ``search_batch``'s score path).
 
     The shards are doc-disjoint and pinned to one generation, so the
     fleet's statistics are a constant of the service: the first scored op
@@ -1075,17 +1073,26 @@ class ShardedSearcherService:
             {sanitize_collection(collection): inj["global_df"]},
         ).select(["url", "score", "docid"])
 
-    def _score(
-        self, op: str, query: str, collection: str, limit: int, method: str,
-        synonyms: dict[str, list[str]] | None, fields: dict[str, float] | None,
-        tie_breaker: float, min_should_match: int,
+    # ---- ops written by hand: the score path, more than one fan-out, or a
+    # driver-side protocol
+    def search(
+        self,
+        query: str,
+        collection: str = "default",
+        limit: int | None = None,
+        method: str = "auto",
+        synonyms: dict[str, list[str]] | None = None,
+        fields: dict[str, float] | None = None,
+        tie_breaker: float = 0.0,
+        min_should_match: int = 0,
     ) -> pa.Table:
-        """``op`` (``search``) on the score path, ``search_batch``'s
+        """``SearchEngine.search`` on the score path, ``search_batch``'s
         protocol for one query: the engine's checks in its order, then the
         rewritten clauses' phase 1 and one ``score`` call per shard
         (``search_partial`` with the injected statistics), merged by
         :func:`_rank_cut`.  The driver raises the engine's errors itself:
         the shards never see ``fields`` or the query string."""
+        limit = limit if limit is not None else self.cfg.result_limit
         if limit < 1:
             raise ValueError("limit must be positive")
         check_query_opts(self.cfg, fields, tie_breaker, min_should_match)
@@ -1097,7 +1104,6 @@ class ShardedSearcherService:
             min_should_match=min_should_match,
         )
 
-    # ---- ops with more than one fan-out, or a driver-side protocol ---------
     def top_terms(
         self,
         field: str | None = None,
