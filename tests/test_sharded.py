@@ -600,3 +600,41 @@ def test_df_table_over_the_bound_gathers_per_batch(built, monkeypatch):
         assert [name for name, _ in log] == ["stats_and_dfs"] * 2 + ["score"] * 2
     finally:
         svc.shutdown()
+
+
+@pytest.mark.parametrize("bound", [None, 0])
+def test_fleet_load_builds_each_df_table_once(built, monkeypatch, bound):
+    """Loading the fleet's statistics builds each shard's df table once:
+    ``df_table_nbytes`` builds and keeps it, ``take_df_table`` ships or
+    drops that copy — under the byte bound and over it."""
+    import ray
+
+    from lucene_plugin_ray.pipelines import sharded
+
+    class Counting(sharded._ShardActor.__ray_actor_class__):
+        """A shard actor that counts its engine's df-table builds."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.builds, build = 0, self.engine.local_df_table
+
+            def counted():
+                self.builds += 1
+                return build()
+
+            self.engine.local_df_table = counted
+
+        def df_builds(self) -> int:
+            return self.builds
+
+    monkeypatch.setattr(sharded, "_ShardActor", ray.remote(Counting))
+    if bound is not None:
+        monkeypatch.setattr(sharded, "DF_TABLE_MAX_BYTES", bound)
+    root, cfg, _ = built
+    svc = sharded.ShardedSearcherService(root, cfg=cfg, num_shards=3)
+    try:
+        svc.search_batch(_query_table())  # loads the statistics
+        assert (svc._fleet_stats[1] is None) == (bound == 0)
+        assert ray.get([a.df_builds.remote() for a in svc.actors]) == [1] * 3
+    finally:
+        svc.shutdown()
