@@ -970,6 +970,60 @@ def test_explain_on_expansion_clauses_equals_oracle(engines, multigen):
         assert hit or q.startswith("zzzq")
 
 
+# sha256 of every explain dict test_explain_and_count_pinned draws, per sim
+EXPLAIN_PINS = {
+    "bm25": "588fb53a2007dc43a1f99da4c0cd13f51dbdd55a7ba2a60cf4d636106b822be0",
+    "classic": "8d1f5ea4b249835d7d1635c5754aaec8b164dc90e3bf433c5c6f88f0e44ea49f",
+    "lmdirichlet": "b9eb33c99cbc21294c0c61a3a93d1d365d9052e4605e7dabf396748aa9af2738",
+}
+
+
+def _explained(eng, q) -> list[dict]:
+    """``explain`` of ``q`` for its top 5 hits (each equal to its search
+    score bit for bit) and 2 live non-hits: among the first 60 in url
+    order, those that fail a MUST clause while matching another clause —
+    or, for a query without a MUST, that match any clause (a MUST_NOT
+    hit) — before the others."""
+    hits = eng.search(q, limit=10**9)
+    out = []
+    for url, score in zip(hits["url"].to_pylist()[:5], hits["score"].to_pylist()):
+        ex = eng.explain(q, url)
+        assert ex["matched"] and ex["score"] == score, (q, url)
+        out.append(ex)
+    scope = eng._scope("default")
+    matched = set(hits["url"].to_pylist())
+    has_must = any(c.occur == MUST for c in parse_query(q))
+    misses = [u for u in sorted(scope.urls[scope.alive].tolist()) if u not in matched]
+    picked, rest = [], []
+    for url in misses[:60]:
+        ex = eng.explain(q, url)
+        assert not ex["matched"] and ex["score"] == 0.0, (q, url)
+        rows = ex["clauses"]
+        if any(r["tf"] for r in rows) and (not has_must or any(
+            r["occur"] == MUST and not r["tf"] for r in rows
+        )):
+            picked.append(ex)
+        else:
+            rest.append(ex)
+    return out + (picked + rest)[:2]
+
+
+@pytest.mark.parametrize("sim", SIMS)
+def test_explain_and_count_pinned(engines, sim):
+    """``explain`` over every ``QUERIES`` entry it takes (MUST_NOT, nested
+    groups, slop, prefix / wildcard / fuzzy, ranges, ``*:*``): the dicts of
+    each query's top 5 hits and of 2 live non-hits are pinned by digest,
+    and a hit's explained score is its search score bit for bit.  ``count``
+    equals the size of ``search``'s full match set for every entry."""
+    eng = engines[sim]
+    dicts = [(q, _explained(eng, q)) for q, kw in QUERIES if not kw]
+    assert sum(len(d) for _, d in dicts) == 138
+    assert _digest(dicts) == EXPLAIN_PINS[sim]
+    for q, kw in QUERIES:
+        ckw = {k: v for k, v in kw.items() if k != "tie_breaker"}
+        assert eng.count(q, **ckw) == eng.search(q, limit=10**9, **kw).num_rows, q
+
+
 @pytest.fixture(scope="module")
 def fleets(multigen):
     from lucene_plugin_ray.pipelines.sharded import ShardedSearcherService
