@@ -1087,7 +1087,8 @@ class _TermDictionary:
         present = [v for _, v in vocabs if v.size]
         if len(present) == 1:
             # one member's field vocabulary is already sorted and distinct:
-            # explain's one-member scopes build their dictionary per call
+            # a field only one member holds (each 1-partition shard's
+            # df-table load) needs no merge
             self.terms, inv = present[0], np.arange(present[0].size, dtype=np.int64)
         elif present:
             self.terms, inv = np.unique(np.concatenate(present), return_inverse=True)
@@ -1384,6 +1385,57 @@ def _decoded_term_keys(clauses) -> set[tuple[str, str]]:
     return out
 
 
+def _explain_row(c: Clause, got, doc: int, global_df: dict, n_docs: int) -> dict:
+    """One top-level clause's row of :meth:`SearchEngine.explain`, read
+    off its :meth:`SearchEngine._eval_clause` result ``got`` at scope id
+    ``doc``: whether it matched, the frequency its similarity saw there
+    (tf, or a phrase's freq — a float Σ 1/(1+d) under slop) and the weight
+    it added to the doc's score (0 for a MUST_NOT clause, which
+    :meth:`SearchEngine._eval_boolean` evaluates score-free)."""
+    hit, weight, freq = False, 0.0, 0
+    if got is not None:
+        ids, contrib, freqs = got
+        j = int(np.searchsorted(ids, doc))
+        hit = j < ids.size and ids[j] == doc
+        if hit and contrib is not None:
+            weight = float(contrib[j] if isinstance(contrib, np.ndarray) else contrib)
+        if hit and freqs is not None:
+            freq = freqs[j]
+    df = w = None
+    tf = int(hit)
+    if isinstance(c, MatchAllClause):
+        kind, detail = "match_all", "*:*"
+    elif isinstance(c, TermClause):
+        kind, detail = "term", c.term
+        df = global_df[(c.field, c.term)]
+        tf, w = int(freq), idf(df, n_docs) if df else 0.0
+    elif isinstance(c, PhraseClause):
+        kind = "phrase"
+        detail = " ".join(c.terms) + (f"~{c.slop}" if c.slop else "")
+        tf = float(freq) if c.slop else int(freq)
+        w = sum(
+            idf(global_df.get((c.field, t), 0), n_docs)
+            for t in c.terms
+            if global_df.get((c.field, t), 0) > 0
+        )
+    elif isinstance(c, GroupClause):
+        kind, detail = "group", f"({len(c.clauses)} clauses)"
+    elif isinstance(c, RangeClause):
+        kind = "range"
+        detail = (
+            ("[" if c.lo_inc else "{")
+            + f"{c.lo if c.lo is not None else '*'} TO "
+            + f"{c.hi if c.hi is not None else '*'}"
+            + ("]" if c.hi_inc else "}")
+        )
+    else:
+        assert isinstance(c, MultiTermClause)
+        kind, detail = c.kind, c.pattern
+    return {"kind": kind, "occur": c.occur, "field": getattr(c, "field", None),
+            "detail": detail, "df": df, "tf": tf, "idf": w, "boost": c.boost,
+            "weight": weight}
+
+
 class SearchEngine:
     """In-process query engine over an index root (one per generation pin).
 
@@ -1397,20 +1449,22 @@ class SearchEngine:
     :class:`_Scope`, built on the collection's first query and kept for the
     engine's life.  ``search`` and the scored aux ops (paging, function /
     expression / boosting / filtered / diversified / grouped search,
-    rescore, field sorts, joins) make one :meth:`_eval_boolean` pass with
-    one accumulator and one cut under the total order; the counting ops
-    (count, facets, histograms, drill-sideways, classification) make one
-    :meth:`_match_segment` pass and read metadata fields through the
-    scope's :class:`_FieldColumn`.  The vocabulary ops (``suggest``,
-    ``complete``, ``complete_infix``, ``top_terms``, ``text_vocab_*``,
-    ``index_stats``) and multi-term expansion (prefix / wildcard / regexp
-    / fuzzy clauses, :meth:`_expand_rows`) read the scope's per-field
+    rescore, field sorts, joins) and ``explain`` make one
+    :meth:`_eval_boolean` pass with one accumulator and one cut under the
+    total order; the counting ops (count, facets, histograms,
+    drill-sideways, classification) make one pass of its score-free mode
+    and read metadata fields through the scope's :class:`_FieldColumn`.
+    :meth:`_eval_boolean` is the only code that combines boolean clauses.
+    The vocabulary ops (``suggest``, ``complete``, ``complete_infix``,
+    ``top_terms``, ``text_vocab_*``, ``index_stats``) and multi-term
+    expansion (prefix / wildcard / regexp / fuzzy clauses,
+    :meth:`_expand_rows`) read the scope's per-field
     :class:`_TermDictionary`, whose members' dictionaries are merged once;
     term and range lookups stay per member.  What still loops over
-    segments: ``term_vector`` and ``explain`` (per-document lookups in the
-    doc's own segment), and the block-max executors (``bmax``/``bmw``),
-    whose pruning reads each segment's stored per-block bounds and block
-    layout, which do not concatenate.
+    segments: ``term_vector`` (a per-document lookup in the doc's own
+    segment), and the block-max executors (``bmax``/``bmw``), whose
+    pruning reads each segment's stored per-block bounds and block layout,
+    which do not concatenate.
     """
 
     def __init__(
@@ -1537,6 +1591,19 @@ class SearchEngine:
             sc = self._scopes[coll] = _Scope(self._segments[coll])
         return sc
 
+    def _live_doc(self, coll: str, collection: str, url: str) -> tuple[int, int]:
+        """(member index into the collection's segments — its scope's
+        members —, member-local doc) of ``url``'s live copy; KeyError when
+        no copy is live."""
+        for si, seg in enumerate(self._segments.get(coll, [])):
+            r = seg.reader
+            i = int(np.searchsorted(r.urls, url))
+            if i < r.n_docs and r.urls[i] == url and (
+                seg.all_alive or seg.alive[i]
+            ):
+                return si, i
+        raise KeyError(f"url {url!r} not live in collection {collection!r}")
+
     def _dictionary(self, coll: str, field: str) -> _TermDictionary:
         """The collection scope's dictionary of ``field`` (an empty one for
         a collection without live segments)."""
@@ -1582,12 +1649,13 @@ class SearchEngine:
         self, coll: str, clauses: list[Clause], min_should: int = 0
     ) -> "tuple[_Scope, np.ndarray] | None":
         """The counting ops' one pass: (collection scope, sorted scope ids
-        matching ``clauses``) from the score-free :meth:`_match_segment`;
+        matching ``clauses``) from :meth:`_eval_boolean`'s score-free mode;
         None when the collection has no live segment."""
         if not self._segments.get(coll):
             return None
         scope = self._scope(coll)
-        return scope, self._match_segment(scope, clauses, {}, min_should)
+        matched = self._eval_boolean(scope, clauses, {}, min_should=min_should)[1]
+        return scope, np.flatnonzero(matched)
 
     # ------------------------------------------------------------------
     def search(
@@ -1836,7 +1904,7 @@ class SearchEngine:
             return RESULT_SCHEMA.empty_table()
         scope, scores, cand = got
         final = scores[cand]
-        final[_in_sorted(cand, self._match_segment(scope, nclauses, {}))] *= demote
+        final[self._eval_boolean(scope, nclauses, {})[1][cand]] *= demote
         return _top_hits(scope, cand, final, limit)
 
     def search_surround(
@@ -2060,7 +2128,7 @@ class SearchEngine:
         contributing idf/tf (Lucene's non-scoring FILTER occur; the 5.2.1
         line the reference ships still spells it QueryWrapperFilter).
 
-        The score-free :meth:`_match_segment` evaluates the filter
+        :meth:`_eval_boolean`'s score-free mode evaluates the filter
         (posting decode, zero scoring work), the TAAT kernel scores the
         query's FULL match set, and a sorted-membership gather keeps only
         filtered docs BEFORE the top-``limit`` cut under the (score desc,
@@ -2271,7 +2339,7 @@ class SearchEngine:
         it.
 
         Matching uses the search path's boolean semantics (all MUSTs, else
-        any SHOULD) via :meth:`_match_segment`; counting is one bincount of
+        any SHOULD) via :meth:`_match`; counting is one bincount of
         the field's postings (:class:`_FieldColumn`) restricted to the
         match set — facet fields are low-cardinality metadata (lang,
         source), never corpus text.  Returns (value, count), ordered
@@ -2415,10 +2483,10 @@ class SearchEngine:
         would answer null — this engine reconstructs the vector from the
         INVERTED index instead of a stored forward sidecar).
 
-        Locates the url's live doc (same probe as :meth:`explain` — raises
-        KeyError when not live), then gathers its rows with ONE contiguous
-        bulk varint decode over the field's dictionary sub-region of the
-        doc's OWN segment (SegmentReader.field_postings) and a vectorized
+        Locates the url's live doc (:meth:`_live_doc`, the probe
+        :meth:`explain` shares — raises KeyError when not live), then
+        gathers its rows with ONE contiguous bulk varint decode over the
+        field's dictionary sub-region of the doc's OWN segment (SegmentReader.field_postings) and a vectorized
         docid mask — cost bounded by that segment's field postings (1/P of
         one generation), never the corpus, with zero per-term Python in the
         gather.
@@ -2436,20 +2504,8 @@ class SearchEngine:
             raise ValueError(
                 f"field {field!r} is not analyzed (have: {sorted(valid)})"
             )
-        segs = self._segments.get(coll, [])
-        hit = None
-        for si, seg in enumerate(segs):
-            r = seg.reader
-            i = int(np.searchsorted(r.urls, url))
-            if i < r.n_docs and r.urls[i] == url and (
-                seg.all_alive or seg.alive[i]
-            ):
-                hit = (seg, i)
-                break
-        if hit is None:
-            raise KeyError(f"url {url!r} not live in collection {collection!r}")
-        seg, local_doc = hit
-        r = seg.reader
+        si, local_doc = self._live_doc(coll, collection, url)
+        r = self._segments[coll][si].reader
         want_pos = bool(with_positions) and r.has_positions
         if r.has_tv:
             # forward sidecar fast path (IndexConfig.store_term_vectors):
@@ -2514,7 +2570,7 @@ class SearchEngine:
     ) -> int:
         """Total number of live documents matching the query — Lucene
         IndexSearcher.count(Query): boolean matching only, no scores, no
-        top-k heap.  One score-free :meth:`_match_segment` over the
+        top-k heap.  One score-free :meth:`_eval_boolean` over the
         collection scope, so the cost is posting decode with zero per-doc
         scoring work.  ``fields`` applies the dismax multi-field rewrite
         (tie is score-only, irrelevant to matching).
@@ -2891,7 +2947,7 @@ class SearchEngine:
         ``value_source``: 'doc_len' (analyzed token count of the text
         field — the engine's exact |D|) or 'warc_ts' (stored epoch-µs).
         Matching and membership are exactly the facets path (boolean
-        `_match_segment` + the field's postings restricted to the match
+        :meth:`_match` + the field's postings restricted to the match
         set); each value's run folds with integer reduceats, so sharded
         partials merge without float drift.  Returns
         (value, count, vmin, vmax, vsum), ordered value asc.  An unknown
@@ -3080,7 +3136,7 @@ class SearchEngine:
                 return {}
             (scope, cand), scores = got, None
         if rclauses is not None:
-            cand = cand[_in_sorted(cand, self._match_segment(scope, rclauses, {}))]
+            cand = cand[self._eval_boolean(scope, rclauses, {})[1][cand]]
         col = scope.field(from_field)
         codes, ids = col.within(_id_mask(scope.n, cand))
         if codes.size == 0:
@@ -3165,7 +3221,7 @@ class SearchEngine:
         scope = self._scope(coll)
         keep = scope.alive.copy()
         for cl, keep_hits in filters:
-            hits = _id_mask(scope.n, self._match_segment(scope, cl, {}))
+            hits = self._eval_boolean(scope, cl, {})[1]
             keep &= hits if keep_hits else ~hits
         col = scope.field(to_field)
         code_score = np.full(col.vocab.size, np.nan)
@@ -3257,8 +3313,7 @@ class SearchEngine:
         if got is None or got[1].size == 0:
             return 0
         scope, ma = got
-        mb = self._match_segment(scope, cb, {})
-        return int(np.count_nonzero(_in_sorted(ma, mb)))
+        return int(np.count_nonzero(self._eval_boolean(scope, cb, {})[1][ma]))
 
     def block_join_parents(
         self,
@@ -3433,15 +3488,16 @@ class SearchEngine:
         if got is None or got[1].size == 0:
             return counts
         scope, base = got
-        fsets = {
-            f: self._match_segment(scope, cl, {})
+        fmasks = {
+            f: self._eval_boolean(scope, cl, {})[1]
             for f, cl in dim_clauses.items()
         }
         for f in dim_clauses:
-            side = base
-            for other, fs in fsets.items():
+            keep = np.ones(base.size, dtype=bool)
+            for other, m in fmasks.items():
                 if other != f:
-                    side = np.intersect1d(side, fs, assume_unique=True)
+                    keep &= m[base]
+            side = base[keep]
             if side.size:
                 counts[f] = self._value_counts(scope, f, side)
         return counts
@@ -3763,7 +3819,7 @@ class SearchEngine:
         """Time-bucketed hit counts over ALL matching docs (the
         date_histogram aggregation of search UIs): bucket =
         floor(warc_ts / interval) · interval, counted over the collection
-        scope.  Matching reuses the score-free :meth:`_match_segment`;
+        scope.  Matching reuses the score-free :meth:`_match`;
         bucketing is one integer divide + unique count.  Returns
         (bucket_start_us, count) sorted by bucket."""
         if interval_us <= 0:
@@ -3865,281 +3921,41 @@ class SearchEngine:
     ) -> dict:
         """Score breakdown for one (query, document) pair — Lucene
         IndexSearcher.explain(Query, doc): per-clause df / tf / idf /
-        contribution using exactly the scoring path's arithmetic, so
-        ``sum(clause weights) == search() score`` bit-for-bit when the doc
-        matches.  ``matched`` is False when the doc fails a MUST clause (or
-        hits nothing); the per-clause rows still show what each clause saw.
-        Raises KeyError for a url not live in the collection.
-        ``global_stats``/``global_df``: injected corpus-global statistics
-        — the sharded path (search_partial's contract), so a shard-local
-        explain reports the same numbers the fleet-wide search used."""
+        contribution read off the one :meth:`_eval_boolean` pass that
+        scores ``search()`` over the collection scope, so ``sum(clause
+        weights) == search() score`` bit-for-bit when the doc matches.
+        ``matched`` is False when the doc fails a MUST clause (or hits
+        nothing); the per-clause rows still show what each clause saw, and
+        a MUST_NOT row weighs 0.  Raises KeyError for a url not live in the
+        collection.  ``global_stats``/``global_df``/``global_ttf``: injected
+        corpus-global statistics — the sharded path (search_partial's
+        contract), so a shard-local explain reports the same numbers the
+        fleet-wide search used."""
         coll = sanitize_collection(collection)
         clauses = parse_query(query, default_field=self.cfg.text_column)
-        segs = self._segments.get(coll, [])
-        hit = None
-        for si, seg in enumerate(segs):
-            r = seg.reader
-            i = int(np.searchsorted(r.urls, url))
-            if i < r.n_docs and r.urls[i] == url and (
-                seg.all_alive or seg.alive[i]
-            ):
-                hit = (si, seg, i)
-                break
-        if hit is None:
-            raise KeyError(f"url {url!r} not live in collection {collection!r}")
-        si, seg, local_doc = hit
-        r = seg.reader
-        one = _Scope([seg])
+        si, local = self._live_doc(coll, collection, url)
+        scope = self._scope(coll)
+        doc = scope.offsets[si] + local
         n_docs, avgdl = self._stats(coll, global_stats)
-
-        if global_df is None:
-            # global df: the alive-masked cross-segment walk local_term_dfs
-            # already implements (one definition — explain cannot drift
-            # from search scores)
-            global_df = self.local_term_dfs(coll, scored_term_keys(clauses))
-        if self.sim.needs_ttf and global_ttf is None:
-            global_ttf = self.local_term_ttfs(coll, scored_term_keys(clauses))
-        gttf = global_ttf or {}
-
-        def _tf_of(local: np.ndarray, tfs: np.ndarray) -> float:
-            # float: sloppy-phrase freqs (Q14) are Σ 1/(1+d) weights
-            j = int(np.searchsorted(local, local_doc))
-            return float(tfs[j]) if j < local.size and local[j] == local_doc else 0.0
-
-        def _term_weight(field: str, term: str, df: int, tf: float) -> float:
-            # one posting scored through the engine's similarity — the
-            # scoring path's arithmetic exactly (sum(weights) == search())
-            if tf == 0 or df == 0:
-                return 0.0
-            dl = r.doc_len[field][local_doc : local_doc + 1]
-            return float(
-                self.sim.scorer(
-                    df, gttf.get((field, term), 0),
-                    n_docs, avgdl.get(field, 1.0),
-                )(np.asarray([tf]), dl)[0]
-            )
-
-        def _phrase_weight(c: PhraseClause, pf: float) -> float:
-            if pf == 0:
-                return 0.0
-            dl = r.doc_len[c.field][local_doc : local_doc + 1]
-            return float(
-                self.sim.phrase_scorer(
-                    [global_df.get((c.field, t), 0) for t in c.terms],
-                    sum(gttf.get((c.field, t), 0) for t in c.terms),
-                    n_docs, avgdl.get(c.field, 1.0),
-                )(np.asarray([pf]), dl)[0]
-            )
-
-        rows: list[dict] = []
-        must_ok = True
-        prohibited_hit = False
-        any_should_matched = False
-        score = 0.0
-        for c in clauses:
-            if isinstance(c, MatchAllClause):
-                # *:* matches every live doc at constant score = boost
-                rows.append(
-                    {"kind": "match_all", "occur": c.occur, "field": None,
-                     "detail": "*:*", "df": None, "tf": 1, "idf": None,
-                     "boost": c.boost, "weight": c.boost}
-                )
-                matched = True
-                weight = c.boost
-            elif isinstance(c, TermClause):
-                df = global_df[(c.field, c.term)]
-                got = (
-                    self._term_postings(one, c.field, c.term, {})
-                    if df and r.doc_len.get(c.field) is not None
-                    else None
-                )
-                tf = int(_tf_of(*got)) if got is not None else 0
-                w = idf(df, n_docs) if df else 0.0
-                weight = _term_weight(c.field, c.term, df, tf)
-                if c.boost != 1.0:
-                    weight = weight * c.boost
-                rows.append(
-                    {"kind": "term", "occur": c.occur, "field": c.field,
-                     "detail": c.term, "df": df, "tf": tf,
-                     "idf": w, "boost": c.boost, "weight": weight}
-                )
-                matched = tf > 0
-            elif isinstance(c, PhraseClause):
-                got = (
-                    self._phrase_postings(seg, c)
-                    if r.doc_len.get(c.field) is not None
-                    else None
-                )
-                pf = _tf_of(got[0], got[1]) if got is not None else 0.0
-                w = sum(
-                    idf(global_df.get((c.field, t), 0), n_docs)
-                    for t in c.terms
-                    if global_df.get((c.field, t), 0) > 0
-                )
-                weight = _phrase_weight(c, pf)
-                if c.boost != 1.0:
-                    weight = weight * c.boost
-                detail = " ".join(c.terms) + (f"~{c.slop}" if c.slop else "")
-                rows.append(
-                    {"kind": "phrase", "occur": c.occur, "field": c.field,
-                     "detail": detail, "df": None,
-                     "tf": pf if c.slop else int(pf),
-                     "idf": w, "boost": c.boost, "weight": weight}
-                )
-                matched = pf > 0
-            elif isinstance(c, GroupClause):
-                g_scores, g_match = self._eval_boolean(
-                    one, list(c.clauses), {}, global_df,
-                    n_docs, avgdl, global_ttf=gttf,
-                )
-                matched = bool(g_match[local_doc])
-                weight = (
-                    float(g_scores[local_doc] * c.boost) if matched else 0.0
-                )
-                rows.append(
-                    {"kind": "group", "occur": c.occur, "field": None,
-                     "detail": f"({len(c.clauses)} clauses)", "df": None,
-                     "tf": int(matched), "idf": None, "boost": c.boost,
-                     "weight": weight}
-                )
-            else:
-                if isinstance(c, RangeClause):
-                    erows = r.term_range(
-                        c.field, c.lo, c.hi, c.lo_inc, c.hi_inc
-                    )
-                    kind = "range"
-                    detail = (
-                        ("[" if c.lo_inc else "{")
-                        + f"{c.lo if c.lo is not None else '*'} TO "
-                        + f"{c.hi if c.hi is not None else '*'}"
-                        + ("]" if c.hi_inc else "}")
-                    )
-                else:
-                    assert isinstance(c, MultiTermClause)
-                    # this member's rows of the collection scope's expansion
-                    scope = self._scope(coll)
-                    codes = self._expand_rows(scope, c)
-                    erows = scope.dictionary(c.field).member_rows(codes)[si][1]
-                    kind, detail = c.kind, c.pattern
-                matched = bool(
-                    (r.local_ids(r.docids_many(erows)) == local_doc).any()
-                )
-                weight = c.boost if matched else 0.0
-                rows.append(
-                    {"kind": kind, "occur": c.occur, "field": c.field,
-                     "detail": detail, "df": None, "tf": int(matched),
-                     "idf": None, "boost": c.boost, "weight": weight}
-                )
-            if c.occur == MUST_NOT:
-                # prohibited: reported as seen, but contributes no score
-                rows[-1]["weight"] = 0.0
-                if matched:
-                    prohibited_hit = True
-                continue
-            score += weight
-            if c.occur == MUST and not matched:
-                must_ok = False
-            if c.occur == SHOULD and matched:
-                any_should_matched = True
-        has_must = any(c.occur == MUST for c in clauses)
-        if has_must:
-            positive = must_ok
-        elif not self.sim.positive:
-            # the scoring path's explicit match set: a clamped-to-0 doc
-            # (lmdirichlet) still matches — score > 0 would disagree with
-            # search()'s result rows
-            positive = any_should_matched
-        else:
-            positive = score > 0.0
-        overall = positive and not prohibited_hit
+        cache, df, ttf = self._phase1_df(clauses, [scope], global_df, global_ttf)
+        parts: list = []
+        scores, matched = self._eval_boolean(
+            scope, clauses, cache, df, n_docs, avgdl, global_ttf=ttf,
+            parts=parts,
+        )
+        ok = bool(matched[doc])
         return {
             "url": url,
-            "docid": int(r.doc_base + local_doc),
+            "docid": int(scope.docids(doc)),
             "collection": collection,
-            "matched": bool(overall),
-            "score": score if overall else 0.0,
+            "matched": ok,
+            "score": float(scores[doc]) if ok else 0.0,
             "n_docs": int(n_docs),
-            "clauses": rows,
+            "clauses": [
+                _explain_row(c, got, doc, df, n_docs)
+                for c, got in zip(clauses, parts)
+            ],
         }
-
-    def _clause_match_local(
-        self, scope: _Scope, c: Clause, cache: dict
-    ) -> np.ndarray:
-        """Sorted scope ids ONE clause matches — alive-masked, with the
-        scoring path's doc_len guard.  The shared boolean kernel of
-        :meth:`_match_segment` and the MUST_NOT handling in
-        :meth:`_eval_boolean`."""
-        empty = np.empty(0, np.int64)
-        if isinstance(c, MatchAllClause):
-            # *:* — every live doc in the scope
-            if scope.all_alive:
-                return np.arange(scope.n, dtype=np.int64)
-            return np.flatnonzero(scope.alive).astype(np.int64, copy=False)
-        if isinstance(c, (RangeClause, MultiTermClause)):
-            return np.flatnonzero(self._constant_mask(scope, c))
-        if isinstance(c, GroupClause):
-            # a group matches per its inner boolean semantics (recursion)
-            return self._match_segment(scope, list(c.clauses), cache)
-        if isinstance(c, DisMaxClause):
-            # DisMax matches when ANY leg matches (union)
-            m = np.zeros(scope.n, dtype=bool)
-            for leg in c.clauses:
-                m[self._clause_match_local(scope, leg, cache)] = True
-            return np.flatnonzero(m)
-        if scope.doc_len.get(c.field) is None:
-            return empty
-        if isinstance(c, TermClause):
-            got = self._term_postings(scope, c.field, c.term, cache)
-            return got[0] if got is not None else empty
-        if isinstance(c, (PhraseClause, SpanClause)):
-            got = self._scope_positional(scope, c)
-            return got[0] if got is not None else empty
-        assert isinstance(c, SynonymClause)
-        m = np.zeros(scope.n, dtype=bool)
-        for t in c.terms:
-            got = self._term_postings(scope, c.field, t, cache)
-            if got is not None:
-                m[got[0]] = True
-        return np.flatnonzero(m)
-
-    def _match_segment(
-        self, scope: _Scope, clauses: list[Clause], cache: dict,
-        min_should: int = 0,
-    ) -> np.ndarray:
-        """Sorted scope ids matching the boolean semantics of the scoring
-        path (all MUST clauses; else at least one SHOULD; never a MUST_NOT
-        match) — the score-free twin of :meth:`_eval_boolean`, used by
-        faceting/count where EVERY matching doc is needed, not a top-k.
-        ``min_should`` mirrors BooleanQuery.setMinimumNumberShouldMatch."""
-        n = scope.n
-        musts = [c for c in clauses if c.occur == MUST]
-        must_cnt = np.zeros(n, dtype=np.int16) if musts else None
-        should_cnt = np.zeros(n, dtype=np.int16) if min_should > 0 else None
-        any_hit = np.zeros(n, dtype=bool)
-        prohibited: np.ndarray | None = None
-        for c in clauses:
-            local = self._clause_match_local(scope, c, cache)
-            if c.occur == MUST_NOT:
-                if local.size:
-                    if prohibited is None:
-                        prohibited = np.zeros(n, dtype=bool)
-                    prohibited[local] = True
-                continue
-            any_hit[local] = True
-            if must_cnt is not None and c.occur == MUST:
-                must_cnt[local] += 1
-            if should_cnt is not None and c.occur == SHOULD:
-                should_cnt[local] += 1
-        if must_cnt is not None:
-            cand_mask = must_cnt == len(musts)
-        else:
-            cand_mask = any_hit
-        if should_cnt is not None:
-            cand_mask = cand_mask & (should_cnt >= min_should)
-        cand = np.flatnonzero(cand_mask)
-        if prohibited is not None and cand.size:
-            cand = cand[~prohibited[cand]]
-        return cand
 
     # ---- sharded-execution surface (pipelines/sharded.py) ------------
     def local_collection_stats(self) -> dict[str, dict]:
@@ -4472,8 +4288,7 @@ class SearchEngine:
         (sorted scope ids, tfs), or None when no member holds the term —
         via the cross-query LRU, ONE entry per (scope, term): a collection
         scope's entry holds the members' decodes concatenated, never
-        alongside per-segment copies (only ``explain`` decodes through
-        one-member scopes)."""
+        alongside per-segment copies."""
         ck = (scope.key, field, term)
         hit = self._postings_cache.get(ck)
         if hit is not None:
@@ -4839,235 +4654,208 @@ class SearchEngine:
         scope: _Scope,
         clauses: list[Clause],
         cache: dict,
-        global_df: dict,
-        n_docs: int,
-        avgdl: dict[str, float],
+        global_df: dict | None = None,
+        n_docs: int = 0,
+        avgdl: dict[str, float] | None = None,
         min_should: int = 0,
         global_ttf: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        parts: list | None = None,
+    ) -> tuple[np.ndarray | None, np.ndarray]:
         """One boolean level over a scope → (dense scores float64[scope.n],
         matched bool[scope.n]) under Lucene BooleanQuery semantics — the
-        recursive heart of the TAAT path; :class:`GroupClause` nests by
-        calling back in (a matching group contributes its inner sum ×
-        boost, a non-matching group contributes nothing).  ``scope`` is a
-        collection scope (every clause's per-segment matches mapped into
-        scope ids by member offset) or, for ``explain``, one segment's
-        scope; per doc the clauses add in query order, so both give
-        bit-identical scores.  ``min_should`` is
-        BooleanQuery.setMinimumNumberShouldMatch: a doc must additionally
-        match at least that many SHOULD clauses (fewer SHOULD clauses than
-        ``min_should`` ⇒ the level matches nothing, Lucene parity).
-        ``global_ttf``: corpus-global total term frequency per scored
-        (field, term) — required by ttf-hungry similarities (lmdirichlet),
-        empty otherwise."""
+        one code that combines clauses, behind search, every aux read op,
+        ``count`` and ``explain``.  Each clause is :meth:`_eval_clause`;
+        a doc matches when it matches every MUST clause (else at least one
+        SHOULD clause) and no MUST_NOT clause, which contributes no score.
+        Per doc the clauses add in query order, so a collection scope gives
+        the scores of scoring each segment alone bit for bit.
+        ``min_should`` is BooleanQuery.setMinimumNumberShouldMatch: a doc
+        must additionally match at least that many SHOULD clauses (fewer
+        SHOULD clauses than ``min_should`` ⇒ the level matches nothing,
+        Lucene parity).  ``global_ttf``: corpus-global total term frequency
+        per scored (field, term) — required by ttf-hungry similarities
+        (lmdirichlet), empty otherwise.
+
+        Score-free mode (``global_df`` None — count, facets, filters and
+        MUST_NOT clauses): scores are None and no statistics are read.
+        ``parts``, when given, receives each clause's :meth:`_eval_clause`
+        result in query order (MUST_NOT ones score-free) — ``explain``
+        reads its doc's row from them."""
         n = scope.n
-        sim = self.sim
-        gttf = global_ttf or {}
-        scores = np.zeros(n, dtype=np.float64)
-        musts = [c for c in clauses if c.occur == MUST]
+        scored = global_df is not None
+        scores = np.zeros(n, dtype=np.float64) if scored else None
+        musts = sum(c.occur == MUST for c in clauses)
         must_cnt = np.zeros(n, dtype=np.int16) if musts else None
         # a non-positive similarity (lmdirichlet clamps at 0) can leave a
-        # MATCHING doc at score 0.0, so the pure-SHOULD match set must be
-        # tracked explicitly instead of inferred from score > 0
-        track_should = min_should > 0 or (not sim.positive and not musts)
-        should_cnt = np.zeros(n, dtype=np.int16) if track_should else None
-
-        def _note_should(mask_or_idx, c):
-            # count a matching SHOULD clause (boolean array or index array)
-            if should_cnt is not None and c.occur == SHOULD:
-                should_cnt[mask_or_idx] += 1
-        prohibited: np.ndarray | None = None
-
+        # MATCHING doc at score 0.0, and score-free mode has no scores, so
+        # then the pure-SHOULD match set is tracked explicitly instead of
+        # inferred from score > 0
+        explicit = not musts and not (scored and self.sim.positive)
+        should_cnt = (
+            np.zeros(n, dtype=np.int16) if min_should > 0 or explicit else None
+        )
+        prohibited = []
         for c in clauses:
-            if c.occur == MUST_NOT:
-                # prohibited clauses exclude their matches and contribute
-                # NO score (Lucene BooleanQuery MUST_NOT)
-                local = self._clause_match_local(scope, c, cache)
-                if local.size:
-                    if prohibited is None:
-                        prohibited = np.zeros(n, dtype=bool)
-                    prohibited[local] = True
+            negated = c.occur == MUST_NOT
+            got = self._eval_clause(
+                scope, c, cache, None if negated else global_df,
+                n_docs, avgdl, global_ttf,
+            )
+            if parts is not None:
+                parts.append(got)
+            if got is None:
                 continue
-            if isinstance(c, GroupClause):
-                g_scores, g_match = self._eval_boolean(
-                    scope, list(c.clauses), cache, global_df,
-                    n_docs, avgdl, global_ttf=global_ttf,
-                )
-                if c.boost != 1.0:
-                    g_scores = g_scores * c.boost
-                scores += np.where(g_match, g_scores, 0.0)
-                if must_cnt is not None and c.occur == MUST:
-                    must_cnt[g_match] += 1
-                _note_should(g_match, c)
+            ids, contrib, _ = got
+            if negated:
+                prohibited.append(ids)
                 continue
-            if isinstance(c, DisMaxClause):
-                # DisjunctionMaxQuery: per-doc max over the legs plus
-                # tie · (sum of the other matching legs); matches when any
-                # leg matches.  TERM legs (the dismax rewrite's only
-                # output) fold SPARSELY over their postings — no dense
-                # per-leg allocations; other leg kinds recurse through
-                # this same kernel (SHOULD semantics inside).
-                best = np.zeros(n, dtype=np.float64)
-                total = np.zeros(n, dtype=np.float64)
-                anym = np.zeros(n, dtype=bool)
-                for leg in c.clauses:
-                    if isinstance(leg, TermClause):
-                        got = self._term_postings(
-                            scope, leg.field, leg.term, cache
-                        )
-                        dl = scope.doc_len.get(leg.field)
-                        df = global_df.get((leg.field, leg.term), 0)
-                        if got is None or dl is None or df == 0:
-                            continue
-                        local, tfs = got
-                        s_leg = sim.scorer(
-                            df, gttf.get((leg.field, leg.term), 0),
-                            n_docs, avgdl.get(leg.field, 1.0),
-                        )(tfs, dl[local])
-                        if leg.boost != 1.0:
-                            s_leg = s_leg * leg.boost
-                        total[local] += s_leg
-                        # posting-list docids are unique → plain indexed max
-                        best[local] = np.maximum(best[local], s_leg)
-                        anym[local] = True
-                        continue
-                    l_scores, l_match = self._eval_boolean(
-                        scope, [leg], cache, global_df,
-                        n_docs, avgdl, global_ttf=global_ttf,
-                    )
-                    l_scores = np.where(l_match, l_scores, 0.0)
-                    total += l_scores
-                    np.maximum(best, l_scores, out=best)
-                    anym |= l_match
-                d_scores = best + c.tie * (total - best)
-                if c.boost != 1.0:
-                    d_scores = d_scores * c.boost
-                scores += np.where(anym, d_scores, 0.0)
-                if must_cnt is not None and c.occur == MUST:
-                    must_cnt[anym] += 1
-                _note_should(anym, c)
-                continue
-            if isinstance(c, MatchAllClause):
-                # *:* — constant score boost × 1.0 on every live doc
-                alive = (
-                    np.arange(n, dtype=np.int64)
-                    if scope.all_alive
-                    else np.flatnonzero(scope.alive)
-                )
-                scores[alive] += c.boost
-                if must_cnt is not None and c.occur == MUST:
-                    must_cnt[alive] += 1
-                _note_should(alive, c)
-                continue
-            if isinstance(c, TermClause):
-                got = self._term_postings(scope, c.field, c.term, cache)
-                if got is None:
-                    continue
-                local, tfs = got
-                df = global_df[(c.field, c.term)]
-                if df == 0:
-                    continue
-                dl = scope.doc_len.get(c.field)
-                if dl is None:
-                    continue
-                s = sim.scorer(
-                    df, gttf.get((c.field, c.term), 0),
-                    n_docs, avgdl.get(c.field, 1.0),
-                )(tfs, dl[local])
-                if c.boost != 1.0:
-                    s = s * c.boost
-                scores[local] += s
-                if must_cnt is not None and c.occur == MUST:
-                    must_cnt[local] += 1
-                _note_should(local, c)
-            elif isinstance(c, SynonymClause):
-                # Lucene SynonymQuery: the group scores as ONE pseudo-term —
-                # per-doc tf = Σ member tfs, idf from the MAX member df
-                dl = scope.doc_len.get(c.field)
-                if dl is None:
-                    continue
-                max_df = max(
-                    (global_df.get((c.field, t), 0) for t in c.terms),
-                    default=0,
-                )
-                if max_df == 0:
-                    continue
-                agg = np.zeros(n, dtype=np.float64)
-                seen = np.zeros(n, dtype=bool)
-                for t in c.terms:
-                    got = self._term_postings(scope, c.field, t, cache)
-                    if got is None:
-                        continue
-                    local, tfs = got
-                    agg[local] += tfs
-                    seen[local] = True
-                docs = np.flatnonzero(seen)
-                if docs.size == 0:
-                    continue
-                # pseudo-term statistics: df = max member df (idf blend),
-                # ttf = Σ member ttfs (lmdirichlet's collection probability
-                # over the whole synonym set)
-                syn_ttf = sum(gttf.get((c.field, t), 0) for t in c.terms)
-                s = sim.scorer(
-                    max_df, syn_ttf, n_docs, avgdl.get(c.field, 1.0)
-                )(agg[docs], dl[docs])
-                if c.boost != 1.0:
-                    s = s * c.boost
-                scores[docs] += s
-                if must_cnt is not None and c.occur == MUST:
-                    must_cnt[docs] += 1
-                _note_should(docs, c)
-            elif isinstance(c, (PhraseClause, SpanClause)):
-                # Q8: the similarity over the phrase (or span) frequency as
-                # a pseudo-term — constituent-term weights aggregate per the
-                # similarity's phrase contract (BM25/classic sum idfs,
-                # Lucene PhraseWeight parity; lmdirichlet sums ttfs),
-                # GLOBAL dfs so sharded scores are exact; exclude terms of
-                # a span_not never contribute (SpanWeight parity)
-                got = self._scope_positional(scope, c)
-                if got is None:
-                    continue
-                dl = scope.doc_len.get(c.field)
-                if dl is None:
-                    continue
-                u_docs, pf = got
-                s = sim.phrase_scorer(
-                    [global_df.get((c.field, t), 0) for t in c.terms],
-                    sum(gttf.get((c.field, t), 0) for t in c.terms),
-                    n_docs, avgdl.get(c.field, 1.0),
-                )(pf, dl[u_docs])
-                if c.boost != 1.0:
-                    s = s * c.boost
-                scores[u_docs] += s
-                if must_cnt is not None and c.occur == MUST:
-                    must_cnt[u_docs] += 1
-                _note_should(u_docs, c)
-            else:
-                # constant-score expansion clauses: Q3 range over the sorted
-                # dictionary, Q9/Q10 prefix/wildcard/fuzzy expansion — the
-                # contribution IS the boost (Lucene 5.x CONSTANT_SCORE
-                # rewrite; 1.0 unboosted)
-                matched = self._constant_mask(scope, c)
-                scores[matched] += c.boost
-                if must_cnt is not None and c.occur == MUST:
-                    must_cnt[matched] += 1
-                _note_should(matched, c)
-
-        if must_cnt is not None:
-            matched = must_cnt == len(musts)
-            if should_cnt is not None and min_should > 0:
-                matched = matched & (should_cnt >= min_should)
-        elif not sim.positive:
-            # explicit match set (scores may clamp to 0 — Lucene returns
-            # those docs at 0.0, exactly like its LMDirichlet TopDocs)
-            matched = should_cnt >= max(min_should, 1)
+            if scored:
+                scores[ids] += contrib
+            if c.occur == MUST:
+                must_cnt[ids] += 1
+            elif should_cnt is not None:
+                should_cnt[ids] += 1
+        if musts:
+            matched = must_cnt == musts
+        elif explicit:
+            # Lucene returns a clamped doc at 0.0, exactly like its
+            # LMDirichlet TopDocs
+            matched = should_cnt > 0
         else:
             matched = scores > 0.0
-            if should_cnt is not None:
-                matched = matched & (should_cnt >= min_should)
-        if prohibited is not None:
-            matched &= ~prohibited
+        if min_should > 0:
+            matched &= should_cnt >= min_should
+        for ids in prohibited:
+            matched[ids] = False
         return scores, matched
+
+    def _eval_clause(
+        self,
+        scope: _Scope,
+        c: Clause,
+        cache: dict,
+        global_df: dict | None,
+        n_docs: int,
+        avgdl: dict[str, float] | None,
+        global_ttf: dict | None,
+    ) -> "tuple[np.ndarray, np.ndarray | float | None, np.ndarray | None] | None":
+        """One clause over a scope → (sorted scope ids it matches, their
+        score contributions — None in score-free mode, a scalar for a
+        constant-score clause — and the frequency the similarity saw: tf
+        for a term or synonym group, phrase / span freq for a positional
+        clause, else None), or None when it can match nothing.  Live docs
+        only; a field no member holds matches nothing.  ``global_df`` None
+        is :meth:`_eval_boolean`'s score-free mode."""
+        scored = global_df is not None
+        if isinstance(c, GroupClause):
+            # a matching group contributes its inner sum × boost
+            g_scores, g_match = self._eval_boolean(
+                scope, list(c.clauses), cache, global_df, n_docs, avgdl,
+                global_ttf=global_ttf,
+            )
+            ids = np.flatnonzero(g_match)
+            if not scored:
+                return ids, None, None
+            s = g_scores[ids]
+            return ids, s * c.boost if c.boost != 1.0 else s, None
+        if isinstance(c, DisMaxClause):
+            # DisjunctionMaxQuery: per-doc max over the legs (term clauses,
+            # their occur ignored) plus tie · (sum of the other matching
+            # legs); matches when any leg matches
+            best = np.zeros(scope.n, dtype=np.float64) if scored else None
+            total = np.zeros(scope.n, dtype=np.float64) if scored else None
+            anym = np.zeros(scope.n, dtype=bool)
+            for leg in c.clauses:
+                got = self._eval_clause(
+                    scope, leg, cache, global_df, n_docs, avgdl, global_ttf
+                )
+                if got is None:
+                    continue
+                ids, s, _ = got
+                anym[ids] = True
+                if scored:
+                    total[ids] += s
+                    # posting-list docids are unique → plain indexed max
+                    best[ids] = np.maximum(best[ids], s)
+            ids = np.flatnonzero(anym)
+            if not scored:
+                return ids, None, None
+            d = best[ids] + c.tie * (total[ids] - best[ids])
+            return ids, d * c.boost if c.boost != 1.0 else d, None
+        if isinstance(c, MatchAllClause):
+            # *:* — constant score boost × 1.0 on every live doc
+            ids = (
+                np.arange(scope.n, dtype=np.int64) if scope.all_alive
+                else np.flatnonzero(scope.alive)
+            )
+            return ids, c.boost if scored else None, None
+        if isinstance(c, (RangeClause, MultiTermClause)):
+            # constant-score expansion clauses: Q3 range over the sorted
+            # dictionary, Q9/Q10 prefix/wildcard/regexp/fuzzy expansion —
+            # the contribution IS the boost (Lucene 5.x CONSTANT_SCORE
+            # rewrite; 1.0 unboosted)
+            ids = np.flatnonzero(self._constant_mask(scope, c))
+            return ids, c.boost if scored else None, None
+        dl = scope.doc_len.get(c.field)
+        if dl is None:
+            return None
+        sim = self.sim
+        gttf = global_ttf or {}
+        avg = avgdl.get(c.field, 1.0) if scored else 0.0
+        if isinstance(c, TermClause):
+            got = self._term_postings(scope, c.field, c.term, cache)
+            if got is None:
+                return None
+            ids, tfs = got
+            if not scored:
+                return ids, None, tfs
+            df = global_df[(c.field, c.term)]
+            if df == 0:
+                return None
+            s = sim.scorer(df, gttf.get((c.field, c.term), 0), n_docs, avg)(
+                tfs, dl[ids]
+            )
+        elif isinstance(c, SynonymClause):
+            # Lucene SynonymQuery: the group scores as ONE pseudo-term —
+            # per-doc tf = Σ member tfs, idf from the MAX member df
+            agg = np.zeros(scope.n, dtype=np.float64)
+            seen = np.zeros(scope.n, dtype=bool)
+            for t in c.terms:
+                got = self._term_postings(scope, c.field, t, cache)
+                if got is not None:
+                    agg[got[0]] += got[1]
+                    seen[got[0]] = True
+            ids = np.flatnonzero(seen)
+            tfs = agg[ids]
+            if not scored:
+                return ids, None, tfs
+            max_df = max((global_df.get((c.field, t), 0) for t in c.terms), default=0)
+            if max_df == 0 or ids.size == 0:
+                return None
+            # pseudo-term statistics: df = max member df (idf blend), ttf =
+            # Σ member ttfs (lmdirichlet's collection probability over the
+            # whole synonym set)
+            syn_ttf = sum(gttf.get((c.field, t), 0) for t in c.terms)
+            s = sim.scorer(max_df, syn_ttf, n_docs, avg)(tfs, dl[ids])
+        else:
+            # Q8: the similarity over the phrase (or span) frequency as a
+            # pseudo-term — constituent-term weights aggregate per the
+            # similarity's phrase contract (BM25/classic sum idfs, Lucene
+            # PhraseWeight parity; lmdirichlet sums ttfs), GLOBAL dfs so
+            # sharded scores are exact; exclude terms of a span_not never
+            # contribute (SpanWeight parity)
+            assert isinstance(c, (PhraseClause, SpanClause))
+            got = self._scope_positional(scope, c)
+            if got is None:
+                return None
+            ids, tfs = got
+            if not scored:
+                return ids, None, tfs
+            s = sim.phrase_scorer(
+                [global_df.get((c.field, t), 0) for t in c.terms],
+                sum(gttf.get((c.field, t), 0) for t in c.terms), n_docs, avg,
+            )(tfs, dl[ids])
+        return ids, s * c.boost if c.boost != 1.0 else s, tfs
 
     # ------------------------------------------------------------------
     def _score_segment_and(

@@ -922,7 +922,8 @@ def test_union_expansion_equals_member_scan(engines, multigen, evolved):
     has — expand once over the scope dictionary to exactly the member
     rows a per-member brute-force scan (Python ``re.fullmatch`` /
     ``damerau_levenshtein``) finds, on indexes with upserts and deletes,
-    over the collection scope and over one-member scopes (``explain``'s)."""
+    over the collection scope and over one-member scopes (a collection of
+    one segment)."""
     from lucene_plugin_ray.pipelines.query import SearchEngine, _Scope
 
     rng = np.random.default_rng(23)
