@@ -4684,7 +4684,7 @@ class SearchEngine:
         n = scope.n
         scored = global_df is not None
         scores = np.zeros(n, dtype=np.float64) if scored else None
-        musts = sum(c.occur == MUST for c in clauses)
+        musts = [c.occur for c in clauses].count(MUST)
         must_cnt = np.zeros(n, dtype=np.int16) if musts else None
         # a non-positive similarity (lmdirichlet clamps at 0) can leave a
         # MATCHING doc at score 0.0, and score-free mode has no scores, so
